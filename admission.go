@@ -8,12 +8,12 @@ import (
 	"github.com/hetsched/eas/internal/core"
 )
 
-// This file is the public surface of the overload-resilient admission
-// controller (internal/core/tiered.go): multi-tenant quotas, priority
-// classes, deadline budgets, load shedding, and the runtime watchdog.
-// Everything is opt-in via Config.Admission — with the zero policy the
-// runtime keeps the legacy fair-FIFO gate, byte-identical and
-// allocation-free.
+// This file is the public surface of the admission gate
+// (internal/core/tiered.go): multi-tenant quotas, priority classes,
+// deadline budgets, load shedding, and the runtime watchdog. Classes
+// always apply; every bound is opt-in via Config.Admission — with the
+// zero policy the gate is a single-class, unlimited, unbounded fair
+// FIFO.
 
 // Class is an invocation's priority class at the admission gate; lower
 // is more urgent. Attach it per invocation with WithClass.
@@ -45,16 +45,16 @@ type TenantQuota struct {
 	Burst float64
 }
 
-// AdmissionPolicy configures the tiered admission controller. The zero
-// value disables it entirely: the runtime keeps the legacy fair-FIFO
-// gate and scheduling behaviour is byte-identical to earlier releases.
-// Setting Enabled (or any other field) switches the gate to tiered
-// mode: priority-classed bounded queues with starvation-proof aging,
-// per-tenant token-bucket quotas, deadline-aware load shedding, and an
-// optional hold-time watchdog.
+// AdmissionPolicy configures the admission gate's bounds. The gate
+// always orders waiters by priority class with starvation-proof aging
+// (FIFO within a class); the policy adds per-tenant token-bucket
+// quotas, bounded class queues with load shedding, and a hold-time
+// watchdog. The zero value sets no bound: a request that carries no
+// class or deadline budget queues in plain arrival order.
 type AdmissionPolicy struct {
-	// Enabled turns the tiered controller on even when every other
-	// field keeps its default.
+	// Enabled has no effect.
+	//
+	// Deprecated: the tiered gate is always on.
 	Enabled bool
 	// TenantRate and TenantBurst are the default per-tenant quota
 	// (invocations/second and bucket depth); Rate 0 leaves tenants
@@ -79,19 +79,11 @@ type AdmissionPolicy struct {
 	// backlog-estimate sheds. Before any hold completes the estimator
 	// reads zero, and a zero RetryAfter invites every shed client to
 	// retry immediately — a thundering herd at the worst moment.
-	// Default 1ms once the controller is on; negative disables the
-	// floor. Exact token-refill estimates (quota sheds) are not
+	// Default 1ms; negative disables the floor. Exact token-refill estimates (quota sheds) are not
 	// floored.
 	RetryAfterFloor time.Duration
 	// TenantQuotas overrides the default quota per tenant name.
 	TenantQuotas map[string]TenantQuota
-}
-
-// enabled reports whether any field asks for the tiered controller.
-func (p AdmissionPolicy) enabled() bool {
-	return p.Enabled || p.TenantRate != 0 || p.TenantBurst != 0 ||
-		p.QueueDepth != 0 || p.AgingStep != 0 || p.Watchdog != 0 ||
-		p.RetryAfterFloor != 0 || len(p.TenantQuotas) > 0
 }
 
 // WithTenant attaches a tenant identity to a context for per-tenant
@@ -125,8 +117,8 @@ func WithDeadlineBudget(ctx context.Context, d time.Duration) context.Context {
 	return core.WithRequest(ctx, req)
 }
 
-// ErrOverloaded is the typed load-shedding rejection from the tiered
-// admission controller: the invocation was refused before touching the
+// ErrOverloaded is the typed load-shedding rejection from the
+// admission gate: the invocation was refused before touching the
 // engine or the α table. Check with errors.As:
 //
 //	var ov *eas.ErrOverloaded
@@ -163,9 +155,6 @@ var ErrAdmissionRevoked = core.ErrAdmissionRevoked
 // pressure. Counters are cumulative since runtime construction; queue
 // depths are instantaneous.
 type AdmissionStats struct {
-	// Tiered reports whether the tiered controller is active; when
-	// false only Waiters is meaningful.
-	Tiered bool
 	// Waiters is the total number of queued invocations.
 	Waiters int
 	// Admitted counts grants per class (index by Class).
@@ -194,24 +183,23 @@ func (s AdmissionStats) Shed() uint64 {
 // AdmissionStats snapshots the runtime's admission-gate pressure.
 func (r *Runtime) AdmissionStats() AdmissionStats {
 	adm := r.sched.Admission()
-	out := AdmissionStats{Waiters: adm.Waiters()}
-	if st, ok := adm.TieredStats(); ok {
-		out.Tiered = true
-		out.Admitted = st.Admitted
-		out.ShedQuota = st.ShedQuota
-		out.ShedQueueFull = st.ShedQueueFull
-		out.ShedDeadline = st.ShedDeadline
-		out.AgingPromotions = st.AgingPromotions
-		out.WatchdogStalls = st.WatchdogStalls
-		out.LateReleases = st.LateReleases
-		out.QueueDepth = st.QueueDepth
-		out.AvgHold = st.AvgHold
+	st := adm.Stats()
+	return AdmissionStats{
+		Waiters:         adm.Waiters(),
+		Admitted:        st.Admitted,
+		ShedQuota:       st.ShedQuota,
+		ShedQueueFull:   st.ShedQueueFull,
+		ShedDeadline:    st.ShedDeadline,
+		AgingPromotions: st.AgingPromotions,
+		WatchdogStalls:  st.WatchdogStalls,
+		LateReleases:    st.LateReleases,
+		QueueDepth:      st.QueueDepth,
+		AvgHold:         st.AvgHold,
 	}
-	return out
 }
 
-// SetTenantQuota overrides one tenant's admission quota at runtime
-// (no-op unless Config.Admission enabled the tiered controller).
+// SetTenantQuota overrides one tenant's admission quota at runtime;
+// it applies from the tenant's next arrival.
 func (r *Runtime) SetTenantQuota(tenant string, q TenantQuota) {
 	r.sched.SetTenantQuota(tenant, q.Rate, q.Burst)
 }

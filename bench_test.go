@@ -342,9 +342,9 @@ func BenchmarkRuntimeMultiTenant(b *testing.B) {
 }
 
 // BenchmarkAdmissionContended measures contended admission throughput —
-// decisions/sec through one gate with every CPU hammering it — for the
-// legacy FIFO gate and the tiered controller (quotas unlimited, queues
-// unbounded, watchdog armed), the number BENCH_admission.json baselines.
+// decisions/sec through the gate with every CPU hammering it, mixed
+// classes, quotas unlimited, queues unbounded and the watchdog armed —
+// the number BENCH_admission.json baselines.
 // The α table is pre-warmed so the gate itself is the hot path, not
 // first-touch profiling.
 func BenchmarkAdmissionContended(b *testing.B) {
@@ -353,45 +353,38 @@ func BenchmarkAdmissionContended(b *testing.B) {
 		b.Fatal(err)
 	}
 	const n = 50000
-	for _, cfg := range []struct {
-		name   string
-		policy eas.AdmissionPolicy
-	}{
-		{"legacy", eas.AdmissionPolicy{}},
-		{"tiered", eas.AdmissionPolicy{Enabled: true, Watchdog: 10 * time.Second}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			rt, err := eas.NewRuntime(eas.DesktopPlatform(), eas.Config{
-				Metric: eas.EDP, Model: model, Admission: cfg.policy,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer rt.Close()
-			kernel := eas.Kernel{
-				Name:         "admission-bench",
-				FLOPsPerItem: 200, MemOpsPerItem: 20, L3MissRatio: 0.1, InstructionsPerItem: 400,
-			}
-			if _, err := rt.ParallelFor(kernel, n); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				g := 0
-				for pb.Next() {
-					ctx := eas.WithClass(eas.WithTenant(context.Background(),
-						fmt.Sprintf("tenant-%d", g%4)), eas.Class(g%3))
-					if _, err := rt.ParallelForCtx(ctx, kernel, n); err != nil {
-						b.Error(err)
-						return
-					}
-					g++
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
+	b.Run("tiered", func(b *testing.B) {
+		rt, err := eas.NewRuntime(eas.DesktopPlatform(), eas.Config{
+			Metric: eas.EDP, Model: model,
+			Admission: eas.AdmissionPolicy{Watchdog: 10 * time.Second},
 		})
-	}
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer rt.Close()
+		kernel := eas.Kernel{
+			Name:         "admission-bench",
+			FLOPsPerItem: 200, MemOpsPerItem: 20, L3MissRatio: 0.1, InstructionsPerItem: 400,
+		}
+		if _, err := rt.ParallelFor(kernel, n); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			g := 0
+			for pb.Next() {
+				ctx := eas.WithClass(eas.WithTenant(context.Background(),
+					fmt.Sprintf("tenant-%d", g%4)), eas.Class(g%3))
+				if _, err := rt.ParallelForCtx(ctx, kernel, n); err != nil {
+					b.Error(err)
+					return
+				}
+				g++
+			}
+		})
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
+	})
 }
 
 // BenchmarkDecisionPath measures the batched decision path at the core

@@ -42,7 +42,6 @@ func main() {
 	coalesce := flag.Bool("coalesce", false, "coalesce concurrent same-kernel scheduling decisions in the -concurrent demo")
 	tableTTL := flag.Duration("table-ttl", 0, "re-profile alpha-table records older than this (0 = never; enables the fresh-entry fast path)")
 	minConfidence := flag.Int("min-confidence", 0, "recorded invocations a record needs before the fast path may skip a periodic re-profile")
-	shardDevices := flag.Bool("shard-devices", false, "shard the admission gate per device (CPU/GPU) in the -concurrent demo")
 	overload := flag.Float64("overload", 0, "run the open-loop overload soak at this multiple of measured capacity (e.g. 4)")
 	overloadTenants := flag.Int("overload-tenants", 6, "tenant identities for -overload")
 	overloadDuration := flag.Duration("overload-duration", 2*time.Second, "arrival-generation window for -overload")
@@ -180,10 +179,9 @@ func main() {
 
 	if *concurrent > 0 {
 		decision := eas.DecisionPolicy{
-			Coalesce:       *coalesce,
-			TableTTL:       *tableTTL,
-			MinConfidence:  *minConfidence,
-			ShardPerDevice: *shardDevices,
+			Coalesce:      *coalesce,
+			TableTTL:      *tableTTL,
+			MinConfidence: *minConfidence,
 		}
 		if err := runConcurrent(*concurrent, decision, *statePath, observer); err != nil {
 			fail(err)

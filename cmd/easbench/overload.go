@@ -1,8 +1,8 @@
 package main
 
-// Open-loop multi-tenant overload generator for the tiered admission
-// controller. Unlike -concurrent (closed loop: each tenant waits for
-// its previous invocation), arrivals here are generated at a fixed
+// Open-loop multi-tenant overload generator for the admission gate.
+// Unlike -concurrent (closed loop: each tenant waits for its previous
+// invocation), arrivals here are generated at a fixed
 // offered rate regardless of completions — the only regime in which an
 // overloaded system actually shows its failure mode. The offered rate
 // is a multiple of the measured scheduling capacity, so "-overload 4"
@@ -124,7 +124,6 @@ func runOverload(cfg overloadConfig, observer *eas.Observer) error {
 		Model:    model,
 		Observer: observer,
 		Admission: eas.AdmissionPolicy{
-			Enabled:    true,
 			QueueDepth: queueDepth,
 			Watchdog:   watchdog,
 		},

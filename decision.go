@@ -28,12 +28,4 @@ type DecisionPolicy struct {
 	// needs before the fast path may skip a periodic re-profile. 0
 	// disables the confidence gate (the fast path then needs TableTTL).
 	MinConfidence int
-	// ShardPerDevice shards the admission gate per device (CPU, GPU)
-	// instead of per runtime: invocations whose replayed α pins them to
-	// disjoint executors run concurrently, while profiling and mixed-α
-	// invocations still claim both. The trade is that the per-domain
-	// energy split (Report.CPUEnergyJ/GPUEnergyJ/DRAMEnergyJ) may
-	// include a concurrent tenant's activity. Incompatible with
-	// Config.Admission and Config.Robustness.Meter.
-	ShardPerDevice bool
 }

@@ -1,7 +1,6 @@
 package eas
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -127,54 +126,5 @@ func TestParseFaultPlanLeaderFail(t *testing.T) {
 	}
 	if st := plan.Stats(); st.CoalesceLeaderFails != 1 {
 		t.Errorf("Stats().CoalesceLeaderFails = %d, want 1", st.CoalesceLeaderFails)
-	}
-}
-
-// Per-device gate sharding smoke through the public API, plus its two
-// construction-time incompatibilities.
-func TestDecisionShardPerDevice(t *testing.T) {
-	rt, err := NewRuntime(DesktopPlatform(), Config{
-		Metric:   EDP,
-		Model:    sharedModel(t),
-		Decision: DecisionPolicy{ShardPerDevice: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-
-	k := computeKernel("sharded-kernel", func(int) {})
-	if _, err := rt.ParallelFor(k, 200000); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := rt.ParallelFor(k, 60000); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-
-	_, err = NewRuntime(DesktopPlatform(), Config{
-		Metric:    EDP,
-		Model:     sharedModel(t),
-		Decision:  DecisionPolicy{ShardPerDevice: true},
-		Admission: AdmissionPolicy{Enabled: true},
-	})
-	if err == nil || !strings.Contains(err.Error(), "tiered") {
-		t.Errorf("ShardPerDevice + Admission: err = %v, want tiered-incompatibility error", err)
-	}
-	_, err = NewRuntime(DesktopPlatform(), Config{
-		Metric:     EDP,
-		Model:      sharedModel(t),
-		Decision:   DecisionPolicy{ShardPerDevice: true},
-		Robustness: Robustness{Meter: true},
-	})
-	if err == nil || !strings.Contains(err.Error(), "RobustMeter") {
-		t.Errorf("ShardPerDevice + Robustness.Meter: err = %v, want meter-incompatibility error", err)
 	}
 }

@@ -142,16 +142,16 @@ type Config struct {
 	// Robustness tunes the telemetry-hardening layer. The zero value
 	// disables it entirely.
 	Robustness Robustness
-	// Admission configures the overload-resilient admission controller:
-	// per-tenant quotas, priority classes, bounded queues with load
-	// shedding, deadline budgets, and a hold-time watchdog. The zero
-	// value keeps the legacy fair-FIFO gate, byte-identical to earlier
-	// releases.
+	// Admission bounds the admission gate that serializes invocations
+	// onto the platform: per-tenant quotas, bounded class queues with
+	// load shedding, the aging rate, and a hold-time watchdog. Priority
+	// classes and deadline budgets attached with WithClass and
+	// WithDeadlineBudget always apply. The zero value sets no bound: the
+	// gate is a single-class, unlimited, unbounded fair FIFO.
 	Admission AdmissionPolicy
 	// Decision tunes the batched decision path: coalesced concurrent
-	// decisions, the fresh-entry fast path, and per-device gate
-	// sharding. The zero value keeps the decision path byte-identical
-	// to earlier releases.
+	// decisions and the fresh-entry fast path. The zero value keeps the
+	// decision path byte-identical to earlier releases.
 	Decision DecisionPolicy
 	// State configures durable scheduler state: the α-table WAL +
 	// snapshot that lets learned per-kernel offload ratios survive a
@@ -428,7 +428,6 @@ func NewRuntime(p *Platform, cfg Config) (*Runtime, error) {
 		BreakerThreshold:     cfg.BreakerThreshold,
 		BreakerProbeAfter:    cfg.BreakerProbeAfter,
 		Observer:             cfg.Observer.internal(),
-		AdmissionTiered:      cfg.Admission.enabled(),
 		AdmissionTenantRate:  cfg.Admission.TenantRate,
 		AdmissionTenantBurst: cfg.Admission.TenantBurst,
 		AdmissionQueueDepth:  cfg.Admission.QueueDepth,
@@ -438,7 +437,6 @@ func NewRuntime(p *Platform, cfg Config) (*Runtime, error) {
 		CoalesceDecisions:    cfg.Decision.Coalesce,
 		TableTTL:             cfg.Decision.TableTTL,
 		MinConfidence:        cfg.Decision.MinConfidence,
-		ShardGatePerDevice:   cfg.Decision.ShardPerDevice,
 		Reuse:                cfg.Reuse,
 	})
 	if err != nil {

@@ -1,10 +1,14 @@
 package eas
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/hetsched/eas/internal/msr"
 )
 
 // TestRuntimeConcurrentCallers is the public-API tentpole stress test:
@@ -130,4 +134,80 @@ func TestConcurrentEnergyAccountingIsPerTenant(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// Energy conservation across tenants: with one invocation owning the
+// platform at a time, the per-domain joules attributed to concurrent
+// tenants' reports add up to exactly what the PP0/PP1/DRAM MSRs
+// advanced over the run — nothing double-billed, nothing lost — and the
+// per-tenant eas_tenant_energy_joules_total{domain} families sum to the
+// same totals.
+func TestEnergyConservationMultiTenant(t *testing.T) {
+	const (
+		tenants  = 8
+		runsEach = 4
+	)
+	observer := NewObserver(ObserverOptions{})
+	rt, err := NewRuntime(DesktopPlatform(), Config{Metric: EDP, Model: sharedModel(t), Observer: observer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	p := rt.platform.inner
+	pp0, pp1, dram := msr.NewMeter(p.MSRPP0), msr.NewMeter(p.MSRPP1), msr.NewMeter(p.MSRDRAM)
+	var mu sync.Mutex
+	var cpuJ, gpuJ, dramJ float64
+	var wg sync.WaitGroup
+	for g := 0; g < tenants; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ctx := WithClass(WithTenant(context.Background(), fmt.Sprintf("tenant-%d", g)), Class(g%3))
+			k := computeKernel("conserve-compute", nil)
+			if g%2 == 1 {
+				k = memKernel(nil)
+			}
+			for r := 0; r < runsEach; r++ {
+				// Vary n so profiling, replay and small-N CPU-only runs mix.
+				rep, err := rt.ParallelForCtx(ctx, k, []int{200000, 120000, 500, 60000}[r])
+				if err != nil {
+					t.Errorf("tenant %d run %d: %v", g, r, err)
+					return
+				}
+				mu.Lock()
+				cpuJ += rep.CPUEnergyJ
+				gpuJ += rep.GPUEnergyJ
+				dramJ += rep.DRAMEnergyJ
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	tenantJ := map[string]float64{}
+	for _, acct := range observer.inner.TenantAccounting() {
+		for domain, j := range acct.EnergyJ {
+			tenantJ[domain] += j
+		}
+	}
+	for _, d := range []struct {
+		domain          string
+		reports, metric float64
+		msr             float64
+	}{
+		{"cpu", cpuJ, tenantJ["cpu"], pp0.Joules()},
+		{"gpu", gpuJ, tenantJ["gpu"], pp1.Joules()},
+		{"dram", dramJ, tenantJ["dram"], dram.Joules()},
+	} {
+		if d.msr <= 0 {
+			t.Errorf("%s: MSR delta %v J, want > 0", d.domain, d.msr)
+		}
+		if rel := math.Abs(d.reports-d.msr) / d.msr; rel > 1e-9 {
+			t.Errorf("%s: reports sum to %v J, MSR delta %v J (rel err %g)", d.domain, d.reports, d.msr, rel)
+		}
+		if rel := math.Abs(d.metric-d.msr) / d.msr; rel > 1e-9 {
+			t.Errorf("%s: tenant metrics sum to %v J, MSR delta %v J (rel err %g)", d.domain, d.metric, d.msr, rel)
+		}
+	}
 }

@@ -27,7 +27,6 @@ func TestFlightRecorderWatchdogIncident(t *testing.T) {
 	})
 	plan := NewFaultPlan(7)
 	rt := overloadRuntime(t, AdmissionPolicy{
-		Enabled:  true,
 		Watchdog: 40 * time.Millisecond,
 	}, plan, observer)
 	defer rt.Close()
@@ -59,9 +58,16 @@ func TestFlightRecorderWatchdogIncident(t *testing.T) {
 	}
 
 	// Exactly one debounced dump file: the watchdog stall triggered it,
-	// and the hour-long debounce swallows anything after.
-	if got := observer.FlightDumps(); got != 1 {
-		t.Fatalf("FlightDumps() = %d, want 1", got)
+	// and the hour-long debounce swallows anything after. The watchdog
+	// cancels the wedged holder before its stall hook triggers the dump,
+	// so the tenant can return first; the dump counts only once its
+	// file is in place, so wait for the count before looking on disk.
+	deadline := time.Now().Add(10 * time.Second)
+	for observer.FlightDumps() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("FlightDumps() = %d, want 1", observer.FlightDumps())
+		}
+		time.Sleep(time.Millisecond)
 	}
 	names, err := filepath.Glob(filepath.Join(dir, "incident-*.json"))
 	if err != nil || len(names) != 1 {

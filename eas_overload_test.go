@@ -62,9 +62,6 @@ func TestOverloadQuotaShedsPublic(t *testing.T) {
 	}
 
 	st := rt.AdmissionStats()
-	if !st.Tiered {
-		t.Error("AdmissionStats.Tiered = false with a tenant-quota policy")
-	}
 	if st.ShedQuota != 1 || st.Shed() != 1 {
 		t.Errorf("ShedQuota = %d Shed() = %d, want 1/1", st.ShedQuota, st.Shed())
 	}
@@ -79,7 +76,7 @@ func TestOverloadQuotaShedsPublic(t *testing.T) {
 // SetTenantQuota applies at runtime and WithClass labels admissions per
 // class in the stats.
 func TestOverloadRuntimeQuotaAndClasses(t *testing.T) {
-	rt := overloadRuntime(t, AdmissionPolicy{Enabled: true}, nil, nil)
+	rt := overloadRuntime(t, AdmissionPolicy{}, nil, nil)
 	defer rt.Close()
 	k := computeKernel("classy-kernel", func(int) {})
 
@@ -109,7 +106,7 @@ func TestOverloadRuntimeQuotaAndClasses(t *testing.T) {
 // wedged with the admission-hold fault rather than a blocking body.
 func TestOverloadDeadlineBudgetPublic(t *testing.T) {
 	plan := NewFaultPlan(3)
-	rt := overloadRuntime(t, AdmissionPolicy{Enabled: true}, plan, nil)
+	rt := overloadRuntime(t, AdmissionPolicy{}, plan, nil)
 	defer rt.Close()
 	k := computeKernel("deadline-kernel", func(int) {})
 	// Seed the hold estimator with a real invocation.
@@ -157,7 +154,6 @@ func TestOverloadWatchdogPublic(t *testing.T) {
 	plan := NewFaultPlan(7)
 	plan.HoldAdmission(10*time.Second, 1)
 	rt := overloadRuntime(t, AdmissionPolicy{
-		Enabled:  true,
 		Watchdog: 40 * time.Millisecond,
 	}, plan, observer)
 	defer rt.Close()
@@ -258,7 +254,6 @@ func TestOverloadHoldFaultGrammar(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := overloadRuntime(t, AdmissionPolicy{
-		Enabled:  true,
 		Watchdog: 25 * time.Millisecond,
 	}, plan, nil)
 	defer rt.Close()
@@ -272,8 +267,9 @@ func TestOverloadHoldFaultGrammar(t *testing.T) {
 	}
 }
 
-// With the zero policy the public runtime reports a legacy gate and
-// sheds nothing, ever.
+// With the zero policy the public runtime's gate is a single-class
+// FIFO: every unclassed invocation is admitted as interactive, and
+// nothing is ever shed.
 func TestOverloadDisabledStats(t *testing.T) {
 	rt := newRuntime(t, EDP)
 	defer rt.Close()
@@ -281,10 +277,10 @@ func TestOverloadDisabledStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := rt.AdmissionStats()
-	if st.Tiered {
-		t.Error("zero Config.Admission enabled the tiered controller")
+	if st.Admitted != [3]uint64{1, 0, 0} {
+		t.Errorf("Admitted = %v, want one interactive grant", st.Admitted)
 	}
 	if st.Shed() != 0 || st.Waiters != 0 {
-		t.Errorf("legacy gate reports shed=%d waiters=%d", st.Shed(), st.Waiters)
+		t.Errorf("zero-policy gate reports shed=%d waiters=%d", st.Shed(), st.Waiters)
 	}
 }

@@ -147,9 +147,10 @@ func (f *FaultPlan) ReleaseHangs() { f.inner.ReleaseHangs() }
 
 // HoldAdmission scripts the next k admitted invocations to wedge for d
 // of wall-clock time while holding the admission gate — the
-// slow-tenant fault. Only a tiered admission controller
-// (Config.Admission) consumes it; with a watchdog configured, the hold
-// is what the watchdog force-releases.
+// slow-tenant fault. With a watchdog configured
+// (Config.Admission.Watchdog), the hold is what the watchdog
+// force-releases; without one the invocation simply holds the gate for
+// d before running.
 func (f *FaultPlan) HoldAdmission(d time.Duration, k int) { f.inner.HoldAdmissionFor(d, k) }
 
 // FailCoalesceLeader scripts the next k coalesced decision flights

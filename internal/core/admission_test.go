@@ -19,7 +19,8 @@ func TestAdmissionSerializes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if err := a.Acquire(context.Background()); err != nil {
+				tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -27,7 +28,7 @@ func TestAdmissionSerializes(t *testing.T) {
 					maxInside.Store(cur)
 				}
 				inside.Add(-1)
-				a.Release()
+				a.Release(tk)
 			}
 		}()
 	}
@@ -37,11 +38,12 @@ func TestAdmissionSerializes(t *testing.T) {
 	}
 }
 
-// FIFO fairness: waiters are admitted in arrival order, not barging
-// order.
+// FIFO fairness within a class: waiters are admitted in arrival order,
+// not barging order.
 func TestAdmissionFIFOOrder(t *testing.T) {
 	var a Admission
-	if err := a.Acquire(context.Background()); err != nil {
+	tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	const waiters = 8
@@ -52,22 +54,21 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := a.Acquire(context.Background()); err != nil {
+			wtk, err := a.Acquire(context.Background(), AdmitRequest{Class: ClassBatch}, nil)
+			if err != nil {
 				t.Error(err)
 				return
 			}
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
-			a.Release()
+			a.Release(wtk)
 		}(i)
 		// Ensure goroutine i is queued before i+1 arrives, so arrival
 		// order is the loop order.
-		for a.Waiters() != i+1 {
-			time.Sleep(time.Millisecond)
-		}
+		waitForWaiters(t, &a, i+1)
 	}
-	a.Release()
+	a.Release(tk)
 	wg.Wait()
 	for i, got := range order {
 		if got != i {
@@ -78,15 +79,17 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 
 func TestAdmissionCancelledWhileQueued(t *testing.T) {
 	var a Admission
-	if err := a.Acquire(context.Background()); err != nil {
+	tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
-	go func() { errCh <- a.Acquire(ctx) }()
-	for a.Waiters() != 1 {
-		time.Sleep(time.Millisecond)
-	}
+	go func() {
+		_, err := a.Acquire(ctx, AdmitRequest{}, nil)
+		errCh <- err
+	}()
+	waitForWaiters(t, &a, 1)
 	cancel()
 	if err := <-errCh; !errors.Is(err, context.Canceled) {
 		t.Fatalf("queued Acquire returned %v, want context.Canceled", err)
@@ -95,18 +98,18 @@ func TestAdmissionCancelledWhileQueued(t *testing.T) {
 		t.Errorf("cancelled waiter still queued (%d waiters)", a.Waiters())
 	}
 	// The gate must still work: release and reacquire.
-	a.Release()
-	if err := a.Acquire(context.Background()); err != nil {
+	a.Release(tk)
+	if tk, err = a.Acquire(context.Background(), AdmitRequest{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	a.Release()
+	a.Release(tk)
 }
 
 func TestAdmissionPreCancelled(t *testing.T) {
 	var a Admission
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := a.Acquire(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := a.Acquire(ctx, AdmitRequest{}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Acquire on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
@@ -117,29 +120,37 @@ func TestAdmissionPreCancelled(t *testing.T) {
 func TestAdmissionGrantCancelRaceDoesNotLeak(t *testing.T) {
 	var a Admission
 	for i := 0; i < 200; i++ {
-		if err := a.Acquire(context.Background()); err != nil {
+		tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() { done <- a.Acquire(ctx) }()
+		type grant struct {
+			tk  uint64
+			err error
+		}
+		done := make(chan grant, 1)
+		go func() {
+			wtk, err := a.Acquire(ctx, AdmitRequest{}, nil)
+			done <- grant{wtk, err}
+		}()
 		for a.Waiters() != 1 {
 			time.Sleep(50 * time.Microsecond)
 		}
 		// Release (granting the waiter) and cancel concurrently.
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); a.Release() }()
+		go func() { defer wg.Done(); a.Release(tk) }()
 		go func() { defer wg.Done(); cancel() }()
 		wg.Wait()
-		if err := <-done; err == nil {
-			a.Release() // waiter won: it owns the gate
+		if g := <-done; g.err == nil {
+			a.Release(g.tk) // waiter won: it owns the gate
 		}
 		// Whatever the race outcome, the gate must be free again.
-		if err := a.Acquire(context.Background()); err != nil {
+		if tk, err = a.Acquire(context.Background(), AdmitRequest{}, nil); err != nil {
 			t.Fatal(err)
 		}
-		a.Release()
+		a.Release(tk)
 	}
 }
 
@@ -150,5 +161,5 @@ func TestAdmissionReleaseWithoutAcquirePanics(t *testing.T) {
 		}
 	}()
 	var a Admission
-	a.Release()
+	a.Release(1)
 }

@@ -24,9 +24,9 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 
 // With every decision knob at its zero value the batched decision path
 // must be dead code: reports under a fault script are byte-identical
-// across plain, coalescing, fast-path and device-sharded schedulers for
-// serial callers. Coalescing and sharding only change what *concurrent*
-// invocations do; TTL/confidence only matter once their knobs are set.
+// across plain, coalescing and fast-path schedulers for serial callers.
+// Coalescing only changes what *concurrent* invocations do;
+// TTL/confidence only matter once their knobs are set.
 func TestDecisionZeroKnobsByteIdentical(t *testing.T) {
 	run := func(opts Options) []Report {
 		s, plan := newFaultyEAS(t, opts)
@@ -48,7 +48,6 @@ func TestDecisionZeroKnobsByteIdentical(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"coalesce":  {CoalesceDecisions: true},
 		"fast-path": {TableTTL: time.Hour, MinConfidence: 2},
-		"sharded":   {ShardGatePerDevice: true},
 		// Reuse only changes where per-invocation state is allocated,
 		// never what the scheduler decides — reports must match exactly.
 		"reuse": {Reuse: true},

@@ -15,8 +15,9 @@ func TestCoalesceLeaderLeak(t *testing.T) {
 	s, _ := newFaultyEAS(t, Options{CoalesceDecisions: true})
 	k := compKernel()
 
-	// Occupy the legacy gate so the leader blocks in Acquire.
-	if err := s.adm.Acquire(context.Background()); err != nil {
+	// Occupy the gate so the leader blocks in Acquire.
+	tk, err := s.adm.Acquire(context.Background(), AdmitRequest{}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -31,7 +32,7 @@ func TestCoalesceLeaderLeak(t *testing.T) {
 	if err := <-errc; err == nil {
 		t.Fatal("expected leader error")
 	}
-	s.adm.Release()
+	s.adm.Release(tk)
 
 	// A later invocation of the same kernel should profile solo, but
 	// joins the leaked flight as a follower and parks forever.

@@ -140,16 +140,12 @@ type Options struct {
 	// keeps the historical allocate-per-decision behaviour.
 	Reuse bool
 
-	// Overload-resilience knobs (tiered.go). With every field zero the
-	// gate is the legacy fair FIFO, byte-identical and allocation-free;
-	// any nonzero field (or AdmissionTiered) switches the gate to the
-	// tiered controller. Per-tenant quota overrides are a map and so
+	// Overload-resilience bounds of the admission gate (tiered.go).
+	// With every field zero the gate is a single-class, unlimited,
+	// unbounded fair FIFO. Per-tenant quota overrides are a map and so
 	// live outside Options (Scheduler.SetTenantQuota) to keep Options
 	// comparable.
 
-	// AdmissionTiered enables the tiered controller even when every
-	// numeric knob below keeps its default.
-	AdmissionTiered bool
 	// AdmissionTenantRate / AdmissionTenantBurst are the default
 	// per-tenant token-bucket quota (admissions/sec, bucket depth).
 	AdmissionTenantRate  float64
@@ -157,16 +153,15 @@ type Options struct {
 	// AdmissionQueueDepth bounds each class queue; arrivals beyond it
 	// are shed with ErrOverloaded.
 	AdmissionQueueDepth int
-	// AdmissionAgingStep is the starvation-proofing rate (default 100ms
-	// once tiering is on).
+	// AdmissionAgingStep is the starvation-proofing rate (default
+	// 100ms).
 	AdmissionAgingStep time.Duration
 	// AdmissionWatchdog force-releases the gate when one invocation
 	// holds it longer than this bound.
 	AdmissionWatchdog time.Duration
 	// AdmissionRetryFloor is the minimum RetryAfter attached to
-	// backlog-estimate sheds (default 1ms once tiering is on; negative
-	// disables the floor). Setting it alone enables the tiered
-	// controller.
+	// backlog-estimate sheds (default 1ms; negative disables the
+	// floor).
 	AdmissionRetryFloor time.Duration
 
 	// Batched decision-path knobs (coalesce.go). Every zero value keeps
@@ -209,25 +204,6 @@ type Options struct {
 	// StateCompactEvery is how many WAL records trigger compaction into
 	// a fresh atomic snapshot (0 picks the statestore default, 1024).
 	StateCompactEvery int
-	// ShardGatePerDevice shards the admission gate per device (CPU,
-	// GPU) instead of per runtime: invocations whose conservative
-	// pre-admission device masks are disjoint — an α=0 CPU-only replay
-	// next to an α=1 GPU-only replay — run concurrently. Profiling and
-	// mixed-α invocations still claim both devices. The engine
-	// serializes phases internally so concurrency is race-free; the
-	// trade is that the per-domain energy split (CPUEnergyJ/GPUEnergyJ/
-	// DRAMEnergyJ) spans the whole invocation and may include a
-	// concurrent tenant's activity. Incompatible with the tiered
-	// admission controller and with RobustMeter.
-	ShardGatePerDevice bool
-}
-
-// admissionTiered reports whether any overload knob asks for the
-// tiered admission controller.
-func (o Options) admissionTiered() bool {
-	return o.AdmissionTiered || o.AdmissionTenantRate != 0 || o.AdmissionTenantBurst != 0 ||
-		o.AdmissionQueueDepth != 0 || o.AdmissionAgingStep != 0 || o.AdmissionWatchdog != 0 ||
-		o.AdmissionRetryFloor != 0
 }
 
 func (o Options) withDefaults() Options {
@@ -347,9 +323,9 @@ func (r Report) MetricValue(m metrics.Metric) float64 {
 
 // Scheduler is the energy-aware scheduling runtime. It is safe for
 // concurrent use: it drives one engine/platform, and an admission gate
-// serializes whole invocations onto it in fair FIFO order, while the
-// global table G is sharded and lock-protected so Alpha lookups and
-// accumulations from any goroutine are race-free.
+// serializes whole invocations onto it (by priority class, FIFO within
+// a class), while the global table G is sharded and lock-protected so
+// Alpha lookups and accumulations from any goroutine are race-free.
 type Scheduler struct {
 	eng    *engine.Engine
 	model  *powerchar.Model
@@ -375,13 +351,11 @@ type Scheduler struct {
 	// invPredW is the model's predicted power for the in-flight
 	// invocation — the substitution value when a meter sample is
 	// rejected. Invocation-scoped: the admission gate serializes
-	// access, so no lock is needed (and ShardGatePerDevice, which
-	// breaks that serialization, is rejected alongside RobustMeter).
+	// access, so no lock is needed.
 	invPredW float64
 
-	// Batched decision-path state (nil when the knobs are off).
-	coal  *coalescer   // decision singleflight (CoalesceDecisions)
-	gates *DeviceGates // per-device sharded gate (ShardGatePerDevice)
+	// Batched decision-path state (nil when the knob is off).
+	coal *coalescer // decision singleflight (CoalesceDecisions)
 
 	// Durable-state layer (nil when Options.StatePath is empty).
 	// stateMu serializes {table mutation + WAL append} against
@@ -452,31 +426,20 @@ func New(eng *engine.Engine, model *powerchar.Model, metric metrics.Metric, opts
 	if s.opts.CoalesceDecisions {
 		s.coal = newCoalescer()
 	}
-	if s.opts.ShardGatePerDevice {
-		if s.opts.admissionTiered() {
-			return nil, fmt.Errorf("core: ShardGatePerDevice is incompatible with the tiered admission controller (the classed queues assume one gate)")
-		}
-		if s.opts.RobustMeter {
-			return nil, fmt.Errorf("core: ShardGatePerDevice is incompatible with RobustMeter (the meter's substitution state is serialized by the whole-runtime gate)")
-		}
-		s.gates = &DeviceGates{}
+	aopts := AdmissionOptions{
+		TenantRate:      s.opts.AdmissionTenantRate,
+		TenantBurst:     s.opts.AdmissionTenantBurst,
+		QueueDepth:      s.opts.AdmissionQueueDepth,
+		AgingStep:       s.opts.AdmissionAgingStep,
+		Watchdog:        s.opts.AdmissionWatchdog,
+		RetryAfterFloor: s.opts.AdmissionRetryFloor,
 	}
-	if s.opts.admissionTiered() {
-		topts := TieredOptions{
-			TenantRate:      s.opts.AdmissionTenantRate,
-			TenantBurst:     s.opts.AdmissionTenantBurst,
-			QueueDepth:      s.opts.AdmissionQueueDepth,
-			AgingStep:       s.opts.AdmissionAgingStep,
-			Watchdog:        s.opts.AdmissionWatchdog,
-			RetryAfterFloor: s.opts.AdmissionRetryFloor,
+	if o := s.opts.Observer; o.Enabled() {
+		aopts.OnStall = func(tenant string, held time.Duration) {
+			o.RecordWatchdogStall(tenant, held)
 		}
-		if o := s.opts.Observer; o.Enabled() {
-			topts.OnStall = func(tenant string, held time.Duration) {
-				o.RecordWatchdogStall(tenant, held)
-			}
-		}
-		s.adm.Configure(topts)
 	}
+	s.adm.Configure(aopts)
 	if s.opts.StatePath != "" {
 		if err := s.openState(); err != nil {
 			return nil, err
@@ -486,12 +449,11 @@ func New(eng *engine.Engine, model *powerchar.Model, metric metrics.Metric, opts
 }
 
 // Admission returns the scheduler's admission gate, for queue-pressure
-// gauges (Waiters, QueueDepths) and tiered-controller statistics.
+// gauges and statistics (Waiters, Stats).
 func (s *Scheduler) Admission() *Admission { return &s.adm }
 
 // SetTenantQuota overrides the admission token-bucket rate for one
-// tenant (no-op on a legacy, non-tiered gate). rate <= 0 exempts the
-// tenant from quota enforcement.
+// tenant. rate <= 0 exempts the tenant from quota enforcement.
 func (s *Scheduler) SetTenantQuota(tenant string, rate, burst float64) {
 	s.adm.SetTenantQuota(tenant, rate, burst)
 }
@@ -621,7 +583,7 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 		if plan.flight != nil {
 			// This invocation leads a coalesced flight and must resolve
 			// it exactly once, on every exit — including a cancelled
-			// admission Acquire or a tiered-gate shed that never reaches
+			// admission Acquire or a load shed that never reaches
 			// the decision body. Publishing happens inline at the
 			// decision points in parallelFor; any other exit reaches
 			// this deferred abort, which sends the flight's followers to
@@ -639,24 +601,51 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 			}()
 		}
 	}
-	if s.gates != nil {
-		return s.parallelForSharded(ctx, k, n, sc, plan, ent)
+
+	runCtx := ctx
+	var cancel context.CancelFunc
+	if s.adm.WatchdogEnabled() {
+		// The watchdog revokes by cancelling this derived context; the
+		// deferred cancel releases its resources on normal return.
+		runCtx, cancel = context.WithCancel(ctx)
+		defer cancel()
 	}
-	if s.adm.t != nil {
-		return s.parallelForTiered(ctx, k, n, sc, plan, ent)
-	}
+	// Admission: the gate reads the invocation's attributes (tenant,
+	// class, deadline budget) from the context and may shed it with
+	// ErrOverloaded before it touches anything.
+	var wait obs.Timed
 	if sc.Enabled() {
-		wait := sc.Span("admission-wait")
-		if err := s.adm.Acquire(ctx); err != nil {
-			wait.End(obs.Str("error", err.Error()))
-			return Report{}, err
-		}
-		wait.End()
-	} else if err := s.adm.Acquire(ctx); err != nil {
+		wait = sc.Span("admission-wait")
+	}
+	ticket, err := s.adm.Acquire(ctx, RequestFromContext(ctx), cancel)
+	if err != nil {
+		s.recordAdmitFailure(wait, err)
 		return Report{}, err
 	}
-	defer s.adm.Release()
-	return s.runAdmitted(k, n, sc, plan, ent)
+	if wait.Enabled() {
+		wait.End()
+	}
+	defer s.adm.Release(ticket)
+	if d := s.eng.FaultPlan().TakeAdmissionHold(); d > 0 {
+		s.holdAdmission(runCtx, sc, d)
+	}
+	return s.runAdmitted(k, n, sc, plan, ent, ticket)
+}
+
+// holdAdmission is the scripted slow-tenant fault: it wedges the
+// invocation, wall-clock, while it owns the gate — exactly the failure
+// the watchdog exists for. The stall is interruptible by watchdog
+// revocation (runCtx cancellation) or the caller's own cancel.
+func (s *Scheduler) holdAdmission(runCtx context.Context, sc obs.Scope, d time.Duration) {
+	if sc.Enabled() {
+		sc.Event("admission-hold", obs.Num("hold_ms", float64(d.Milliseconds())))
+	}
+	timer := time.NewTimer(d)
+	select {
+	case <-timer.C:
+	case <-runCtx.Done():
+		timer.Stop()
+	}
 }
 
 // joinCoalesce decides this invocation's role in the decision
@@ -711,10 +700,9 @@ func (s *Scheduler) joinCoalesce(ctx context.Context, k engine.Kernel, n int, sc
 }
 
 // wouldProfile mirrors parallelFor's needProfile decision from outside
-// the admission gate — the coalesce-eligibility and device-mask
-// pre-checks. It may race with a concurrent accumulate; a stale answer
-// only costs a redundant flight or a conservative mask, never
-// correctness.
+// the admission gate — the coalesce-eligibility pre-check. It may race
+// with a concurrent accumulate; a stale answer only costs a redundant
+// flight, never correctness.
 func (s *Scheduler) wouldProfile(ent *kernelEntry) bool {
 	var rec record
 	if !ent.snapshot(&rec) || !rec.profiled || rec.reprofile {
@@ -746,126 +734,15 @@ func (s *Scheduler) fastFresh(rec record) bool {
 	return s.opts.MinConfidence <= 0 || rec.invocations >= s.opts.MinConfidence
 }
 
-// parallelForSharded is the ParallelForScoped body behind the
-// per-device sharded gate: the invocation claims only the devices its
-// conservative pre-admission estimate says it needs, so disjoint
-// invocations overlap.
-func (s *Scheduler) parallelForSharded(ctx context.Context, k engine.Kernel, n int, sc obs.Scope, plan invPlan, ent *kernelEntry) (Report, error) {
-	mask := s.deviceMaskFor(k, n, plan, ent)
-	if sc.Enabled() {
-		wait := sc.Span("admission-wait")
-		if err := s.gates.Acquire(ctx, mask); err != nil {
-			wait.End(obs.Str("error", err.Error()))
-			return Report{}, err
-		}
-		wait.End(obs.Num("device_mask", float64(mask)))
-	} else if err := s.gates.Acquire(ctx, mask); err != nil {
-		return Report{}, err
+// recordAdmitFailure closes a failed admission wait's span and
+// attributes a load-shedding rejection to its tenant and reason in the
+// observer (metrics and flight ring). Only typed ErrOverloaded
+// rejections count — a cancelled admission wait is the caller's doing,
+// not the gate's.
+func (s *Scheduler) recordAdmitFailure(wait obs.Timed, err error) {
+	if wait.Enabled() {
+		wait.End(obs.Str("error", err.Error()))
 	}
-	defer s.gates.Release(mask)
-	return s.runAdmitted(k, n, sc, plan, ent)
-}
-
-// deviceMaskFor estimates which devices an invocation will drive,
-// before it is admitted. Only decisions that are stable by
-// construction narrow the mask — a coalesced follower's forced α, a
-// small-N CPU-only run, or a replayed α pinned at exactly 0 or 1;
-// anything that will (or might) profile claims both devices. The mask
-// is conservative, not a contract: see DeviceGates.
-func (s *Scheduler) deviceMaskFor(k engine.Kernel, n int, plan invPlan, ent *kernelEntry) DeviceMask {
-	var alpha float64
-	switch {
-	case plan.flight != nil:
-		return DeviceAll // leads a flight: will profile on both devices
-	case plan.forced != nil:
-		alpha = plan.forced.Alpha
-	default:
-		if float64(n) < float64(s.eng.Platform().GPUProfileSize()) {
-			return DeviceCPU
-		}
-		var rec record
-		if !ent.snapshot(&rec) || !rec.profiled || s.wouldProfile(ent) {
-			return DeviceAll
-		}
-		alpha = rec.alpha
-	}
-	switch {
-	case alpha <= 0:
-		return DeviceCPU
-	case alpha >= 1:
-		return DeviceGPU
-	}
-	return DeviceAll
-}
-
-// parallelForTiered is the ParallelForScoped body behind the tiered
-// admission controller: it reads the invocation's admission attributes
-// (tenant, class, deadline budget) from the context, may be shed with
-// ErrOverloaded before touching anything, and runs under watchdog
-// supervision — a force-released invocation returns
-// ErrAdmissionRevoked instead of its report, because a revoked gate
-// means another tenant may have driven the engine concurrently.
-func (s *Scheduler) parallelForTiered(ctx context.Context, k engine.Kernel, n int, sc obs.Scope, plan invPlan, ent *kernelEntry) (Report, error) {
-	req := RequestFromContext(ctx)
-	runCtx := ctx
-	var cancel context.CancelFunc
-	if s.adm.WatchdogEnabled() {
-		// The watchdog revokes by cancelling this derived context; the
-		// deferred cancel releases the timer resources on normal return.
-		runCtx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
-	var ticket uint64
-	var err error
-	if sc.Enabled() {
-		wait := sc.Span("admission-wait")
-		ticket, err = s.adm.AcquireTiered(ctx, req, cancel)
-		if err != nil {
-			wait.End(obs.Str("error", err.Error()))
-			s.recordShed(err)
-			return Report{}, err
-		}
-		wait.End(obs.Str("class", req.Class.String()))
-	} else if ticket, err = s.adm.AcquireTiered(ctx, req, cancel); err != nil {
-		s.recordShed(err)
-		return Report{}, err
-	}
-	defer s.adm.ReleaseTiered(ticket)
-
-	// Fault injection: a scripted slow-tenant hold wedges this
-	// invocation, wall-clock, while it owns the gate — exactly the
-	// failure the watchdog exists for. The stall is interruptible by
-	// watchdog revocation (runCtx cancellation) or the caller's own
-	// cancel.
-	if d := s.eng.FaultPlan().TakeAdmissionHold(); d > 0 {
-		if sc.Enabled() {
-			sc.Event("admission-hold", obs.Num("hold_ms", float64(d.Milliseconds())))
-		}
-		timer := time.NewTimer(d)
-		select {
-		case <-timer.C:
-		case <-runCtx.Done():
-			timer.Stop()
-		}
-	}
-	if s.adm.Revoked(ticket) {
-		return Report{}, ErrAdmissionRevoked
-	}
-	rep, err := s.runAdmitted(k, n, sc, plan, ent)
-	if err != nil {
-		return Report{}, err
-	}
-	if s.adm.Revoked(ticket) {
-		return Report{}, ErrAdmissionRevoked
-	}
-	return rep, nil
-}
-
-// recordShed attributes one tiered-gate load-shedding rejection to its
-// tenant and reason in the observer (metrics and flight ring). Only
-// typed ErrOverloaded rejections count — a cancelled admission wait is
-// the caller's doing, not the gate's.
-func (s *Scheduler) recordShed(err error) {
 	o := s.opts.Observer
 	if !o.Enabled() {
 		return
@@ -876,10 +753,15 @@ func (s *Scheduler) recordShed(err error) {
 	}
 }
 
-// runAdmitted is the admission critical section shared by the legacy
-// and tiered gates: the caller holds the gate; energy meters span the
-// whole invocation so the deltas belong to this tenant alone.
-func (s *Scheduler) runAdmitted(k engine.Kernel, n int, sc obs.Scope, plan invPlan, ent *kernelEntry) (Report, error) {
+// runAdmitted is the admission critical section: the caller holds the
+// gate under ticket; energy meters span the whole invocation so the
+// deltas belong to this tenant alone. A force-released invocation
+// returns ErrAdmissionRevoked instead of its report: a revoked gate
+// means another tenant may have driven the engine concurrently.
+func (s *Scheduler) runAdmitted(k engine.Kernel, n int, sc obs.Scope, plan invPlan, ent *kernelEntry, ticket uint64) (Report, error) {
+	if s.adm.Revoked(ticket) {
+		return Report{}, ErrAdmissionRevoked
+	}
 	// The per-domain RAPL meters span the whole invocation; they live
 	// inside the critical section so the deltas belong to this tenant
 	// alone.
@@ -918,6 +800,9 @@ func (s *Scheduler) runAdmitted(k engine.Kernel, n int, sc obs.Scope, plan invPl
 		rep.Telemetry = rep.Telemetry.Worse(robust.Degraded)
 	}
 	rep.BreakerState = s.breaker.State()
+	if s.adm.Revoked(ticket) {
+		return Report{}, ErrAdmissionRevoked
+	}
 	return rep, nil
 }
 

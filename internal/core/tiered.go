@@ -4,38 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 )
-
-// This file is the tiered admission controller: the overload-resilient
-// replacement for the plain fair-FIFO gate in admission.go. It exists
-// because an open-loop population of tenants does not stop submitting
-// when the node saturates — queues grow without bound, every queued
-// invocation pays the backlog's full latency, and one wedged tenant
-// holding the gate starves everyone. The controller bounds all three
-// failure modes explicitly:
-//
-//   - per-tenant token buckets shed a tenant's excess arrival rate at
-//     the door with a typed ErrOverloaded carrying RetryAfter, instead
-//     of letting one chatty tenant fill the queue;
-//   - priority classes (interactive > batch > background) order the
-//     queue by urgency, with starvation-proof aging: a waiter's
-//     effective class improves by one level per AgingStep waited, so
-//     background work is delayed by at most the aging bound, never
-//     forever;
-//   - bounded per-class queues convert unbounded queueing delay into
-//     immediate, honest rejection;
-//   - a deadline budget attached to the request is checked against the
-//     gate's measured backlog, so an invocation that cannot possibly
-//     meet its deadline is shed before it wastes a profiling slot;
-//   - a watchdog force-releases the gate when a holder stalls past a
-//     bound: the holder's context is cancelled, the stall is surfaced
-//     to the observer as a degradation instant, and the next waiter is
-//     admitted, so one hung tenant cannot deadlock the node.
-//
-// Everything here is opt-in. An Admission that was never Configure()d
-// runs the exact legacy FIFO code path in admission.go — byte-identical
-// scheduling, zero allocations.
 
 // Class is an invocation's priority class at the admission gate.
 // Lower values are more urgent.
@@ -97,9 +68,9 @@ type AdmitRequest struct {
 // admitKey carries an AdmitRequest through a context.
 type admitKey struct{}
 
-// WithRequest attaches admission attributes to a context; the scheduler
-// reads them when the tiered controller is enabled (and ignores them —
-// without even looking — when it is not).
+// WithRequest attaches admission attributes to a context; the
+// scheduler reads them at the admission gate for class ordering, quota
+// accounting and deadline checks.
 func WithRequest(ctx context.Context, req AdmitRequest) context.Context {
 	req.Class = req.Class.clamp()
 	return context.WithValue(ctx, admitKey{}, req)
@@ -153,10 +124,10 @@ func (e *ErrOverloaded) Error() string {
 // to the next waiter. The invocation must not touch the engine.
 var ErrAdmissionRevoked = errors.New("core: admission revoked by watchdog")
 
-// TieredOptions configures the tiered admission controller. The zero
-// value of every field selects a sensible default once tiering is
-// enabled; tiering as a whole is enabled by Admission.Configure.
-type TieredOptions struct {
+// AdmissionOptions configures the gate's overload-resilience bounds.
+// The zero value of every field leaves that bound off or picks the
+// documented default.
+type AdmissionOptions struct {
 	// TenantRate is the default per-tenant admission quota in
 	// admissions/second; 0 leaves tenants unlimited. Each tenant gets
 	// its own token bucket at this rate (override per tenant with
@@ -191,22 +162,9 @@ type TieredOptions struct {
 	OnStall func(tenant string, held time.Duration)
 }
 
-func (o TieredOptions) withDefaults() TieredOptions {
-	if o.AgingStep <= 0 {
-		o.AgingStep = 100 * time.Millisecond
-	}
-	if o.TenantBurst <= 0 {
-		o.TenantBurst = 1
-	}
-	if o.RetryAfterFloor == 0 {
-		o.RetryAfterFloor = time.Millisecond
-	}
-	return o
-}
-
-// AdmissionStats is a snapshot of the tiered controller's counters and
-// queue gauges. Counters are cumulative since Configure; queue depths
-// are instantaneous (stale the moment they are read).
+// AdmissionStats is a snapshot of the gate's counters and queue
+// gauges. Counters are cumulative since construction; queue depths are
+// instantaneous (stale the moment they are read).
 type AdmissionStats struct {
 	// Admitted counts grants per class.
 	Admitted [NumClasses]uint64
@@ -274,9 +232,9 @@ func (b *bucket) timeToToken() time.Duration {
 // tenantQuota is a per-tenant rate override.
 type tenantQuota struct{ rate, burst float64 }
 
-// tieredWaiter is one parked request in a class queue. The granting
-// side fills ticket (or shed) under Admission.mu before closing grant.
-type tieredWaiter struct {
+// waiter is one parked request in a class queue. The granting side
+// fills ticket (or shed) under Admission.mu before closing grant.
+type waiter struct {
 	grant  chan struct{}
 	ticket uint64
 	shed   *ErrOverloaded
@@ -287,9 +245,8 @@ type tieredWaiter struct {
 	cancel context.CancelFunc
 }
 
-// tieredHolder tracks the invocation currently holding the gate under
-// a tiered grant.
-type tieredHolder struct {
+// holder tracks the invocation currently holding the gate.
+type holder struct {
 	ticket uint64
 	start  time.Time
 	tenant string
@@ -297,16 +254,53 @@ type tieredHolder struct {
 	timer  *time.Timer
 }
 
-// tiered is the controller state hanging off an Admission once
-// Configure enables it. All fields are guarded by Admission.mu.
-type tiered struct {
-	opts      TieredOptions
-	queues    [NumClasses][]*tieredWaiter
+// Admission is the scheduler's admission gate: it serializes whole
+// invocations onto the single simulated engine/platform. The
+// simulation advances one virtual clock, one PCU and one set of energy
+// MSRs, so exactly one invocation may drive it at a time — which is
+// also what makes each invocation's MSR deltas its own energy.
+//
+// The gate is a priority-classed FIFO. With no options it is a single
+// class of unlimited, unbounded fair FIFO: every request defaults to
+// ClassInteractive, waiters are granted strictly in arrival order, and
+// a release hands the gate directly to the longest waiter (Go's
+// sync.Mutex allows barging, which under contention can starve a
+// tenant). Configure adds the overload-resilience bounds, each of which
+// is off until set, because an open-loop population of tenants does
+// not stop submitting when the node saturates:
+//
+//   - per-tenant token buckets shed a tenant's excess arrival rate at
+//     the door with a typed ErrOverloaded carrying RetryAfter, instead
+//     of letting one chatty tenant fill the queue;
+//   - priority classes (interactive > batch > background) order the
+//     queue by urgency, with starvation-proof aging: a waiter's
+//     effective class improves by one level per AgingStep waited, so
+//     background work is delayed by at most the aging bound, never
+//     forever;
+//   - bounded per-class queues convert unbounded queueing delay into
+//     immediate, honest rejection;
+//   - a deadline budget attached to the request is checked against the
+//     gate's measured backlog, so an invocation that cannot possibly
+//     meet its deadline is shed before it wastes a profiling slot;
+//   - a watchdog force-releases the gate when a holder stalls past a
+//     bound: the holder's context is cancelled, the stall is surfaced
+//     to the observer as a degradation instant, and the next waiter is
+//     admitted, so one hung tenant cannot deadlock the node.
+//
+// Waiting is context-aware: a caller whose context is cancelled while
+// queued leaves the queue and returns ctx.Err() without ever touching
+// the engine.
+//
+// The zero value is ready to use.
+type Admission struct {
+	mu        sync.Mutex
+	opts      AdmissionOptions
+	queues    [NumClasses][]*waiter
 	buckets   map[string]*bucket
 	overrides map[string]tenantQuota
 	ticketSeq uint64
-	holder    tieredHolder
-	holderOn  bool
+	busy      bool   // a holder owns the gate; holder is valid
+	holder    holder // meaningful only while busy
 	revoked   map[uint64]struct{}
 	avgHoldNs float64
 
@@ -317,99 +311,100 @@ type tiered struct {
 	lateReleases                           uint64
 }
 
-// Configure enables the tiered admission controller on this gate.
-// It must be called before the gate is in use (typically right after
-// constructing the scheduler); calling it on a live gate panics.
-func (a *Admission) Configure(opts TieredOptions) {
+// Configure sets the gate's overload-resilience bounds. It must be
+// called before the gate is in use (typically right after constructing
+// the scheduler); calling it on a live gate panics.
+func (a *Admission) Configure(opts AdmissionOptions) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.busy || len(a.queue) > 0 {
+	if a.busy || a.waitersLocked() > 0 {
 		panic("core: Admission.Configure on a gate in use")
 	}
-	a.t = &tiered{
-		opts:      opts.withDefaults(),
-		buckets:   map[string]*bucket{},
-		overrides: map[string]tenantQuota{},
-		revoked:   map[uint64]struct{}{},
-	}
-}
-
-// Tiered reports whether the tiered controller is enabled.
-func (a *Admission) Tiered() bool {
-	return a.t != nil
+	a.opts = opts
 }
 
 // WatchdogEnabled reports whether a hold-time watchdog is armed.
 func (a *Admission) WatchdogEnabled() bool {
-	return a.t != nil && a.t.opts.Watchdog > 0
+	return a.opts.Watchdog > 0
 }
 
 // SetTenantQuota overrides the default token-bucket rate for one
 // tenant (rate in admissions/second; burst is the bucket depth,
-// defaulted like TieredOptions.TenantBurst). rate <= 0 exempts the
+// defaulted like AdmissionOptions.TenantBurst). rate <= 0 exempts the
 // tenant from quota enforcement entirely.
 func (a *Admission) SetTenantQuota(tenant string, rate, burst float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.t == nil {
-		return
-	}
 	if burst <= 0 {
 		burst = 1
 	}
-	a.t.overrides[tenant] = tenantQuota{rate: rate, burst: burst}
-	delete(a.t.buckets, tenant) // rebuild at next arrival with the new rate
+	if a.overrides == nil {
+		a.overrides = map[string]tenantQuota{}
+	}
+	a.overrides[tenant] = tenantQuota{rate: rate, burst: burst}
+	delete(a.buckets, tenant) // rebuild at next arrival with the new rate
 }
 
 // bucketFor returns the tenant's token bucket, or nil when the tenant
 // is unlimited. Caller holds a.mu.
-func (t *tiered) bucketFor(tenant string, now time.Time) *bucket {
-	rate, burst := t.opts.TenantRate, t.opts.TenantBurst
-	if o, ok := t.overrides[tenant]; ok {
+func (a *Admission) bucketFor(tenant string, now time.Time) *bucket {
+	rate, burst := a.opts.TenantRate, a.opts.TenantBurst
+	if o, ok := a.overrides[tenant]; ok {
 		rate, burst = o.rate, o.burst
 	}
 	if rate <= 0 {
 		return nil
 	}
-	b := t.buckets[tenant]
+	b := a.buckets[tenant]
 	if b == nil {
+		if burst <= 0 {
+			burst = 1
+		}
 		b = &bucket{tokens: burst, rate: rate, burst: burst, last: now}
-		t.buckets[tenant] = b
+		if a.buckets == nil {
+			a.buckets = map[string]*bucket{}
+		}
+		a.buckets[tenant] = b
 	}
 	return b
+}
+
+// waitersLocked counts queued waiters across every class. Caller holds
+// a.mu.
+func (a *Admission) waitersLocked() int {
+	n := 0
+	for c := range a.queues {
+		n += len(a.queues[c])
+	}
+	return n
 }
 
 // estimatedWaitLocked is the gate's backlog estimate: the smoothed hold
 // time times the number of invocations ahead (waiters plus the current
 // holder). Zero until the first release seeds the estimator.
 func (a *Admission) estimatedWaitLocked() time.Duration {
-	t := a.t
-	if t.avgHoldNs <= 0 {
+	if a.avgHoldNs <= 0 {
 		return 0
 	}
-	ahead := 0
-	for c := range t.queues {
-		ahead += len(t.queues[c])
-	}
-	ahead += len(a.queue)
+	ahead := a.waitersLocked()
 	if a.busy {
 		ahead++
 	}
-	return time.Duration(t.avgHoldNs * float64(ahead))
+	return time.Duration(a.avgHoldNs * float64(ahead))
 }
 
 // recordHoldLocked folds one completed clean hold into the EWMA
 // estimator.
-func (t *tiered) recordHoldLocked(h time.Duration) {
+func (a *Admission) recordHoldLocked(h time.Duration) {
 	if h < 0 {
 		return
 	}
-	if t.avgHoldNs == 0 {
-		t.avgHoldNs = float64(h)
+	if a.avgHoldNs == 0 {
+		a.avgHoldNs = float64(h)
 		return
 	}
 	const alpha = 0.2
-	t.avgHoldNs = (1-alpha)*t.avgHoldNs + alpha*float64(h)
+	a.avgHoldNs = (1-alpha)*a.avgHoldNs + alpha*float64(h)
 }
 
 // recordRevokedHoldLocked folds a watchdog-revoked hold into the EWMA
@@ -419,68 +414,66 @@ func (t *tiered) recordHoldLocked(h time.Duration) {
 // bound and keep overestimating waits long after the burst ends — but
 // ignoring stalls entirely would leave the estimator blind to a gate
 // that really is being held that long.
-func (t *tiered) recordRevokedHoldLocked(h time.Duration) {
+func (a *Admission) recordRevokedHoldLocked(h time.Duration) {
 	if h < 0 {
 		return
 	}
-	if t.avgHoldNs == 0 {
-		t.avgHoldNs = float64(h)
+	if a.avgHoldNs == 0 {
+		a.avgHoldNs = float64(h)
 		return
 	}
 	const alpha = 0.1 // half of recordHoldLocked's 0.2
-	t.avgHoldNs = (1-alpha)*t.avgHoldNs + alpha*float64(h)
+	a.avgHoldNs = (1-alpha)*a.avgHoldNs + alpha*float64(h)
 }
 
 // floorRetry applies RetryAfterFloor to an estimate-based RetryAfter.
-func (t *tiered) floorRetry(d time.Duration) time.Duration {
-	if f := t.opts.RetryAfterFloor; f > 0 && d < f {
+func (a *Admission) floorRetry(d time.Duration) time.Duration {
+	f := a.opts.RetryAfterFloor
+	if f == 0 {
+		f = time.Millisecond
+	}
+	if f > 0 && d < f {
 		return f
 	}
 	return d
 }
 
 // grantLocked installs a new holder and arms the watchdog. Caller
-// holds a.mu and has already set a.busy.
+// holds a.mu.
 func (a *Admission) grantLocked(tenant string, cancel context.CancelFunc, now time.Time) uint64 {
-	t := a.t
-	t.ticketSeq++
-	tk := t.ticketSeq
-	t.holderOn = true
-	t.holder = tieredHolder{ticket: tk, start: now, tenant: tenant, cancel: cancel}
-	if t.opts.Watchdog > 0 {
-		t.holder.timer = time.AfterFunc(t.opts.Watchdog, func() { a.watchdogFire(tk) })
+	a.ticketSeq++
+	tk := a.ticketSeq
+	a.busy = true
+	a.holder = holder{ticket: tk, start: now, tenant: tenant, cancel: cancel}
+	if a.opts.Watchdog > 0 {
+		a.holder.timer = time.AfterFunc(a.opts.Watchdog, func() { a.watchdogFire(tk) })
 	}
 	return tk
 }
 
-// AcquireTiered admits the caller through the tiered controller:
-// quota, deadline-feasibility and queue-bound checks happen
-// immediately (a rejection returns *ErrOverloaded and touches nothing
-// else); otherwise the caller parks in its class queue until granted
-// by effective priority (class minus aging credit) or its context is
-// cancelled. cancel, when non-nil, is the revocation hook the watchdog
-// uses to cancel the holder's context on force-release; pass the
-// CancelFunc of the ctx the holder will watch.
+// Acquire admits the caller: quota, deadline-feasibility and
+// queue-bound checks happen immediately (a rejection returns
+// *ErrOverloaded and touches nothing else); otherwise the caller parks
+// in its class queue until granted by effective priority (class minus
+// aging credit, FIFO within a class) or its context is cancelled.
+// cancel, when non-nil, is the revocation hook the watchdog uses to
+// cancel the holder's context on force-release; pass the CancelFunc of
+// the ctx the holder will watch.
 //
-// On success the returned ticket must be passed to ReleaseTiered.
-// On a gate that was never Configure()d it falls back to the legacy
-// FIFO Acquire and returns ticket 0 (ReleaseTiered(0) releases it).
-func (a *Admission) AcquireTiered(ctx context.Context, req AdmitRequest, cancel context.CancelFunc) (uint64, error) {
+// On success the caller owns the gate and must pass the returned
+// ticket to Release.
+func (a *Admission) Acquire(ctx context.Context, req AdmitRequest, cancel context.CancelFunc) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
-	}
-	if a.t == nil {
-		return 0, a.Acquire(ctx)
 	}
 	req.Class = req.Class.clamp()
 	now := time.Now()
 	a.mu.Lock()
-	t := a.t
 
 	// Per-tenant quota: shed excess arrival rate at the door, before
 	// any queueing, so one chatty tenant cannot occupy queue slots.
-	if b := t.bucketFor(req.Tenant, now); b != nil && !b.take(now) {
-		t.shedQuota++
+	if b := a.bucketFor(req.Tenant, now); b != nil && !b.take(now) {
+		a.shedQuota++
 		retry := b.timeToToken()
 		a.mu.Unlock()
 		return 0, &ErrOverloaded{Tenant: req.Tenant, Class: req.Class, Reason: ShedTenantQuota, RetryAfter: retry}
@@ -491,16 +484,15 @@ func (a *Admission) AcquireTiered(ctx context.Context, req AdmitRequest, cancel 
 	// invocation that misses its deadline anyway.
 	if req.DeadlineBudget > 0 {
 		if est := a.estimatedWaitLocked(); est > req.DeadlineBudget {
-			t.shedDeadline++
-			retry := t.floorRetry(est)
+			a.shedDeadline++
+			retry := a.floorRetry(est)
 			a.mu.Unlock()
 			return 0, &ErrOverloaded{Tenant: req.Tenant, Class: req.Class, Reason: ShedDeadline, RetryAfter: retry}
 		}
 	}
 
 	if !a.busy {
-		a.busy = true
-		t.admitted[req.Class]++
+		a.admitted[req.Class]++
 		tk := a.grantLocked(req.Tenant, cancel, now)
 		a.mu.Unlock()
 		return tk, nil
@@ -508,14 +500,14 @@ func (a *Admission) AcquireTiered(ctx context.Context, req AdmitRequest, cancel 
 
 	// Bounded class queue: full means shed now rather than queue
 	// forever. RetryAfter is the backlog-drain estimate.
-	if t.opts.QueueDepth > 0 && len(t.queues[req.Class]) >= t.opts.QueueDepth {
-		t.shedQueueFull++
-		retry := t.floorRetry(a.estimatedWaitLocked())
+	if a.opts.QueueDepth > 0 && len(a.queues[req.Class]) >= a.opts.QueueDepth {
+		a.shedQueueFull++
+		retry := a.floorRetry(a.estimatedWaitLocked())
 		a.mu.Unlock()
 		return 0, &ErrOverloaded{Tenant: req.Tenant, Class: req.Class, Reason: ShedQueueFull, RetryAfter: retry}
 	}
 
-	w := &tieredWaiter{
+	w := &waiter{
 		grant:  make(chan struct{}),
 		class:  req.Class,
 		tenant: req.Tenant,
@@ -523,7 +515,7 @@ func (a *Admission) AcquireTiered(ctx context.Context, req AdmitRequest, cancel 
 		budget: req.DeadlineBudget,
 		cancel: cancel,
 	}
-	t.queues[req.Class] = append(t.queues[req.Class], w)
+	a.queues[req.Class] = append(a.queues[req.Class], w)
 	a.mu.Unlock()
 
 	select {
@@ -546,15 +538,15 @@ func (a *Admission) AcquireTiered(ctx context.Context, req AdmitRequest, cancel 
 			// Granted while cancelling: pass the gate straight on. The
 			// ~0ns pass-on is not a real hold — recording it would drag
 			// the EWMA toward zero and understate the backlog.
-			a.releaseTieredLocked(w.ticket, time.Now(), false)
+			a.releaseLocked(w.ticket, false)
 			a.mu.Unlock()
 		default:
-			q := t.queues[w.class]
+			q := a.queues[w.class]
 			for i, c := range q {
 				if c == w {
 					copy(q[i:], q[i+1:])
 					q[len(q)-1] = nil
-					t.queues[w.class] = q[:len(q)-1]
+					a.queues[w.class] = q[:len(q)-1]
 					break
 				}
 			}
@@ -564,66 +556,60 @@ func (a *Admission) AcquireTiered(ctx context.Context, req AdmitRequest, cancel 
 	}
 }
 
-// ReleaseTiered releases a hold granted by AcquireTiered. Releasing a
-// ticket the watchdog already revoked is a recorded no-op (the wedged
-// holder finally woke); releasing any other ticket that does not hold
-// the gate panics. Ticket 0 releases a legacy-FIFO fallback grant.
-func (a *Admission) ReleaseTiered(ticket uint64) {
-	if a.t == nil || ticket == 0 {
-		a.Release()
-		return
-	}
+// Release releases a hold granted by Acquire. Releasing a ticket the
+// watchdog already revoked is a recorded no-op (the wedged holder
+// finally woke); releasing any other ticket that does not hold the
+// gate panics.
+func (a *Admission) Release(ticket uint64) {
 	a.mu.Lock()
-	a.releaseTieredLocked(ticket, time.Now(), true)
+	a.releaseLocked(ticket, true)
 	a.mu.Unlock()
 }
 
-// releaseTieredLocked is ReleaseTiered under a.mu. record=false skips
-// the EWMA update for releases that are not representative holds (a
-// grant passed straight on by a cancelling waiter).
-func (a *Admission) releaseTieredLocked(ticket uint64, now time.Time, record bool) {
-	t := a.t
-	if _, ok := t.revoked[ticket]; ok {
-		delete(t.revoked, ticket)
-		t.lateReleases++
+// releaseLocked is Release under a.mu. record=false skips the EWMA
+// update for releases that are not representative holds (a grant
+// passed straight on by a cancelling waiter).
+func (a *Admission) releaseLocked(ticket uint64, record bool) {
+	if _, ok := a.revoked[ticket]; ok {
+		delete(a.revoked, ticket)
+		a.lateReleases++
 		return
 	}
-	if !t.holderOn || t.holder.ticket != ticket {
-		panic("core: Admission.ReleaseTiered without holding the gate")
+	if !a.busy || a.holder.ticket != ticket {
+		panic("core: Admission.Release without holding the gate")
 	}
-	if t.holder.timer != nil {
-		t.holder.timer.Stop()
+	if a.holder.timer != nil {
+		a.holder.timer.Stop()
 	}
 	if record {
-		t.recordHoldLocked(now.Sub(t.holder.start))
+		a.recordHoldLocked(time.Since(a.holder.start))
 	}
-	t.holderOn = false
-	// Serve any legacy-FIFO waiters first (mixed use is rare but legal:
-	// the legacy queue predates class accounting, so it keeps strict
-	// arrival order ahead of the classed queues).
-	if len(a.queue) > 0 {
-		grant := a.queue[0]
-		a.queue = a.queue[1:]
-		close(grant)
-		return
-	}
-	a.handoffLocked(now)
+	a.handoffLocked()
 }
 
 // handoffLocked grants the gate to the waiter with the best effective
 // priority — nominal class minus one level per AgingStep waited, FIFO
 // within a class — shedding queued waiters whose deadline budget
 // expired while they waited. When no waiter remains the gate goes
-// free. Caller holds a.mu; a.busy is true and there is no holder.
-func (a *Admission) handoffLocked(now time.Time) {
-	t := a.t
-	aging := float64(t.opts.AgingStep)
+// free. Caller holds a.mu and the outgoing holder is done with the
+// gate.
+func (a *Admission) handoffLocked() {
+	a.busy = false
+	a.holder = holder{}
+	if a.waitersLocked() == 0 {
+		return // nobody waits: skip the clock read on the uncontended path
+	}
+	now := time.Now()
+	aging := float64(a.opts.AgingStep)
+	if aging <= 0 {
+		aging = float64(100 * time.Millisecond)
+	}
 	for {
 		best := -1
 		var bestEff float64
 		var bestEnq time.Time
 		for c := 0; c < NumClasses; c++ {
-			q := t.queues[c]
+			q := a.queues[c]
 			if len(q) == 0 {
 				continue
 			}
@@ -636,20 +622,19 @@ func (a *Admission) handoffLocked(now time.Time) {
 			}
 		}
 		if best == -1 {
-			a.busy = false
 			return
 		}
-		q := t.queues[best]
+		q := a.queues[best]
 		w := q[0]
 		q[0] = nil
-		t.queues[best] = q[1:]
+		a.queues[best] = q[1:]
 
 		if w.budget > 0 && now.Sub(w.enq) > w.budget {
 			// The budget burned away in the queue: shed at grant time
 			// instead of wasting the slot on a guaranteed deadline miss.
-			t.shedDeadline++
+			a.shedDeadline++
 			w.shed = &ErrOverloaded{Tenant: w.tenant, Class: w.class, Reason: ShedDeadline,
-				RetryAfter: t.floorRetry(a.estimatedWaitLocked())}
+				RetryAfter: a.floorRetry(a.estimatedWaitLocked())}
 			close(w.grant)
 			continue
 		}
@@ -657,13 +642,13 @@ func (a *Admission) handoffLocked(now time.Time) {
 			// Did aging let this waiter beat a nominally more urgent
 			// class that is still queued?
 			for c := ClassInteractive; c < w.class; c++ {
-				if len(t.queues[c]) > 0 {
-					t.agingPromotions++
+				if len(a.queues[c]) > 0 {
+					a.agingPromotions++
 					break
 				}
 			}
 		}
-		t.admitted[w.class]++
+		a.admitted[w.class]++
 		w.ticket = a.grantLocked(w.tenant, w.cancel, now)
 		close(w.grant)
 		return
@@ -673,8 +658,8 @@ func (a *Admission) handoffLocked(now time.Time) {
 // watchdogFire runs when a holder's watchdog timer expires: if the
 // same ticket still holds the gate, the holder is presumed wedged —
 // its context is cancelled, the ticket is marked revoked (so its
-// eventual ReleaseTiered is a recorded no-op), and the gate is handed
-// to the next waiter so the node keeps serving.
+// eventual Release is a recorded no-op), and the gate is handed to the
+// next waiter so the node keeps serving.
 //
 // Force-release assumes a cancelled holder stops driving the engine;
 // the scheduler checks for revocation at its interruption points and
@@ -682,30 +667,25 @@ func (a *Admission) handoffLocked(now time.Time) {
 // legitimate hold time.
 func (a *Admission) watchdogFire(ticket uint64) {
 	a.mu.Lock()
-	t := a.t
-	if t == nil || !t.holderOn || t.holder.ticket != ticket {
+	if !a.busy || a.holder.ticket != ticket {
 		a.mu.Unlock()
 		return
 	}
-	held := time.Since(t.holder.start)
-	tenant := t.holder.tenant
-	onStall := t.opts.OnStall
-	t.watchdogStalls++
-	t.revoked[ticket] = struct{}{}
-	if t.holder.cancel != nil {
+	held := time.Since(a.holder.start)
+	tenant := a.holder.tenant
+	onStall := a.opts.OnStall
+	a.watchdogStalls++
+	if a.revoked == nil {
+		a.revoked = map[uint64]struct{}{}
+	}
+	a.revoked[ticket] = struct{}{}
+	if a.holder.cancel != nil {
 		// Cancel before handing the gate on, so a holder parked on its
 		// context wakes, observes the revocation, and stands down.
-		t.holder.cancel()
+		a.holder.cancel()
 	}
-	t.recordRevokedHoldLocked(held)
-	t.holderOn = false
-	if len(a.queue) > 0 {
-		grant := a.queue[0]
-		a.queue = a.queue[1:]
-		close(grant)
-	} else {
-		a.handoffLocked(time.Now())
-	}
+	a.recordRevokedHoldLocked(held)
+	a.handoffLocked()
 	a.mu.Unlock()
 	if onStall != nil {
 		onStall(tenant, held)
@@ -716,51 +696,39 @@ func (a *Admission) watchdogFire(ticket uint64) {
 // scheduler consults it at interruption points before touching the
 // engine again.
 func (a *Admission) Revoked(ticket uint64) bool {
-	if a.t == nil || ticket == 0 {
+	if !a.WatchdogEnabled() {
 		return false
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	_, ok := a.t.revoked[ticket]
+	_, ok := a.revoked[ticket]
 	return ok
 }
 
-// QueueDepths returns the instantaneous number of waiters per class
-// (all zero for a legacy gate, whose queue is classless).
-func (a *Admission) QueueDepths() [NumClasses]int {
-	var out [NumClasses]int
-	if a.t == nil {
-		return out
-	}
+// Waiters returns the number of callers currently queued across every
+// class (diagnostic; the value is stale the moment it is read).
+func (a *Admission) Waiters() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for c := range a.t.queues {
-		out[c] = len(a.t.queues[c])
-	}
-	return out
+	return a.waitersLocked()
 }
 
-// TieredStats snapshots the controller's counters and gauges;
-// ok=false when the gate runs the legacy FIFO path.
-func (a *Admission) TieredStats() (stats AdmissionStats, ok bool) {
-	if a.t == nil {
-		return AdmissionStats{}, false
-	}
+// Stats snapshots the gate's counters and gauges.
+func (a *Admission) Stats() AdmissionStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	t := a.t
-	stats = AdmissionStats{
-		Admitted:        t.admitted,
-		ShedQuota:       t.shedQuota,
-		ShedQueueFull:   t.shedQueueFull,
-		ShedDeadline:    t.shedDeadline,
-		AgingPromotions: t.agingPromotions,
-		WatchdogStalls:  t.watchdogStalls,
-		LateReleases:    t.lateReleases,
-		AvgHold:         time.Duration(t.avgHoldNs),
+	stats := AdmissionStats{
+		Admitted:        a.admitted,
+		ShedQuota:       a.shedQuota,
+		ShedQueueFull:   a.shedQueueFull,
+		ShedDeadline:    a.shedDeadline,
+		AgingPromotions: a.agingPromotions,
+		WatchdogStalls:  a.watchdogStalls,
+		LateReleases:    a.lateReleases,
+		AvgHold:         time.Duration(a.avgHoldNs),
 	}
-	for c := range t.queues {
-		stats.QueueDepth[c] = len(t.queues[c])
+	for c := range a.queues {
+		stats.QueueDepth[c] = len(a.queues[c])
 	}
-	return stats, true
+	return stats
 }

@@ -12,8 +12,8 @@ import (
 	"github.com/hetsched/eas/internal/metrics"
 )
 
-// tieredGate returns a gate with the tiered controller enabled.
-func tieredGate(opts TieredOptions) *Admission {
+// tieredGate returns a gate configured with opts.
+func tieredGate(opts AdmissionOptions) *Admission {
 	a := &Admission{}
 	a.Configure(opts)
 	return a
@@ -32,21 +32,19 @@ func waitForWaiters(t *testing.T, a *Admission, want int) {
 	}
 }
 
-// With every overload knob at its zero value the gate never leaves the
-// legacy FIFO path, and reports under a fault script are byte-identical
-// to a scheduler that predates the tiered controller entirely. A
-// tiered-but-unconstrained gate must also be report-identical for
-// serial callers: admission policy can only reorder or reject, never
-// change what an admitted invocation computes.
-func TestTieredDisabledIsByteIdenticalToLegacy(t *testing.T) {
-	run := func(opts Options) []Report {
+// Admission policy can only reorder, delay or reject invocations, never
+// change what an admitted one computes: serial reports under a fault
+// script are identical whatever bounds the gate carries and whatever
+// class the caller asks for, as long as nothing is shed.
+func TestAdmissionPolicyDecisionEquivalence(t *testing.T) {
+	run := func(opts Options, ctx context.Context) []Report {
 		s, plan := newFaultyEAS(t, opts)
 		var reps []Report
 		for _, busy := range []int{0, 100, 0} {
 			if busy > 0 {
 				plan.GPUBusyFor(busy)
 			}
-			rep, err := s.ParallelFor(compKernel(), 200000)
+			rep, err := s.ParallelForCtx(ctx, compKernel(), 200000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,41 +52,31 @@ func TestTieredDisabledIsByteIdenticalToLegacy(t *testing.T) {
 		}
 		return reps
 	}
-	legacy := run(Options{})
-	zeroKnobs := run(Options{
-		AdmissionTiered: false, AdmissionTenantRate: 0, AdmissionTenantBurst: 0,
-		AdmissionQueueDepth: 0, AdmissionAgingStep: 0, AdmissionWatchdog: 0,
-	})
-	if !reflect.DeepEqual(legacy, zeroKnobs) {
-		t.Errorf("zero-knob reports diverge from legacy:\nlegacy: %+v\nzeroed: %+v", legacy, zeroKnobs)
-	}
-	tiered := run(Options{AdmissionTiered: true})
-	if !reflect.DeepEqual(legacy, tiered) {
-		t.Errorf("unconstrained tiered reports diverge from legacy:\nlegacy: %+v\ntiered: %+v", legacy, tiered)
-	}
-
-	s, _ := newFaultyEAS(t, Options{})
-	if s.Admission().Tiered() {
-		t.Error("zero-value Options produced a tiered gate")
-	}
-	s2, _ := newFaultyEAS(t, Options{AdmissionTiered: true})
-	if !s2.Admission().Tiered() {
-		t.Error("AdmissionTiered did not enable the tiered gate")
+	bg := context.Background()
+	want := run(Options{}, bg)
+	for name, got := range map[string][]Report{
+		"watchdog":        run(Options{AdmissionWatchdog: 10 * time.Second}, bg),
+		"unlimited-quota": run(Options{AdmissionTenantRate: 1e9}, bg),
+		"background":      run(Options{}, WithRequest(bg, AdmitRequest{Class: ClassBackground})),
+	} {
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s reports diverge from the zero policy:\nzero: %+v\n%s: %+v", name, want, name, got)
+		}
 	}
 }
 
 func TestTieredQuotaSheds(t *testing.T) {
-	a := tieredGate(TieredOptions{TenantRate: 0.001, TenantBurst: 1})
+	a := tieredGate(AdmissionOptions{TenantRate: 0.001, TenantBurst: 1})
 	ctx := context.Background()
 	req := AdmitRequest{Tenant: "acme"}
 
-	tk, err := a.AcquireTiered(ctx, req, nil)
+	tk, err := a.Acquire(ctx, req, nil)
 	if err != nil {
 		t.Fatalf("first acquire within burst: %v", err)
 	}
-	a.ReleaseTiered(tk)
+	a.Release(tk)
 
-	_, err = a.AcquireTiered(ctx, req, nil)
+	_, err = a.Acquire(ctx, req, nil)
 	var ov *ErrOverloaded
 	if !errors.As(err, &ov) {
 		t.Fatalf("second acquire = %v, want *ErrOverloaded", err)
@@ -101,28 +89,27 @@ func TestTieredQuotaSheds(t *testing.T) {
 	}
 
 	// Other tenants are unaffected by acme's empty bucket.
-	tk2, err := a.AcquireTiered(ctx, AdmitRequest{Tenant: "globex"}, nil)
+	tk2, err := a.Acquire(ctx, AdmitRequest{Tenant: "globex"}, nil)
 	if err != nil {
 		t.Fatalf("independent tenant was shed: %v", err)
 	}
-	a.ReleaseTiered(tk2)
+	a.Release(tk2)
 
-	st, ok := a.TieredStats()
-	if !ok || st.ShedQuota != 1 {
-		t.Errorf("ShedQuota = %d (ok=%v), want 1", st.ShedQuota, ok)
+	if st := a.Stats(); st.ShedQuota != 1 {
+		t.Errorf("ShedQuota = %d, want 1", st.ShedQuota)
 	}
 }
 
 func TestTieredQueueFullSheds(t *testing.T) {
-	a := tieredGate(TieredOptions{QueueDepth: 1})
+	a := tieredGate(AdmissionOptions{QueueDepth: 1})
 	ctx := context.Background()
-	tk, err := a.AcquireTiered(ctx, AdmitRequest{}, nil)
+	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	granted := make(chan uint64, 1)
 	go func() {
-		wtk, werr := a.AcquireTiered(ctx, AdmitRequest{}, nil)
+		wtk, werr := a.Acquire(ctx, AdmitRequest{}, nil)
 		if werr != nil {
 			granted <- 0
 			return
@@ -131,37 +118,37 @@ func TestTieredQueueFullSheds(t *testing.T) {
 	}()
 	waitForWaiters(t, a, 1)
 
-	_, err = a.AcquireTiered(ctx, AdmitRequest{Tenant: "late"}, nil)
+	_, err = a.Acquire(ctx, AdmitRequest{Tenant: "late"}, nil)
 	var ov *ErrOverloaded
 	if !errors.As(err, &ov) || ov.Reason != ShedQueueFull {
 		t.Fatalf("over-depth acquire = %v, want queue-full shed", err)
 	}
 
-	a.ReleaseTiered(tk)
+	a.Release(tk)
 	wtk := <-granted
 	if wtk == 0 {
 		t.Fatal("queued waiter was not granted after release")
 	}
-	a.ReleaseTiered(wtk)
+	a.Release(wtk)
 }
 
 func TestTieredDeadlineShedsAtArrival(t *testing.T) {
-	a := tieredGate(TieredOptions{})
+	a := tieredGate(AdmissionOptions{})
 	ctx := context.Background()
 	// Seed the hold estimator with one deliberate ~20ms hold.
-	tk, err := a.AcquireTiered(ctx, AdmitRequest{}, nil)
+	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	a.ReleaseTiered(tk)
+	a.Release(tk)
 
 	// Occupy the gate so the next arrival sees a backlog.
-	tk2, err := a.AcquireTiered(ctx, AdmitRequest{}, nil)
+	tk2, err := a.Acquire(ctx, AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = a.AcquireTiered(ctx, AdmitRequest{DeadlineBudget: time.Millisecond}, nil)
+	_, err = a.Acquire(ctx, AdmitRequest{DeadlineBudget: time.Millisecond}, nil)
 	var ov *ErrOverloaded
 	if !errors.As(err, &ov) || ov.Reason != ShedDeadline {
 		t.Fatalf("infeasible-deadline acquire = %v, want deadline shed", err)
@@ -169,44 +156,44 @@ func TestTieredDeadlineShedsAtArrival(t *testing.T) {
 	if ov.RetryAfter <= 0 {
 		t.Errorf("RetryAfter = %v, want backlog estimate", ov.RetryAfter)
 	}
-	a.ReleaseTiered(tk2)
+	a.Release(tk2)
 }
 
 func TestTieredDeadlineShedsAtGrant(t *testing.T) {
-	a := tieredGate(TieredOptions{})
+	a := tieredGate(AdmissionOptions{})
 	ctx := context.Background()
-	tk, err := a.AcquireTiered(ctx, AdmitRequest{}, nil)
+	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	errs := make(chan error, 1)
 	go func() {
-		_, werr := a.AcquireTiered(ctx, AdmitRequest{DeadlineBudget: 5 * time.Millisecond}, nil)
+		_, werr := a.Acquire(ctx, AdmitRequest{DeadlineBudget: 5 * time.Millisecond}, nil)
 		errs <- werr
 	}()
 	waitForWaiters(t, a, 1)
 	// Hold past the waiter's budget: at grant time it must be shed, not
 	// handed a slot it can no longer use.
 	time.Sleep(25 * time.Millisecond)
-	a.ReleaseTiered(tk)
+	a.Release(tk)
 	var ov *ErrOverloaded
 	if werr := <-errs; !errors.As(werr, &ov) || ov.Reason != ShedDeadline {
 		t.Fatalf("expired-budget waiter got %v, want deadline shed", werr)
 	}
 	// The gate must have gone free (grant fell through to nobody).
-	tk2, err := a.AcquireTiered(ctx, AdmitRequest{}, nil)
+	tk2, err := a.Acquire(ctx, AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatalf("gate wedged after grant-time shed: %v", err)
 	}
-	a.ReleaseTiered(tk2)
+	a.Release(tk2)
 }
 
 func TestTieredPriorityOrder(t *testing.T) {
 	// Huge aging step: pure class order. A later interactive arrival
 	// must overtake an earlier background waiter.
-	a := tieredGate(TieredOptions{AgingStep: time.Hour})
+	a := tieredGate(AdmissionOptions{AgingStep: time.Hour})
 	ctx := context.Background()
-	tk, err := a.AcquireTiered(ctx, AdmitRequest{}, nil)
+	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +204,7 @@ func TestTieredPriorityOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wtk, werr := a.AcquireTiered(ctx, AdmitRequest{Class: c}, nil)
+			wtk, werr := a.Acquire(ctx, AdmitRequest{Class: c}, nil)
 			if werr != nil {
 				t.Error(werr)
 				return
@@ -225,7 +212,7 @@ func TestTieredPriorityOrder(t *testing.T) {
 			mu.Lock()
 			order = append(order, c)
 			mu.Unlock()
-			a.ReleaseTiered(wtk)
+			a.Release(wtk)
 		}()
 	}
 	park(ClassBackground)
@@ -235,7 +222,7 @@ func TestTieredPriorityOrder(t *testing.T) {
 	park(ClassInteractive)
 	waitForWaiters(t, a, 3)
 
-	a.ReleaseTiered(tk)
+	a.Release(tk)
 	wg.Wait()
 	want := []Class{ClassInteractive, ClassBatch, ClassBackground}
 	if !reflect.DeepEqual(order, want) {
@@ -247,9 +234,9 @@ func TestTieredAgingPromotesBackground(t *testing.T) {
 	// Tiny aging step: a background waiter that has aged past the
 	// interactive level must beat a just-arrived interactive waiter —
 	// the starvation-proofing bound in action.
-	a := tieredGate(TieredOptions{AgingStep: time.Millisecond})
+	a := tieredGate(AdmissionOptions{AgingStep: time.Millisecond})
 	ctx := context.Background()
-	tk, err := a.AcquireTiered(ctx, AdmitRequest{}, nil)
+	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +247,7 @@ func TestTieredAgingPromotesBackground(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wtk, werr := a.AcquireTiered(ctx, AdmitRequest{Class: c}, nil)
+			wtk, werr := a.Acquire(ctx, AdmitRequest{Class: c}, nil)
 			if werr != nil {
 				t.Error(werr)
 				return
@@ -268,7 +255,7 @@ func TestTieredAgingPromotesBackground(t *testing.T) {
 			mu.Lock()
 			order = append(order, c)
 			mu.Unlock()
-			a.ReleaseTiered(wtk)
+			a.Release(wtk)
 		}()
 	}
 	park(ClassBackground)
@@ -278,28 +265,28 @@ func TestTieredAgingPromotesBackground(t *testing.T) {
 	park(ClassInteractive)
 	waitForWaiters(t, a, 2)
 
-	a.ReleaseTiered(tk)
+	a.Release(tk)
 	wg.Wait()
 	want := []Class{ClassBackground, ClassInteractive}
 	if !reflect.DeepEqual(order, want) {
 		t.Errorf("grant order = %v, want %v (aged background first)", order, want)
 	}
-	st, _ := a.TieredStats()
+	st := a.Stats()
 	if st.AgingPromotions == 0 {
 		t.Error("aged-background overtake not counted as an aging promotion")
 	}
 }
 
 func TestTieredCancelWhileQueued(t *testing.T) {
-	a := tieredGate(TieredOptions{})
-	tk, err := a.AcquireTiered(context.Background(), AdmitRequest{}, nil)
+	a := tieredGate(AdmissionOptions{})
+	tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errs := make(chan error, 1)
 	go func() {
-		_, werr := a.AcquireTiered(ctx, AdmitRequest{Class: ClassBatch}, nil)
+		_, werr := a.Acquire(ctx, AdmitRequest{Class: ClassBatch}, nil)
 		errs <- werr
 	}()
 	waitForWaiters(t, a, 1)
@@ -308,58 +295,31 @@ func TestTieredCancelWhileQueued(t *testing.T) {
 		t.Fatalf("cancelled waiter got %v, want context.Canceled", werr)
 	}
 	waitForWaiters(t, a, 0)
-	a.ReleaseTiered(tk)
+	a.Release(tk)
 	// The gate must be free again.
-	tk2, err := a.AcquireTiered(context.Background(), AdmitRequest{}, nil)
+	tk2, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.ReleaseTiered(tk2)
-}
-
-func TestLegacyAcquireHandsOffToTieredWaiters(t *testing.T) {
-	// Mixed use: a legacy Acquire holder on a tiered gate must hand off
-	// to classed waiters on Release, and vice versa.
-	a := tieredGate(TieredOptions{})
-	ctx := context.Background()
-	if err := a.Acquire(ctx); err != nil {
-		t.Fatal(err)
-	}
-	granted := make(chan uint64, 1)
-	go func() {
-		wtk, werr := a.AcquireTiered(ctx, AdmitRequest{}, nil)
-		if werr != nil {
-			t.Error(werr)
-			granted <- 0
-			return
-		}
-		granted <- wtk
-	}()
-	waitForWaiters(t, a, 1)
-	a.Release()
-	wtk := <-granted
-	if wtk == 0 {
-		t.Fatal("tiered waiter not granted by legacy Release")
-	}
-	a.ReleaseTiered(wtk)
+	a.Release(tk2)
 }
 
 func TestWatchdogForceReleasesHungHolder(t *testing.T) {
 	stalls := make(chan time.Duration, 1)
-	a := tieredGate(TieredOptions{
+	a := tieredGate(AdmissionOptions{
 		Watchdog: 30 * time.Millisecond,
 		OnStall:  func(tenant string, held time.Duration) { stalls <- held },
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	tk, err := a.AcquireTiered(ctx, AdmitRequest{Tenant: "wedged"}, cancel)
+	tk, err := a.Acquire(ctx, AdmitRequest{Tenant: "wedged"}, cancel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A healthy waiter queued behind the wedged holder.
 	granted := make(chan uint64, 1)
 	go func() {
-		wtk, werr := a.AcquireTiered(context.Background(), AdmitRequest{}, nil)
+		wtk, werr := a.Acquire(context.Background(), AdmitRequest{}, nil)
 		if werr != nil {
 			t.Error(werr)
 			granted <- 0
@@ -380,7 +340,7 @@ func TestWatchdogForceReleasesHungHolder(t *testing.T) {
 		if wtk == 0 {
 			t.Fatal("waiter errored")
 		}
-		a.ReleaseTiered(wtk)
+		a.Release(wtk)
 	case <-time.After(5 * time.Second):
 		t.Fatal("waiter still blocked after watchdog force-release")
 	}
@@ -392,8 +352,8 @@ func TestWatchdogForceReleasesHungHolder(t *testing.T) {
 	}
 
 	// The wedged holder finally wakes and releases: a counted no-op.
-	a.ReleaseTiered(tk)
-	st, _ := a.TieredStats()
+	a.Release(tk)
+	st := a.Stats()
 	if st.WatchdogStalls != 1 || st.LateReleases != 1 {
 		t.Errorf("stalls=%d lateReleases=%d, want 1/1", st.WatchdogStalls, st.LateReleases)
 	}
@@ -408,7 +368,6 @@ func TestWatchdogForceReleasesHungHolder(t *testing.T) {
 // node never deadlocks.
 func TestSchedulerWatchdogBreaksHungTenant(t *testing.T) {
 	s, plan := newFaultyEAS(t, Options{
-		AdmissionTiered:   true,
 		AdmissionWatchdog: 40 * time.Millisecond,
 	})
 	plan.HoldAdmissionFor(10*time.Second, 1)
@@ -424,7 +383,7 @@ func TestSchedulerWatchdogBreaksHungTenant(t *testing.T) {
 	// tenant; it must complete despite the wedge.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if st, ok := s.Admission().TieredStats(); ok && st.Admitted[ClassInteractive] > 0 {
+		if st := s.Admission().Stats(); st.Admitted[ClassInteractive] > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -455,7 +414,7 @@ func TestSchedulerWatchdogBreaksHungTenant(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("wedged tenant never returned")
 	}
-	st, _ := s.Admission().TieredStats()
+	st := s.Admission().Stats()
 	if st.WatchdogStalls != 1 {
 		t.Errorf("WatchdogStalls = %d, want 1", st.WatchdogStalls)
 	}
@@ -493,7 +452,7 @@ func TestShedNeverTouchesAlphaTable(t *testing.T) {
 // shed, exactly once), and eventual service for every class under
 // churn. Run with -race.
 func TestTieredStressExactlyOnce(t *testing.T) {
-	a := tieredGate(TieredOptions{
+	a := tieredGate(AdmissionOptions{
 		QueueDepth: 4,
 		AgingStep:  time.Millisecond,
 	})
@@ -512,7 +471,7 @@ func TestTieredStressExactlyOnce(t *testing.T) {
 					Tenant: []string{"a", "b", "c"}[g%3],
 					Class:  Class(g % NumClasses),
 				}
-				tk, err := a.AcquireTiered(ctx, req, nil)
+				tk, err := a.Acquire(ctx, req, nil)
 				if err != nil {
 					var ov *ErrOverloaded
 					if errors.As(err, &ov) {
@@ -532,7 +491,7 @@ func TestTieredStressExactlyOnce(t *testing.T) {
 				time.Sleep(time.Duration(g%3) * 10 * time.Microsecond)
 				inside.Add(-1)
 				admitted.Add(1)
-				a.ReleaseTiered(tk)
+				a.Release(tk)
 			}
 		}(g)
 	}
@@ -542,7 +501,7 @@ func TestTieredStressExactlyOnce(t *testing.T) {
 		t.Errorf("conservation violated: admitted %d + shed %d + cancelled %d != %d",
 			admitted.Load(), shed.Load(), cancelled.Load(), goroutines*perG)
 	}
-	st, _ := a.TieredStats()
+	st := a.Stats()
 	if got := st.Admitted[0] + st.Admitted[1] + st.Admitted[2]; got != uint64(admitted.Load()) {
 		t.Errorf("stats admitted %d != observed %d", got, admitted.Load())
 	}
@@ -558,11 +517,11 @@ func TestTieredStressExactlyOnce(t *testing.T) {
 		t.Errorf("gate left %d waiters", a.Waiters())
 	}
 	// The gate must be reusable after the storm.
-	tk, err := a.AcquireTiered(context.Background(), AdmitRequest{}, nil)
+	tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.ReleaseTiered(tk)
+	a.Release(tk)
 }
 
 // No priority inversion beyond the aging bound: while an interactive
@@ -573,9 +532,9 @@ func TestTieredStressExactlyOnce(t *testing.T) {
 // in TestTieredPriorityOrder, so here we assert the bound statistically:
 // with a huge AgingStep, zero promotions may occur.
 func TestTieredNoInversionBeyondAgingBound(t *testing.T) {
-	a := tieredGate(TieredOptions{AgingStep: time.Hour})
+	a := tieredGate(AdmissionOptions{AgingStep: time.Hour})
 	ctx := context.Background()
-	tk, err := a.AcquireTiered(ctx, AdmitRequest{}, nil)
+	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,18 +545,18 @@ func TestTieredNoInversionBeyondAgingBound(t *testing.T) {
 		wg.Add(1)
 		go func(c Class) {
 			defer wg.Done()
-			wtk, werr := a.AcquireTiered(ctx, AdmitRequest{Class: c}, nil)
+			wtk, werr := a.Acquire(ctx, AdmitRequest{Class: c}, nil)
 			if werr != nil {
 				t.Error(werr)
 				return
 			}
 			grants <- c
 			time.Sleep(50 * time.Microsecond)
-			a.ReleaseTiered(wtk)
+			a.Release(wtk)
 		}(classOf(i))
 	}
 	waitForWaiters(t, a, 30)
-	a.ReleaseTiered(tk)
+	a.Release(tk)
 	wg.Wait()
 	close(grants)
 
@@ -614,7 +573,7 @@ func TestTieredNoInversionBeyondAgingBound(t *testing.T) {
 		}
 		remaining[c]--
 	}
-	st, _ := a.TieredStats()
+	st := a.Stats()
 	if st.AgingPromotions != 0 {
 		t.Errorf("AgingPromotions = %d with an hour-long AgingStep, want 0", st.AgingPromotions)
 	}
@@ -629,8 +588,8 @@ func TestColdStartShedRetryAfterFloored(t *testing.T) {
 	ctx := context.Background()
 
 	// Queue-full shed with a never-released holder: AvgHold is still 0.
-	a := tieredGate(TieredOptions{QueueDepth: 1})
-	tk, err := a.AcquireTiered(ctx, AdmitRequest{}, nil)
+	a := tieredGate(AdmissionOptions{QueueDepth: 1})
+	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,13 +597,13 @@ func TestColdStartShedRetryAfterFloored(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		wtk, werr := a.AcquireTiered(ctx, AdmitRequest{}, nil)
+		wtk, werr := a.Acquire(ctx, AdmitRequest{}, nil)
 		if werr == nil {
-			a.ReleaseTiered(wtk)
+			a.Release(wtk)
 		}
 	}()
 	waitForWaiters(t, a, 1)
-	_, err = a.AcquireTiered(ctx, AdmitRequest{}, nil)
+	_, err = a.Acquire(ctx, AdmitRequest{}, nil)
 	var ov *ErrOverloaded
 	if !errors.As(err, &ov) || ov.Reason != ShedQueueFull {
 		t.Fatalf("expected queue-full shed, got %v", err)
@@ -652,24 +611,24 @@ func TestColdStartShedRetryAfterFloored(t *testing.T) {
 	if ov.RetryAfter < time.Millisecond {
 		t.Errorf("cold-start queue-full RetryAfter = %v, want >= 1ms floor", ov.RetryAfter)
 	}
-	a.ReleaseTiered(tk)
+	a.Release(tk)
 	wg.Wait()
 
 	// Grant-time deadline shed: the waiter's budget burns away in the
 	// queue while the estimator still reads zero.
-	b := tieredGate(TieredOptions{})
-	tk, err = b.AcquireTiered(ctx, AdmitRequest{}, nil)
+	b := tieredGate(AdmissionOptions{})
+	tk, err = b.Acquire(ctx, AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shed := make(chan error, 1)
 	go func() {
-		_, werr := b.AcquireTiered(ctx, AdmitRequest{DeadlineBudget: 2 * time.Millisecond}, nil)
+		_, werr := b.Acquire(ctx, AdmitRequest{DeadlineBudget: 2 * time.Millisecond}, nil)
 		shed <- werr
 	}()
 	waitForWaiters(t, b, 1)
 	time.Sleep(10 * time.Millisecond)
-	b.ReleaseTiered(tk)
+	b.Release(tk)
 	if err := <-shed; !errors.As(err, &ov) || ov.Reason != ShedDeadline {
 		t.Fatalf("expected grant-time deadline shed, got %v", err)
 	} else if ov.RetryAfter < time.Millisecond {
@@ -681,8 +640,8 @@ func TestColdStartShedRetryAfterFloored(t *testing.T) {
 // the raw estimate, zero and all.
 func TestRetryAfterFloorDisabled(t *testing.T) {
 	ctx := context.Background()
-	a := tieredGate(TieredOptions{QueueDepth: 1, RetryAfterFloor: -1})
-	tk, err := a.AcquireTiered(ctx, AdmitRequest{}, nil)
+	a := tieredGate(AdmissionOptions{QueueDepth: 1, RetryAfterFloor: -1})
+	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,13 +649,13 @@ func TestRetryAfterFloorDisabled(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		wtk, werr := a.AcquireTiered(ctx, AdmitRequest{}, nil)
+		wtk, werr := a.Acquire(ctx, AdmitRequest{}, nil)
 		if werr == nil {
-			a.ReleaseTiered(wtk)
+			a.Release(wtk)
 		}
 	}()
 	waitForWaiters(t, a, 1)
-	_, err = a.AcquireTiered(ctx, AdmitRequest{}, nil)
+	_, err = a.Acquire(ctx, AdmitRequest{}, nil)
 	var ov *ErrOverloaded
 	if !errors.As(err, &ov) || ov.Reason != ShedQueueFull {
 		t.Fatalf("expected queue-full shed, got %v", err)
@@ -704,7 +663,7 @@ func TestRetryAfterFloorDisabled(t *testing.T) {
 	if ov.RetryAfter != 0 {
 		t.Errorf("disabled floor: RetryAfter = %v, want raw 0 estimate", ov.RetryAfter)
 	}
-	a.ReleaseTiered(tk)
+	a.Release(tk)
 	wg.Wait()
 }
 
@@ -713,12 +672,12 @@ func TestRetryAfterFloorDisabled(t *testing.T) {
 // raises the backlog estimate, damped enough that a stall burst does
 // not drag it to the watchdog bound.
 func TestRevokedHoldDownWeighted(t *testing.T) {
-	a := tieredGate(TieredOptions{})
+	a := tieredGate(AdmissionOptions{})
 	a.mu.Lock()
-	a.t.recordHoldLocked(10 * time.Millisecond)
-	a.t.recordRevokedHoldLocked(100 * time.Millisecond)
+	a.recordHoldLocked(10 * time.Millisecond)
+	a.recordRevokedHoldLocked(100 * time.Millisecond)
 	a.mu.Unlock()
-	st, _ := a.TieredStats()
+	st := a.Stats()
 	want := time.Duration(0.9*float64(10*time.Millisecond) + 0.1*float64(100*time.Millisecond))
 	if st.AvgHold != want {
 		t.Errorf("AvgHold = %v after down-weighted revoked hold, want %v", st.AvgHold, want)
@@ -730,11 +689,11 @@ func TestRevokedHoldDownWeighted(t *testing.T) {
 
 	// Cold start: a revoked hold seeds the estimator outright — some
 	// estimate beats none.
-	b := tieredGate(TieredOptions{})
+	b := tieredGate(AdmissionOptions{})
 	b.mu.Lock()
-	b.t.recordRevokedHoldLocked(50 * time.Millisecond)
+	b.recordRevokedHoldLocked(50 * time.Millisecond)
 	b.mu.Unlock()
-	if st, _ := b.TieredStats(); st.AvgHold != 50*time.Millisecond {
+	if st := b.Stats(); st.AvgHold != 50*time.Millisecond {
 		t.Errorf("cold-start revoked hold: AvgHold = %v, want 50ms seed", st.AvgHold)
 	}
 }
@@ -744,15 +703,15 @@ func TestRevokedHoldDownWeighted(t *testing.T) {
 // deflate the backlog estimate. The pass-on release must skip the
 // recording.
 func TestCancelPassOnHoldNotRecorded(t *testing.T) {
-	a := tieredGate(TieredOptions{})
-	tk, err := a.AcquireTiered(context.Background(), AdmitRequest{}, nil)
+	a := tieredGate(AdmissionOptions{})
+	tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.mu.Lock()
-	a.releaseTieredLocked(tk, time.Now(), false)
+	a.releaseLocked(tk, false)
 	a.mu.Unlock()
-	if st, _ := a.TieredStats(); st.AvgHold != 0 {
+	if st := a.Stats(); st.AvgHold != 0 {
 		t.Errorf("pass-on release recorded a hold: AvgHold = %v, want 0", st.AvgHold)
 	}
 }
@@ -760,14 +719,14 @@ func TestCancelPassOnHoldNotRecorded(t *testing.T) {
 // End to end: a watchdog revocation leaves the estimator seeded, so the
 // very next shed already carries a non-zero backlog estimate.
 func TestWatchdogRevocationSeedsEstimator(t *testing.T) {
-	a := tieredGate(TieredOptions{Watchdog: 5 * time.Millisecond})
-	tk, err := a.AcquireTiered(context.Background(), AdmitRequest{}, nil)
+	a := tieredGate(AdmissionOptions{Watchdog: 5 * time.Millisecond})
+	tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st, _ := a.TieredStats()
+		st := a.Stats()
 		if st.WatchdogStalls >= 1 {
 			if st.AvgHold <= 0 {
 				t.Errorf("AvgHold = %v after watchdog revocation, want > 0", st.AvgHold)
@@ -779,5 +738,5 @@ func TestWatchdogRevocationSeedsEstimator(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	a.ReleaseTiered(tk) // late release of the revoked ticket
+	a.Release(tk) // late release of the revoked ticket
 }

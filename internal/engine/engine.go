@@ -145,9 +145,9 @@ func (r Result) GPUThroughput() float64 {
 // interleave at phase granularity on the one shared virtual clock, so
 // callers that need whole-invocation exclusivity (honest per-tenant
 // energy attribution) must still serialize externally. core.Scheduler
-// does so with its admission gate; its opt-in per-device sharded gate
-// deliberately relaxes that to phase-level interleaving for
-// disjoint-device invocations.
+// does so with its admission gate. The mutex covers the one case the
+// gate cannot: a holder the watchdog revoked may still be mid-phase
+// when the next holder is admitted.
 type Engine struct {
 	mu     sync.Mutex // serializes simulated phases on the shared clock/PCU/MSRs
 	p      *platform.Platform

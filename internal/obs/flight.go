@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/hetsched/eas/internal/statestore"
 )
 
 // The flight recorder is the scheduler's aircraft-style black box: an
@@ -204,6 +206,7 @@ type FlightRecorder struct {
 	// Dump/debounce state.
 	lastDump   time.Time
 	dumpSeq    uint64
+	dumped     uint64 // dumps committed: file renamed into place (or in memory only when Dir is "")
 	suppressed uint64
 	lastJSON   []byte // latest incident artifact, for /debug/flight
 	dumpErr    error  // last file-write failure (surfaced, never fatal)
@@ -376,7 +379,11 @@ func (f *FlightRecorder) observeLatency(seconds float64) {
 
 // Trigger freezes the ring into an incident dump unless the debounce
 // window since the last dump is still open (then it only counts the
-// suppression). It returns whether a dump was produced.
+// suppression). The artifact file is written atomically — temp file,
+// fsync, rename — and the dump is counted (Dumps,
+// eas_flight_dumps_total) only once that rename has landed, so a
+// counted dump's file always exists in full. It returns whether a dump
+// was committed.
 func (f *FlightRecorder) Trigger(trigger, reason string) bool {
 	if f == nil {
 		return false
@@ -404,19 +411,24 @@ func (f *FlightRecorder) Trigger(trigger, reason string) bool {
 	f.mu.Lock()
 	f.lastJSON = data
 	f.mu.Unlock()
-	if f.dumps != nil {
-		f.dumps.With1(trigger).Inc()
-	}
 	if f.policy.Dir != "" {
 		name := fmt.Sprintf("incident-%06d-%s.json", seq, trigger)
-		if err := os.MkdirAll(f.policy.Dir, 0o755); err == nil {
-			err = os.WriteFile(filepath.Join(f.policy.Dir, name), data, 0o644)
+		err = os.MkdirAll(f.policy.Dir, 0o755)
+		if err == nil {
+			err = statestore.WriteFileAtomic(filepath.Join(f.policy.Dir, name), data)
 		}
 		if err != nil {
 			f.mu.Lock()
 			f.dumpErr = err
 			f.mu.Unlock()
+			return false
 		}
+	}
+	f.mu.Lock()
+	f.dumped++
+	f.mu.Unlock()
+	if f.dumps != nil {
+		f.dumps.With1(trigger).Inc()
 	}
 	return true
 }
@@ -500,14 +512,14 @@ func (f *FlightRecorder) DumpError() error {
 	return f.dumpErr
 }
 
-// Dumps returns how many incident dumps the recorder has produced.
+// Dumps returns how many incident dumps the recorder has committed.
 func (f *FlightRecorder) Dumps() uint64 {
 	if f == nil {
 		return 0
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.dumpSeq
+	return f.dumped
 }
 
 // setNow injects a deterministic clock (tests only).

@@ -95,6 +95,31 @@ func TestFlightWatchdogStallDumpsToDir(t *testing.T) {
 	}
 }
 
+// A dump counts only once its artifact is committed: a write that
+// fails leaves the counter and the dumps family untouched and surfaces
+// the error, and the directory never holds a partial file.
+func TestFlightDumpCountedOnlyAfterCommit(t *testing.T) {
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	f := NewFlightRecorder(FlightPolicy{Events: 8, Dir: notDir}, reg)
+	if f.Trigger(TriggerManual, "unwritable dir") {
+		t.Error("Trigger reported a committed dump for a failed write")
+	}
+	if f.Dumps() != 0 || f.DumpError() == nil {
+		t.Errorf("Dumps() = %d, DumpError() = %v; want 0 and the write error", f.Dumps(), f.DumpError())
+	}
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), `eas_flight_dumps_total{trigger="manual"}`) {
+		t.Errorf("failed dump counted on /metrics:\n%s", buf.String())
+	}
+}
+
 func TestFlightShedSpikeTrigger(t *testing.T) {
 	clock := newFlightClock()
 	f := NewFlightRecorder(FlightPolicy{Events: 16, ShedSpike: 3, ShedWindow: time.Second}, nil)

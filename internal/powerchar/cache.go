@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"github.com/hetsched/eas/internal/platform"
@@ -196,37 +195,8 @@ func (c *Cache) SaveFile(path string) error {
 		return fmt.Errorf("powerchar: encoding model cache: %w", err)
 	}
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("powerchar: creating temp cache file: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("powerchar: writing model cache: %w", err)
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return fmt.Errorf("powerchar: setting cache permissions: %w", err)
-	}
-	// fsync before the rename: without it the rename can land while the
-	// data is still only in the page cache, and a power loss would
-	// commit an empty or truncated file under the final name.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("powerchar: syncing temp cache file: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("powerchar: closing temp cache file: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("powerchar: committing model cache: %w", err)
-	}
-	// fsync the parent directory so the rename itself — the directory
-	// entry — survives a crash, completing the atomic-save contract.
-	if err := statestore.SyncDir(dir); err != nil {
-		return fmt.Errorf("powerchar: syncing cache directory: %w", err)
+	if err := statestore.WriteFileAtomic(path, data); err != nil {
+		return fmt.Errorf("powerchar: saving model cache: %w", err)
 	}
 	return nil
 }

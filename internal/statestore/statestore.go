@@ -498,6 +498,41 @@ func writeSnapshotFile(path string, gen uint64, recs []Record) error {
 	return SyncDir(dir)
 }
 
+// WriteFileAtomic commits data under path the crash-safe way: a temp
+// file in the same directory, fsync, rename over path, then fsync of
+// the directory. A reader never sees a partial file, and a crash never
+// leaves a truncated one under the final name.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("statestore: creating temp file: %w", err)
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return fmt.Errorf("statestore: writing temp file: %w", err)
+	}
+	if err := tmp.Chmod(0o644); err != nil {
+		tmp.Close()
+		return fmt.Errorf("statestore: setting file permissions: %w", err)
+	}
+	// fsync before the rename: without it the rename can land while the
+	// data is still only in the page cache, and a power loss would
+	// commit an empty or truncated file under the final name.
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("statestore: syncing temp file: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("statestore: closing temp file: %w", err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("statestore: committing %s: %w", filepath.Base(path), err)
+	}
+	return SyncDir(dir)
+}
+
 // SyncDir fsyncs a directory, making a just-completed rename durable.
 // Filesystems that do not support directory fsync report it as a
 // benign error, which is swallowed.

@@ -243,9 +243,8 @@ func (o *Observer) registerRuntimeCollectors(r *Runtime) {
 }
 
 // registerAdmissionCollectors exposes admission-gate pressure on
-// /metrics: total queued waiters always, and — when the tiered
-// controller is active — per-class queue depths, per-class admission
-// counters, shed counters by reason, aging promotions, and
+// /metrics: total queued waiters, per-class queue depths, per-class
+// admission counters, shed counters by reason, aging promotions, and
 // late-release counts. Deltas fold at scrape time like the other
 // pull-style collectors, so several runtimes on one observer sum
 // cleanly. (Watchdog stalls are push-style — see RecordWatchdogStall —
@@ -254,12 +253,6 @@ func (o *Observer) registerAdmissionCollectors(r *Runtime) {
 	adm := r.sched.Admission()
 	waiters := o.reg.Gauge("eas_admission_waiters",
 		"Invocations currently queued at the admission gate.")
-	if !adm.Tiered() {
-		o.reg.RegisterCollector(func() {
-			waiters.Set(float64(adm.Waiters()))
-		})
-		return
-	}
 	var depth [core.NumClasses]*obs.Gauge
 	var admittedC [core.NumClasses]*obs.Counter
 	for c := core.Class(0); c < core.NumClasses; c++ {
@@ -268,7 +261,7 @@ func (o *Observer) registerAdmissionCollectors(r *Runtime) {
 			"Invocations queued at the admission gate, by priority class.")
 		admittedC[c] = o.reg.Counter(
 			`eas_admission_admitted_total{class="`+c.String()+`"}`,
-			"Invocations admitted through the tiered gate, by priority class.")
+			"Invocations admitted through the admission gate, by priority class.")
 	}
 	shedHelp := "Invocations shed at the admission gate, by reason."
 	shedQuota := o.reg.Counter(`eas_admission_shed_total{reason="tenant-quota"}`, shedHelp)
@@ -281,10 +274,7 @@ func (o *Observer) registerAdmissionCollectors(r *Runtime) {
 	var last core.AdmissionStats
 	o.reg.RegisterCollector(func() {
 		waiters.Set(float64(adm.Waiters()))
-		st, ok := adm.TieredStats()
-		if !ok {
-			return
-		}
+		st := adm.Stats()
 		for c := 0; c < core.NumClasses; c++ {
 			depth[c].Set(float64(st.QueueDepth[c]))
 			admittedC[c].Add(st.Admitted[c] - last.Admitted[c])
