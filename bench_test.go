@@ -449,15 +449,15 @@ func BenchmarkDecisionPath(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPath measures the steady-state invocation hot path with
-// the memory-reuse arena on (Options.Reuse): the same decision-heavy
-// regime as BenchmarkDecisionPath — ReprofileEvery=1, fine α grid —
-// but with interned table entries, the hoisted α search, and pooled
-// per-invocation state carrying the load. Each mode runs observer-off
-// ("solo") and with a ring-sink observer attached ("solo-obs"), whose
-// decision-audit records recycle through the arena. The numbers
-// baseline BENCH_hotpath.json; ci/check-bench-regression.sh fails the
-// build on a >20% decisions/sec regression against it.
+// BenchmarkHotPath measures the steady-state invocation hot path: the
+// same decision-heavy regime as BenchmarkDecisionPath — ReprofileEvery=1,
+// fine α grid — with interned table entries and the hoisted α search
+// carrying the load. Each mode runs observer-off ("solo") and with a
+// ring-sink observer attached ("solo-obs"), whose decision-audit
+// records store the search inputs and rebuild the grid only on
+// export. The numbers baseline BENCH_hotpath.json;
+// ci/check-bench-regression.sh fails the build on a >20% decisions/sec
+// regression against it.
 func BenchmarkHotPath(b *testing.B) {
 	model, err := powerchar.Cached(context.Background(), platform.DesktopSpec(), powerchar.Options{})
 	if err != nil {
@@ -475,9 +475,9 @@ func BenchmarkHotPath(b *testing.B) {
 		name string
 		opts core.Options
 	}{
-		{"solo", core.Options{ReprofileEvery: 1, AlphaStep: aStep, Reuse: true}},
-		{"coalesced", core.Options{ReprofileEvery: 1, AlphaStep: aStep, Reuse: true, CoalesceDecisions: true}},
-		{"fastpath", core.Options{ReprofileEvery: 1, AlphaStep: aStep, Reuse: true, TableTTL: time.Hour, MinConfidence: 1}},
+		{"solo", core.Options{ReprofileEvery: 1, AlphaStep: aStep}},
+		{"coalesced", core.Options{ReprofileEvery: 1, AlphaStep: aStep, CoalesceDecisions: true}},
+		{"fastpath", core.Options{ReprofileEvery: 1, AlphaStep: aStep, TableTTL: time.Hour, MinConfidence: 1}},
 	}
 	for _, withObs := range []bool{false, true} {
 		for _, mode := range base {

@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
 # check-obs-overhead.sh — fail the build if disabled observability ever
-# costs anything on the scheduling hot path, or if the armed flight
+# costs anything on the scheduling hot path, if the decision audit on
+# the profiling path outgrows its budget, or if the armed flight
 # recorder exceeds its per-event allocation budget.
 #
 # Three layers of defence:
 #   1. TestNilObserverZeroAlloc pins the nil-observer steady-state path
-#      to zero heap allocations per invocation.
+#      to zero heap allocations per invocation, and
+#      TestProfilingObserverAllocBudget pins the enabled observer's
+#      profiling path (fresh profile + 0.0005-step α search + Explain
+#      record every invocation) to 2 allocations beyond the unobserved
+#      run plus the span tree's attribute slices, and under 2 KiB.
 #   2. BenchmarkParallelForObserverNil's allocs/op is compared against
 #      the committed baseline (ci/obs-overhead-baseline.txt); any
 #      regression past the baseline fails. Allocation counts are exact
@@ -15,9 +20,9 @@
 #      only, never allocation per event.
 #
 # The enabled-observer benchmark runs too and its overhead is printed
-# for the log, but only the *disabled* path and the recorder's event
-# budget are gated — observability is opt-in, its cost is allowed to
-# evolve.
+# for the log; beyond the decision-audit budget above, the enabled
+# path's speed is not gated — observability is opt-in, its cost is
+# allowed to evolve.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,8 +38,8 @@ if [[ -z "$flight_budget" ]]; then
     exit 1
 fi
 
-echo "== pinned zero-alloc test =="
-go test ./internal/core -run 'TestNilObserverZeroAlloc' -count=1 -v
+echo "== pinned allocation tests =="
+go test ./internal/core -run '^(TestNilObserverZeroAlloc|TestProfilingObserverAllocBudget)$' -count=1 -v
 
 echo "== observer overhead benchmarks =="
 out=$(go test ./internal/core -run '^$' -bench 'BenchmarkParallelForObserver' \

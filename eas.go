@@ -164,10 +164,9 @@ type Config struct {
 	// One Observer may be shared by several Runtimes. Nil — the default —
 	// disables all instrumentation at zero cost on the scheduling path.
 	Observer *Observer
-	// Reuse enables the steady-state memory-reuse arena: Reports,
-	// decision-audit records, and their α-grid buffers are pooled and
-	// recycled across invocations instead of allocated fresh, cutting
-	// steady-state allocation (and hence GC pressure) on the hot path.
+	// Reuse pools Reports across invocations instead of allocating one
+	// fresh per call, cutting steady-state allocation (and hence GC
+	// pressure) on the hot path.
 	// Callers may return finished Reports with Runtime.ReleaseReport; a
 	// released Report must not be read afterwards. The zero value keeps
 	// the historical allocate-per-invocation behaviour, byte-identical
@@ -437,7 +436,6 @@ func NewRuntime(p *Platform, cfg Config) (*Runtime, error) {
 		CoalesceDecisions:    cfg.Decision.Coalesce,
 		TableTTL:             cfg.Decision.TableTTL,
 		MinConfidence:        cfg.Decision.MinConfidence,
-		Reuse:                cfg.Reuse,
 	})
 	if err != nil {
 		return nil, err

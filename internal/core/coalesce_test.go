@@ -22,6 +22,25 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// TestCoalescedPathZeroAlloc pins the coalesced decision path's
+// steady state to zero allocations per invocation: once a kernel's
+// decision is cached, followers and solo repeats alike must not
+// allocate.
+func TestCoalescedPathZeroAlloc(t *testing.T) {
+	s := newEAS(t, metrics.EDP, Options{CoalesceDecisions: true})
+	k := memKernel()
+	if _, err := s.ParallelFor(k, 200000); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := s.ParallelFor(k, 200000); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("steady-state coalesced ParallelFor allocates %.1f objects/op, want 0", n)
+	}
+}
+
 // With every decision knob at its zero value the batched decision path
 // must be dead code: reports under a fault script are byte-identical
 // across plain, coalescing and fast-path schedulers for serial callers.
@@ -48,9 +67,6 @@ func TestDecisionZeroKnobsByteIdentical(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"coalesce":  {CoalesceDecisions: true},
 		"fast-path": {TableTTL: time.Hour, MinConfidence: 2},
-		// Reuse only changes where per-invocation state is allocated,
-		// never what the scheduler decides — reports must match exactly.
-		"reuse": {Reuse: true},
 	} {
 		if got := run(opts); !reflect.DeepEqual(got, legacy) {
 			t.Errorf("%s: serial reports diverged from legacy:\n got %+v\nwant %+v", name, got, legacy)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"github.com/hetsched/eas/internal/engine"
@@ -32,6 +33,90 @@ func TestNilObserverZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("steady-state ParallelFor with nil observer allocates %.1f objects/op, want 0", n)
+	}
+}
+
+// TestEnabledObserverAllocBudget pins the steady-state allocation cost
+// of the enabled-observer path, complementing TestNilObserverZeroAlloc:
+// with a ring-sink observer attached, a warm invocation (kernel
+// profiled, α cached) must stay within two heap allocations — the span
+// tree the sink retains. Anything above that means an attribute slice
+// or scratch buffer escaped onto the hot path.
+func TestEnabledObserverAllocBudget(t *testing.T) {
+	o := obs.New(obs.NewRingSink(64), obs.NewRegistry())
+	s := newEAS(t, metrics.EDP, Options{Observer: o})
+	k := memKernel()
+	if _, err := s.ParallelFor(k, 200000); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := s.ParallelFor(k, 200000); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("steady-state ParallelFor with enabled observer allocates %.1f objects/op, want <= 2", n)
+	}
+}
+
+// TestProfilingObserverAllocBudget pins the decision-audit cost on the
+// profiling path, in the BenchmarkHotPath regime: every invocation
+// profiles, α-searches a fine grid (2,001 points) and emits an Explain
+// record. The record stores the search inputs, not the grid (32 KB at
+// this AlphaStep), so an observed profiled invocation may allocate at
+// most 2 objects beyond the unobserved run plus the span tree's
+// attribute slices (one per attributed span, owned by the sink), and
+// under 2 KiB in total. ci/check-obs-overhead.sh runs it next to
+// TestNilObserverZeroAlloc.
+func TestProfilingObserverAllocBudget(t *testing.T) {
+	const n = 5000
+	measure := func(o *obs.Observer) (allocs, bytes float64) {
+		s := newEAS(t, metrics.EDP, Options{Observer: o, ReprofileEvery: 1, AlphaStep: 0.0005})
+		k := compKernel()
+		run := func() {
+			rep, err := s.ParallelFor(k, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Profiled {
+				t.Fatal("ReprofileEvery=1 invocation did not profile")
+			}
+		}
+		run()
+		allocs = testing.AllocsPerRun(100, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 100
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	baseAllocs, _ := measure(nil)
+	ring := obs.NewRingSink(64)
+	allocs, bytes := measure(obs.New(ring, obs.NewRegistry()))
+
+	spans := ring.Snapshot()
+	last := spans[len(spans)-1].Invocation
+	attrSpans, explained := 0, false
+	for _, sp := range spans {
+		if sp.Invocation != last {
+			continue
+		}
+		if len(sp.Attrs) > 0 {
+			attrSpans++
+		}
+		explained = explained || sp.Explain != nil
+	}
+	if !explained {
+		t.Fatal("the last invocation emitted no Explain: the budget measured no decision audit")
+	}
+	if budget := baseAllocs + float64(attrSpans) + 2; allocs > budget {
+		t.Errorf("observed profiling ParallelFor allocates %.1f objects/op, want <= %.1f (unobserved %.1f + %d attribute slices + 2)",
+			allocs, budget, baseAllocs, attrSpans)
+	}
+	if bytes >= 2048 {
+		t.Errorf("observed profiling ParallelFor allocates %.0f B/op, want < 2 KiB", bytes)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -131,14 +130,6 @@ type Options struct {
 	// instrumentation: every hook degrades to a nil-check and the hot
 	// path allocates nothing. A pointer keeps Options comparable.
 	Observer *obs.Observer
-
-	// Reuse pools per-invocation state: decision-audit Explain records
-	// and their α-grid buffers are drawn from a sync.Pool and recycled
-	// when the observer's ring sink evicts the span that owns them.
-	// Scheduling decisions, reports, and observer payloads are
-	// unaffected — only allocation behaviour changes; the zero value
-	// keeps the historical allocate-per-decision behaviour.
-	Reuse bool
 
 	// Overload-resilience bounds of the admission gate (tiered.go).
 	// With every field zero the gate is a single-class, unlimited,
@@ -340,9 +331,10 @@ type Scheduler struct {
 	curves  [wclass.NumCategories]powerchar.Curve
 	curveOK [wclass.NumCategories]bool
 
-	// reuse holds the pooled per-invocation state enabled by
-	// Options.Reuse (nil otherwise).
-	reuse *reuseState
+	// audit is the immutable evaluation context decision-audit records
+	// point back to (see auditModel), built once by auditSource().
+	audit     *auditModel
+	auditOnce sync.Once
 
 	// Telemetry-robustness state (nil / zero when the knobs are off).
 	rmeter  *robust.EnergyMeter // robust package-energy reader
@@ -389,8 +381,8 @@ func New(eng *engine.Engine, model *powerchar.Model, metric metrics.Metric, opts
 		table:  newAlphaTable(),
 	}
 	s.curves, s.curveOK = model.CurveTable()
-	if s.opts.Reuse {
-		s.reuse = newReuseState(s.opts.Observer)
+	if s.opts.Observer.Enabled() {
+		s.auditSource()
 	}
 	s.breaker = robust.NewBreaker(s.opts.BreakerThreshold, s.opts.BreakerProbeAfter)
 	spec := eng.Platform().Spec()
@@ -1043,7 +1035,7 @@ func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, plan invPl
 				alpha, _ = BestAlpha(curve, tm, searchN, s.metric, s.opts.AlphaStep)
 			}
 			if search.Enabled() {
-				search.EndExplain(s.explain(curve, tm, searchN, alpha, rep.Category))
+				search.EndExplain(s.explain(tm, searchN, alpha, rep.Category))
 			}
 			rep.PredictedTime = tm.Time(alpha, searchN)
 			rep.PredictedPower = curve.Power(alpha)
@@ -1176,37 +1168,66 @@ func (s *Scheduler) cpuFallback(k engine.Kernel, items float64, rep Report, sc o
 	return rep, nil
 }
 
-// explain reconstructs the α grid search as a decision-audit record:
-// the measured throughputs, the workload category and fitted curve the
-// search ran against, and the objective value at every grid point. It
-// re-walks the same grid BestAlpha walked (the Objective closure is
-// cheap — a polynomial evaluation and a division per point) so the
-// search itself stays untouched and allocation-free when tracing is
-// off.
-func (s *Scheduler) explain(curve powerchar.Curve, tm TimeModel, searchN, alpha float64, cat wclass.Category) *obs.Explain {
-	obj := Objective(curve, tm, searchN, s.metric)
-	steps := int(math.Round(1 / s.opts.AlphaStep))
-	if steps < 1 {
-		steps = 1
+// explain records the α grid search as a decision-audit record: the
+// measured throughputs, the workload category and fitted curve the
+// search ran against, and the chosen α with its objective value. The
+// objective at every grid point is a pure function of these inputs, so
+// the record stores them and Explain.Grid rebuilds the landscape only
+// when a trace is exported; the decision path pays for one objective
+// evaluation and one fixed-size record.
+func (s *Scheduler) explain(tm TimeModel, searchN, alpha float64, cat wclass.Category) *obs.Explain {
+	m := s.auditSource()
+	i := cat.Index()
+	ex := &obs.Explain{
+		RC:        tm.RC,
+		RG:        tm.RG,
+		SearchN:   searchN,
+		Category:  cat.Key(),
+		CurveID:   m.curveIDs[i],
+		Curve:     i,
+		AlphaStep: s.opts.AlphaStep,
+		Alpha:     alpha,
+		Refined:   s.opts.RefineAlpha,
+		Source:    m,
 	}
-	// The grid buffer comes from the reuse pool when Options.Reuse is
-	// on (recycled by the observer's ring sink at span eviction);
-	// otherwise it is a fresh allocation, as it always was.
-	ex := s.reuse.getExplain(steps + 1)
-	for i := 0; i <= steps; i++ {
-		a := float64(i) / float64(steps)
-		ex.Grid = append(ex.Grid, obs.GridPoint{Alpha: a, Objective: obj(a)})
-	}
-	ex.RC = tm.RC
-	ex.RG = tm.RG
-	ex.Category = cat.Key()
-	ex.CurveID = fmt.Sprintf("%s~deg%d(r2=%.3f)",
-		curve.Category.Key(), len(curve.Coeffs)-1, curve.R2)
-	ex.AlphaStep = s.opts.AlphaStep
-	ex.Alpha = alpha
-	ex.Objective = obj(alpha)
-	ex.Refined = s.opts.RefineAlpha
+	ex.Objective = m.Objective(ex, alpha)
 	return ex
+}
+
+// auditSource returns the scheduler's audit model. New builds it when
+// an Observer is configured; a caller-supplied scope on a scheduler
+// without one (ParallelForScoped) builds it on first use. Schedulers
+// that never explain a decision never pay for the curve ids.
+func (s *Scheduler) auditSource() *auditModel {
+	s.auditOnce.Do(func() { s.audit = newAuditModel(s.curves, s.curveOK, s.metric) })
+	return s.audit
+}
+
+// auditModel is what decision-audit records need to rebuild their
+// objective grid: the curve table, each curve's identifier, and the
+// metric. It is built once per scheduler and never mutated. It, not
+// the Scheduler, is the Explain's GridSource, so spans retained by a
+// shared observer never pin a closed runtime's engine, table or WAL.
+type auditModel struct {
+	curves   [wclass.NumCategories]powerchar.Curve
+	curveIDs [wclass.NumCategories]string
+	metric   metrics.Metric
+}
+
+func newAuditModel(curves [wclass.NumCategories]powerchar.Curve, ok [wclass.NumCategories]bool, metric metrics.Metric) *auditModel {
+	m := &auditModel{curves: curves, metric: metric}
+	for i, c := range curves {
+		if ok[i] {
+			m.curveIDs[i] = fmt.Sprintf("%s~deg%d(r2=%.3f)", c.Category.Key(), len(c.Coeffs)-1, c.R2)
+		}
+	}
+	return m
+}
+
+// Objective implements obs.GridSource with the same Objective closure
+// the search minimized, so rebuilt grids are bit-identical.
+func (m *auditModel) Objective(ex *obs.Explain, alpha float64) float64 {
+	return Objective(m.curves[ex.Curve], TimeModel{RC: ex.RC, RG: ex.RG}, ex.SearchN, m.metric)(alpha)
 }
 
 // within reports whether a and b agree within relative tolerance tol.

@@ -32,7 +32,8 @@ type chromeTrace struct {
 // multi-tenant run renders as a timeline of overlapping invocations;
 // spans nest by time within a track, and the alpha-search span's args
 // carry the full Explain record (measured R_C/R_G, category, curve,
-// and the objective at every grid point).
+// and the objective at every grid point, rebuilt here by
+// Explain.Grid from the recorded search inputs).
 func WriteChromeTrace(w io.Writer, spans []Span) error {
 	events := make([]chromeEvent, 0, len(spans)+1)
 	events = append(events, chromeEvent{
@@ -97,13 +98,14 @@ func spanArgs(sp Span) map[string]any {
 	return args
 }
 
-// explainArgs flattens an Explain into JSON-encodable args. Grid
-// objectives can legitimately be +Inf (offloading to a device with no
+// explainArgs flattens an Explain into JSON-encodable args, rebuilding
+// its objective grid. Grid objectives can legitimately be +Inf (offloading to a device with no
 // measured throughput); encoding/json rejects non-finite floats, so
 // jsonSafe renders them as strings.
 func explainArgs(ex *Explain) map[string]any {
-	grid := make([]map[string]any, len(ex.Grid))
-	for i, g := range ex.Grid {
+	points := ex.Grid()
+	grid := make([]map[string]any, len(points))
+	for i, g := range points {
 		grid[i] = map[string]any{
 			"alpha":     jsonSafe(g.Alpha),
 			"objective": jsonSafe(g.Objective),

@@ -9,6 +9,11 @@ import (
 	"time"
 )
 
+// fixedGrid is a GridSource with a tabulated objective per α.
+type fixedGrid map[float64]float64
+
+func (g fixedGrid) Objective(_ *Explain, alpha float64) float64 { return g[alpha] }
+
 func fixedSpans() []Span {
 	base := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
 	return []Span{
@@ -23,10 +28,8 @@ func fixedSpans() []Span {
 			Explain: &Explain{
 				RC: 1e6, RG: 2e6, Category: "mem-cpuS-gpuL", CurveID: "mem-cpuS-gpuL~deg6",
 				AlphaStep: 0.5,
-				Grid: []GridPoint{
-					{Alpha: 0, Objective: 3.5},
-					{Alpha: 0.5, Objective: 1.25},
-					{Alpha: 1, Objective: math.Inf(1)},
+				Source: fixedGrid{
+					0: 3.5, 0.5: 1.25, 1: math.Inf(1),
 				},
 				Alpha: 0.5, Objective: 1.25,
 			},

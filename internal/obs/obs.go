@@ -16,8 +16,11 @@
 //     chrome://tracing load directly, one track per invocation.
 //   - Decision audit: the alpha-search span carries an Explain record —
 //     measured throughputs R_C/R_G, the chosen workload category, the
-//     fitted P(α) curve, and the objective value at every α grid point —
-//     so "why α=0.6?" is answerable from the trace alone.
+//     fitted P(α) curve, and the search's remaining inputs. The
+//     objective at every α grid point is rebuilt from them on export
+//     (Explain.Grid), bit-identical to what the search evaluated, so
+//     "why α=0.6?" is answerable from the trace alone at a fixed
+//     per-decision cost.
 //   - Metrics: Registry holds atomic counters, gauges, and fixed-bucket
 //     histograms with a Prometheus text writer and an optional HTTP
 //     handler (/metrics, /debug/trace).
@@ -29,6 +32,7 @@
 package obs
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -67,26 +71,61 @@ type GridPoint struct {
 	Objective float64
 }
 
+// GridSource evaluates the objective an Explain's α search minimized.
+// The producer (the scheduler) supplies an immutable implementation at
+// decision time so Explain.Grid can rebuild the search landscape on
+// export instead of storing it with every decision.
+type GridSource interface {
+	Objective(ex *Explain, alpha float64) float64
+}
+
 // Explain is the decision audit attached to an alpha-search span: the
 // full evidence behind one α choice (the paper's eqs. 1-4 evaluated on
-// this invocation's online profile).
+// this invocation's online profile). It records the search's inputs,
+// a fixed handful of words; the objective at every grid point is a
+// pure function of them and is rebuilt by Grid only when the trace is
+// exported. An Explain is immutable once emitted.
 type Explain struct {
 	// RC and RG are the measured combined-mode throughputs (items/s).
 	RC, RG float64
+	// SearchN is the workload size (items) the search optimized for.
+	SearchN float64
 	// Category is the chosen workload class key (e.g. "mem-cpuS-gpuL").
 	Category string
-	// CurveID identifies the fitted P(α) curve the search evaluated.
+	// CurveID identifies the fitted P(α) curve the search evaluated;
+	// Curve is its index in Source's curve set.
 	CurveID string
+	Curve   int
 	// AlphaStep is the grid granularity searched.
 	AlphaStep float64
-	// Grid is the objective value at each grid point.
-	Grid []GridPoint
 	// Alpha and Objective are the winning ratio and its objective value
 	// (after refinement when Refined).
 	Alpha, Objective float64
 	// Refined is true when a golden-section pass polished the grid
 	// winner.
 	Refined bool
+	// Source evaluates the objective for Grid. Nil leaves the grid
+	// empty.
+	Source GridSource
+}
+
+// Grid rebuilds the objective value at each grid point α = i/steps,
+// i = 0..steps, exactly as the search walked it. It allocates, so it
+// belongs on export paths, never the decision path.
+func (ex *Explain) Grid() []GridPoint {
+	if ex == nil || ex.Source == nil {
+		return nil
+	}
+	steps := int(math.Round(1 / ex.AlphaStep))
+	if steps < 1 {
+		steps = 1
+	}
+	grid := make([]GridPoint, steps+1)
+	for i := range grid {
+		a := float64(i) / float64(steps)
+		grid[i] = GridPoint{Alpha: a, Objective: ex.Source.Objective(ex, a)}
+	}
+	return grid
 }
 
 // Span is one completed trace record. IDs are process-unique and
@@ -234,7 +273,7 @@ func New(sink Sink, reg *Registry) *Observer {
 		coalesceAbort: reg.Counter("eas_coalesce_aborts_total",
 			"Coalesced decision flights aborted by their leader (followers fell back to solo)."),
 		poolReuse: reg.Counter("eas_pool_reuse_total",
-			"Per-invocation state objects served from a reuse pool instead of the heap (Options.Reuse)."),
+			"Reports served from the Config.Reuse pool instead of the heap."),
 		stateRecords: reg.Counter("eas_state_wal_records_total",
 			"Mutation records appended to the durable-state WAL."),
 		stateBytes: reg.Counter("eas_state_wal_bytes_total",
@@ -288,34 +327,13 @@ func New(sink Sink, reg *Registry) *Observer {
 	return o
 }
 
-// RecordPoolReuse counts one per-invocation state object served from a
-// reuse pool instead of a fresh allocation (Options.Reuse).
+// RecordPoolReuse counts one Report served from the Config.Reuse pool
+// instead of a fresh allocation.
 func (o *Observer) RecordPoolReuse() {
 	if o == nil {
 		return
 	}
 	o.poolReuse.Inc()
-}
-
-// explainRecycler is implemented by sinks that can return evicted
-// Explain records to a producer-owned pool (RingSink).
-type explainRecycler interface {
-	setExplainRecycler(func(*Explain))
-}
-
-// SetExplainRecycler asks the observer's sink to hand evicted spans'
-// Explain records to f instead of leaving them to the GC. Only sinks
-// that own their spans' lifetime (RingSink) support it; on any other
-// sink this is a no-op and the pool simply never gets refills, which is
-// safe — Get falls back to allocating. Callers (the scheduler's reuse
-// pool) must treat a recycled Explain and its Grid as owned scratch.
-func (o *Observer) SetExplainRecycler(f func(*Explain)) {
-	if o == nil || o.sink == nil {
-		return
-	}
-	if rs, ok := o.sink.(explainRecycler); ok {
-		rs.setExplainRecycler(f)
-	}
 }
 
 // Registry returns the observer's metrics registry (nil for a nil

@@ -17,13 +17,6 @@ type RingSink struct {
 	next    int
 	wrapped bool
 	total   uint64
-	// recycle, when set, receives the Explain of every span the ring
-	// evicts (SetExplainRecycler via the Observer). The ring owns
-	// emitted spans, so eviction — the overwrite in Emit — is the one
-	// point where an Explain is provably unreachable from the ring;
-	// Snapshot deep-copies Explains while recycling is on so snapshot
-	// holders never alias a buffer that later returns to the pool.
-	recycle func(*Explain)
 }
 
 // NewRingSink returns a ring retaining up to capacity spans
@@ -38,12 +31,6 @@ func NewRingSink(capacity int) *RingSink {
 // Emit implements Sink.
 func (r *RingSink) Emit(sp Span) {
 	r.mu.Lock()
-	if r.recycle != nil {
-		if old := r.buf[r.next].Explain; old != nil {
-			r.buf[r.next].Explain = nil
-			r.recycle(old)
-		}
-	}
 	r.buf[r.next] = sp
 	r.next++
 	if r.next == len(r.buf) {
@@ -51,13 +38,6 @@ func (r *RingSink) Emit(sp Span) {
 		r.wrapped = true
 	}
 	r.total++
-	r.mu.Unlock()
-}
-
-// setExplainRecycler implements the observer's explainRecycler hook.
-func (r *RingSink) setExplainRecycler(f func(*Explain)) {
-	r.mu.Lock()
-	r.recycle = f
 	r.mu.Unlock()
 }
 
@@ -80,7 +60,8 @@ func (r *RingSink) Total() uint64 {
 }
 
 // Snapshot copies the retained spans out in emission order
-// (oldest first).
+// (oldest first). Explain records are shared, not copied: they are
+// immutable once emitted.
 func (r *RingSink) Snapshot() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -91,18 +72,6 @@ func (r *RingSink) Snapshot() []Span {
 		out = make([]Span, 0, len(r.buf))
 		out = append(out, r.buf[r.next:]...)
 		out = append(out, r.buf[:r.next]...)
-	}
-	if r.recycle != nil {
-		// Recycling is on: the ring will eventually hand these spans'
-		// Explain buffers back to the pool, so the snapshot must own its
-		// own copies.
-		for i := range out {
-			if ex := out[i].Explain; ex != nil {
-				cp := *ex
-				cp.Grid = append([]GridPoint(nil), ex.Grid...)
-				out[i].Explain = &cp
-			}
-		}
 	}
 	return out
 }

@@ -127,7 +127,8 @@ func (o *Observer) internal() *obs.Observer {
 // (https://ui.perfetto.dev) or chrome://tracing. Each invocation is
 // one track; the alpha-search span's args carry the full decision
 // audit (measured throughputs, workload category, fitted curve, and
-// the objective at every α grid point).
+// the objective at every α grid point, rebuilt from the recorded
+// search inputs at export time).
 func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	if o == nil {
 		return errors.New("eas: nil observer")
