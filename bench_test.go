@@ -414,8 +414,8 @@ func BenchmarkDecisionPath(b *testing.B) {
 		opts core.Options
 	}{
 		{"solo", core.Options{ReprofileEvery: 1, AlphaStep: aStep}},
-		{"coalesced", core.Options{ReprofileEvery: 1, AlphaStep: aStep, CoalesceDecisions: true}},
-		{"fastpath", core.Options{ReprofileEvery: 1, AlphaStep: aStep, TableTTL: time.Hour, MinConfidence: 1}},
+		{"coalesced", core.Options{ReprofileEvery: 1, AlphaStep: aStep, Decision: core.DecisionPolicy{Coalesce: true}}},
+		{"fastpath", core.Options{ReprofileEvery: 1, AlphaStep: aStep, Decision: core.DecisionPolicy{TableTTL: time.Hour, MinConfidence: 1}}},
 	} {
 		for _, tenants := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("%s/tenants=%d", mode.name, tenants), func(b *testing.B) {
@@ -476,8 +476,8 @@ func BenchmarkHotPath(b *testing.B) {
 		opts core.Options
 	}{
 		{"solo", core.Options{ReprofileEvery: 1, AlphaStep: aStep}},
-		{"coalesced", core.Options{ReprofileEvery: 1, AlphaStep: aStep, CoalesceDecisions: true}},
-		{"fastpath", core.Options{ReprofileEvery: 1, AlphaStep: aStep, TableTTL: time.Hour, MinConfidence: 1}},
+		{"coalesced", core.Options{ReprofileEvery: 1, AlphaStep: aStep, Decision: core.DecisionPolicy{Coalesce: true}}},
+		{"fastpath", core.Options{ReprofileEvery: 1, AlphaStep: aStep, Decision: core.DecisionPolicy{TableTTL: time.Hour, MinConfidence: 1}}},
 	}
 	for _, withObs := range []bool{false, true} {
 		for _, mode := range base {

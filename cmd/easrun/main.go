@@ -145,7 +145,7 @@ func main() {
 		fail(err)
 	}
 
-	opts := core.Options{GrowProfileChunk: true, ConvergeTol: 0.08, Observer: observer, StatePath: *statePath}
+	opts := core.Options{GrowProfileChunk: true, ConvergeTol: 0.08, Observer: observer, State: core.StatePolicy{Path: *statePath}}
 	var strat sched.Strategy
 	switch strings.ToUpper(*strategy) {
 	case "CPU":

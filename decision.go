@@ -6,8 +6,8 @@ import "time"
 // how aggressively the runtime amortizes and skips the
 // admission-serialized scheduling decision — online profiling plus the
 // α search — that every invocation otherwise pays individually. The
-// zero value keeps the decision path byte-identical to earlier
-// releases.
+// zero value decides every invocation on its own. Its fields match
+// core.DecisionPolicy, which NewRuntime converts it to.
 type DecisionPolicy struct {
 	// Coalesce deduplicates concurrent scheduling decisions: when N
 	// goroutines invoke the same kernel and it needs profiling, one

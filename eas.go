@@ -52,7 +52,7 @@ import (
 	"github.com/hetsched/eas/internal/device"
 	"github.com/hetsched/eas/internal/engine"
 	"github.com/hetsched/eas/internal/obs"
-	"github.com/hetsched/eas/internal/robust"
+	"github.com/hetsched/eas/internal/statestore"
 	"github.com/hetsched/eas/internal/ws"
 )
 
@@ -150,33 +150,31 @@ type Config struct {
 	// gate is a single-class, unlimited, unbounded fair FIFO.
 	Admission AdmissionPolicy
 	// Decision tunes the batched decision path: coalesced concurrent
-	// decisions and the fresh-entry fast path. The zero value keeps the
-	// decision path byte-identical to earlier releases.
+	// decisions and the fresh-entry fast path. The zero value decides
+	// every invocation on its own.
 	Decision DecisionPolicy
 	// State configures durable scheduler state: the α-table WAL +
 	// snapshot that lets learned per-kernel offload ratios survive a
 	// crash or restart instead of forcing full re-profiling. The zero
-	// value (no path) keeps state purely in memory, byte-identical to
-	// earlier releases.
+	// value (no path) keeps state purely in memory.
 	State StatePolicy
 	// Observer, when non-nil, receives a span trace, a decision-audit
 	// record, and runtime metrics for every invocation (see NewObserver).
 	// One Observer may be shared by several Runtimes. Nil — the default —
 	// disables all instrumentation at zero cost on the scheduling path.
 	Observer *Observer
-	// Reuse pools Reports across invocations instead of allocating one
-	// fresh per call, cutting steady-state allocation (and hence GC
-	// pressure) on the hot path.
-	// Callers may return finished Reports with Runtime.ReleaseReport; a
-	// released Report must not be read afterwards. The zero value keeps
-	// the historical allocate-per-invocation behaviour, byte-identical
-	// to earlier releases. See DESIGN.md §14 for the ownership rules.
+	// Reuse has no effect: every Runtime pools Reports, and
+	// Runtime.ReleaseReport always recycles. See DESIGN.md §14 for the
+	// ownership rules.
+	//
+	// Deprecated: pooling is always on.
 	Reuse bool
 }
 
 // Robustness tunes how skeptically the runtime treats its sensors.
-// All-zero disables the layer and keeps reports byte-identical to a
-// runtime without it.
+// All-zero disables the layer: every sensor reading and profile is
+// trusted as measured. Its fields match core.Robustness, which
+// NewRuntime converts it to.
 type Robustness struct {
 	// Meter routes invocation energy through a robust meter that
 	// rejects implausible package-energy samples (wrap-horizon
@@ -296,14 +294,16 @@ type Runtime struct {
 	ctx       *cl.Context
 	queue     *cl.CommandQueue
 	timeout   time.Duration
-	retry     RetryPolicy
+	retry     core.Retry
 	robustOn  bool // any Robustness knob active → report telemetry
 	breakerOn bool // breaker enabled → report breaker state
 	obsv      *obs.Observer
 	invSeq    atomic.Uint64 // invocation ids when no observer is attached
 	closeOnce sync.Once
-	reuse     bool      // Config.Reuse: pool Reports across invocations
-	reports   sync.Pool // holds *Report when reuse is on
+	reports   sync.Pool // released *Reports awaiting reuse
+	// removeCollectors folds this runtime's final pull-metric deltas
+	// into the observer and unregisters its collectors (Close).
+	removeCollectors func()
 
 	// Graceful-drain state. closeMu + closed implement the admission
 	// side (new invocations after Close observe ErrClosed); inflight
@@ -334,15 +334,13 @@ func (r *Runtime) beginInvocation() error {
 
 func (r *Runtime) endInvocation() { r.inflight.Done() }
 
-// getReport returns the Report an invocation will fill in: recycled
-// from the pool under Config.Reuse (the caller overwrites every field),
-// freshly allocated otherwise.
+// getReport returns the Report an invocation will fill in: one a
+// caller released if the pool holds any (the caller overwrites every
+// field), freshly allocated otherwise.
 func (r *Runtime) getReport() *Report {
-	if r.reuse {
-		if rep, _ := r.reports.Get().(*Report); rep != nil {
-			r.obsv.RecordPoolReuse()
-			return rep
-		}
+	if rep, _ := r.reports.Get().(*Report); rep != nil {
+		r.obsv.RecordPoolReuse()
+		return rep
 	}
 	return new(Report)
 }
@@ -350,10 +348,11 @@ func (r *Runtime) getReport() *Report {
 // ReleaseReport returns a finished Report to the runtime's pool so a
 // later invocation can reuse it. Call it only once per Report and only
 // when no reference into it survives — a released Report is overwritten
-// by a future invocation. Without Config.Reuse it is a no-op, so
-// callers may release unconditionally.
+// by a future invocation. Library code must not release a Report its
+// caller still reads. Releasing is optional: an unreleased Report is
+// simply garbage-collected. A nil Report is ignored.
 func (r *Runtime) ReleaseReport(rep *Report) {
-	if !r.reuse || rep == nil {
+	if rep == nil {
 		return
 	}
 	r.reports.Put(rep)
@@ -392,7 +391,6 @@ func NewRuntime(p *Platform, cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("eas: power model was characterized on %q, platform is %q",
 			model.inner.Platform, p.Name())
 	}
-	retry := cfg.GPURetry.withDefaults()
 	eng := engine.New(p.inner)
 	// Sensor faults must attach before core.New: they reroute the
 	// platform's MSR pointer, which the scheduler's robust meter
@@ -402,40 +400,30 @@ func NewRuntime(p *Platform, cfg Config) (*Runtime, error) {
 		eng.SetFaultPlan(cfg.Faults.inner)
 	}
 	sched, err := core.New(eng, model.inner, metric.inner, core.Options{
-		AlphaStep:        cfg.AlphaStep,
-		RefineAlpha:      cfg.RefineAlpha,
-		ReprofileEvery:   cfg.ReprofileEvery,
-		GrowProfileChunk: true,
-		ConvergeTol:      0.08,
-		Retry: core.Retry{
-			MaxAttempts: retry.MaxAttempts,
-			BaseBackoff: retry.BaseBackoff,
-			MaxBackoff:  retry.MaxBackoff,
+		AlphaStep:         cfg.AlphaStep,
+		RefineAlpha:       cfg.RefineAlpha,
+		ReprofileEvery:    cfg.ReprofileEvery,
+		GrowProfileChunk:  true,
+		ConvergeTol:       0.08,
+		Retry:             core.Retry(cfg.GPURetry),
+		BreakerThreshold:  cfg.BreakerThreshold,
+		BreakerProbeAfter: cfg.BreakerProbeAfter,
+		Observer:          cfg.Observer.internal(),
+		Admission: core.AdmissionOptions{
+			TenantRate:      cfg.Admission.TenantRate,
+			TenantBurst:     cfg.Admission.TenantBurst,
+			QueueDepth:      cfg.Admission.QueueDepth,
+			AgingStep:       cfg.Admission.AgingStep,
+			Watchdog:        cfg.Admission.Watchdog,
+			RetryAfterFloor: cfg.Admission.RetryAfterFloor,
 		},
-		RobustMeter: cfg.Robustness.Meter,
-		Meter: robust.MeterConfig{
-			MaxPlausiblePowerW: cfg.Robustness.MaxPlausiblePowerW,
-			Window:             cfg.Robustness.MeterWindow,
-			HampelK:            cfg.Robustness.HampelK,
-			StuckReads:         cfg.Robustness.StuckReads,
+		Decision: core.DecisionPolicy(cfg.Decision),
+		State: core.StatePolicy{
+			Path:         cfg.State.Path,
+			Sync:         statestore.SyncMode(cfg.State.Sync),
+			CompactEvery: cfg.State.CompactEvery,
 		},
-		ValidateProfiles:     cfg.Robustness.ValidateProfiles,
-		CategoryHysteresis:   cfg.Robustness.CategoryHysteresis,
-		StatePath:            cfg.State.Path,
-		StateSync:            int(cfg.State.Sync),
-		StateCompactEvery:    cfg.State.CompactEvery,
-		BreakerThreshold:     cfg.BreakerThreshold,
-		BreakerProbeAfter:    cfg.BreakerProbeAfter,
-		Observer:             cfg.Observer.internal(),
-		AdmissionTenantRate:  cfg.Admission.TenantRate,
-		AdmissionTenantBurst: cfg.Admission.TenantBurst,
-		AdmissionQueueDepth:  cfg.Admission.QueueDepth,
-		AdmissionAgingStep:   cfg.Admission.AgingStep,
-		AdmissionWatchdog:    cfg.Admission.Watchdog,
-		AdmissionRetryFloor:  cfg.Admission.RetryAfterFloor,
-		CoalesceDecisions:    cfg.Decision.Coalesce,
-		TableTTL:             cfg.Decision.TableTTL,
-		MinConfidence:        cfg.Decision.MinConfidence,
+		Robustness: core.Robustness(cfg.Robustness),
 	})
 	if err != nil {
 		return nil, err
@@ -456,17 +444,16 @@ func NewRuntime(p *Platform, cfg Config) (*Runtime, error) {
 		ctx:       ctx,
 		queue:     cl.NewCommandQueue(ctx),
 		timeout:   cfg.GPUDispatchTimeout,
-		retry:     retry,
+		retry:     sched.Retry(),
 		robustOn:  cfg.Robustness.Meter || cfg.Robustness.ValidateProfiles,
 		breakerOn: cfg.BreakerThreshold > 0,
 		obsv:      cfg.Observer.internal(),
-		reuse:     cfg.Reuse,
 	}
 	rt.drainTimeout = cfg.State.DrainTimeout
 	if rt.drainTimeout <= 0 {
 		rt.drainTimeout = 5 * time.Second
 	}
-	cfg.Observer.registerRuntimeCollectors(rt)
+	rt.removeCollectors = cfg.Observer.registerRuntimeCollectors(rt)
 	return rt, nil
 }
 
@@ -783,6 +770,7 @@ func (r *Runtime) Close() error {
 		if cerr := r.sched.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("eas: close: flushing state: %w", cerr)
 		}
+		r.removeCollectors()
 		r.obsv.RecordDrain(time.Since(start).Seconds())
 	})
 	return err

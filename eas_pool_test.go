@@ -1,0 +1,106 @@
+package eas
+
+import (
+	"sync"
+	"testing"
+)
+
+// TestReleasedReportIsReused checks the pool round trip: a released
+// Report is handed to a later invocation, refilled from scratch, and
+// counted by eas_pool_reuse_total. sync.Pool may drop any one Put (the
+// race detector drops a quarter on purpose), so the test retries until
+// it sees a reuse and checks the counter against every reuse it saw.
+func TestReleasedReportIsReused(t *testing.T) {
+	o := NewObserver(ObserverOptions{})
+	rt, err := NewRuntime(DesktopPlatform(), Config{Model: sharedModel(t), Observer: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	reuse := o.internal().Registry().Counter("eas_pool_reuse_total", "")
+	k := memKernel(nil)
+	prev, err := rt.ParallelFor(k, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reused uint64
+	for i := 0; i < 64 && reused == 0; i++ {
+		id := prev.InvocationID
+		rt.ReleaseReport(prev)
+		rep, err := rt.ParallelFor(k, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep == prev {
+			reused++
+			if rep.InvocationID == id {
+				t.Error("reused Report still carries the released invocation's id")
+			}
+		}
+		prev = rep
+	}
+	if reused == 0 {
+		t.Fatal("no released Report was reused in 64 invocations")
+	}
+	if got := reuse.Value(); got < reused {
+		t.Errorf("eas_pool_reuse_total = %d, want at least the %d reuses observed", got, reused)
+	}
+}
+
+// TestPoolNeverHandsOutHeldReport runs 8 concurrent callers that keep
+// every other Report and release the rest: no Report a caller still
+// holds may ever be handed out again, nor be overwritten. Run with
+// -race.
+func TestPoolNeverHandsOutHeldReport(t *testing.T) {
+	rt, err := NewRuntime(DesktopPlatform(), Config{Model: sharedModel(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	var (
+		mu   sync.Mutex
+		held = map[*Report]bool{}
+		wg   sync.WaitGroup
+	)
+	type kept struct {
+		rep *Report
+		id  uint64
+	}
+	const callers, perCaller = 8, 24
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var mine []kept
+			for i := 0; i < perCaller; i++ {
+				rep, err := rt.ParallelFor(memKernel(nil), 4096)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				dup := held[rep]
+				held[rep] = true
+				mu.Unlock()
+				if dup {
+					t.Errorf("Report %p handed out while another caller still holds it", rep)
+					return
+				}
+				if i%2 == 0 {
+					mine = append(mine, kept{rep, rep.InvocationID})
+					continue
+				}
+				mu.Lock()
+				delete(held, rep)
+				mu.Unlock()
+				rt.ReleaseReport(rep)
+			}
+			for _, k := range mine {
+				if k.rep.InvocationID != k.id {
+					t.Errorf("held Report overwritten: id %d, want %d", k.rep.InvocationID, k.id)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -3,6 +3,7 @@ package eas
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -135,6 +136,13 @@ func TestGPUBusyFallbackPublic(t *testing.T) {
 func TestModelPlatformMismatch(t *testing.T) {
 	if _, err := NewRuntime(TabletPlatform(), Config{Model: sharedModel(t)}); err == nil {
 		t.Error("desktop model on tablet platform accepted")
+	}
+}
+
+func TestNewRuntimeRejectsNaNAlphaStep(t *testing.T) {
+	_, err := NewRuntime(DesktopPlatform(), Config{Model: sharedModel(t), AlphaStep: math.NaN()})
+	if err == nil || !strings.Contains(err.Error(), "AlphaStep") {
+		t.Errorf("NewRuntime with a NaN AlphaStep: err = %v, want one naming AlphaStep", err)
 	}
 }
 

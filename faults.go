@@ -79,6 +79,7 @@ const (
 // exponential backoff. It governs both layers: simulated dispatches
 // (backoff spent as simulated idle time) and functional enqueues
 // (backoff spent as real sleep). The zero value selects the defaults.
+// Its fields match core.Retry, which NewRuntime converts it to.
 type RetryPolicy struct {
 	// MaxAttempts is the total dispatch attempts (default 3).
 	MaxAttempts int
@@ -87,19 +88,6 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 8ms).
 	MaxBackoff time.Duration
-}
-
-func (r RetryPolicy) withDefaults() RetryPolicy {
-	if r.MaxAttempts <= 0 {
-		r.MaxAttempts = 3
-	}
-	if r.BaseBackoff <= 0 {
-		r.BaseBackoff = 500 * time.Microsecond
-	}
-	if r.MaxBackoff <= 0 {
-		r.MaxBackoff = 8 * time.Millisecond
-	}
-	return r
 }
 
 // FaultPlan scripts device faults into a Runtime — the fault-injection

@@ -12,7 +12,7 @@ import (
 // concurrent tenants invoking the *same* kernel would pay N sequential
 // profile + α-search decisions even though the result is identical —
 // exactly the regime where partition-decision overhead dominates at
-// small kernel sizes. With Options.CoalesceDecisions on, the first
+// small kernel sizes. With Options.Decision.Coalesce on, the first
 // arrival becomes the flight's leader and decides as usual; everyone
 // else parks on the flight *before* queueing at the admission gate
 // (the leader holds the gate for its whole invocation, so waiting

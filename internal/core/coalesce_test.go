@@ -1,7 +1,7 @@
 package core
 
 import (
-	"reflect"
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +27,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // decision is cached, followers and solo repeats alike must not
 // allocate.
 func TestCoalescedPathZeroAlloc(t *testing.T) {
-	s := newEAS(t, metrics.EDP, Options{CoalesceDecisions: true})
+	s := newEAS(t, metrics.EDP, Options{Decision: DecisionPolicy{Coalesce: true}})
 	k := memKernel()
 	if _, err := s.ParallelFor(k, 200000); err != nil {
 		t.Fatal(err)
@@ -41,45 +41,12 @@ func TestCoalescedPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// With every decision knob at its zero value the batched decision path
-// must be dead code: reports under a fault script are byte-identical
-// across plain, coalescing and fast-path schedulers for serial callers.
-// Coalescing only changes what *concurrent* invocations do;
-// TTL/confidence only matter once their knobs are set.
-func TestDecisionZeroKnobsByteIdentical(t *testing.T) {
-	run := func(opts Options) []Report {
-		s, plan := newFaultyEAS(t, opts)
-		var reports []Report
-		for _, busy := range []int{0, 100, 0} {
-			if busy > 0 {
-				plan.GPUBusyFor(busy)
-			}
-			rep, err := s.ParallelFor(compKernel(), 200000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reports = append(reports, rep)
-		}
-		return reports
-	}
-
-	legacy := run(Options{})
-	for name, opts := range map[string]Options{
-		"coalesce":  {CoalesceDecisions: true},
-		"fast-path": {TableTTL: time.Hour, MinConfidence: 2},
-	} {
-		if got := run(opts); !reflect.DeepEqual(got, legacy) {
-			t.Errorf("%s: serial reports diverged from legacy:\n got %+v\nwant %+v", name, got, legacy)
-		}
-	}
-}
-
 // The exactly-one-profile guarantee: 16 goroutines hammering the same
 // unknown kernel through a coalescing scheduler must produce exactly
 // one profiled invocation, and every report must carry the same α.
 // Run with -race.
 func TestCoalesceStressOneProfile(t *testing.T) {
-	s := newEAS(t, metrics.EDP, Options{CoalesceDecisions: true})
+	s := newEAS(t, metrics.EDP, Options{Decision: DecisionPolicy{Coalesce: true}})
 	const workers = 16
 	var (
 		start   = make(chan struct{})
@@ -135,7 +102,7 @@ func TestCoalesceStressOneProfile(t *testing.T) {
 // the leader: it claims the flight directly from the coalescer, lets a
 // real invocation join as follower, then publishes a known decision.
 func TestCoalesceFollowerUsesPublishedDecision(t *testing.T) {
-	s := newEAS(t, metrics.EDP, Options{CoalesceDecisions: true})
+	s := newEAS(t, metrics.EDP, Options{Decision: DecisionPolicy{Coalesce: true}})
 	k := compKernel()
 	f, leader := s.coal.join(k.Name)
 	if !leader {
@@ -178,7 +145,7 @@ func TestCoalesceFollowerUsesPublishedDecision(t *testing.T) {
 // it profiles itself rather than waiting for a leader that never
 // delivers.
 func TestCoalesceAbortFallsBackSolo(t *testing.T) {
-	s := newEAS(t, metrics.EDP, Options{CoalesceDecisions: true})
+	s := newEAS(t, metrics.EDP, Options{Decision: DecisionPolicy{Coalesce: true}})
 	k := compKernel()
 	f, leader := s.coal.join(k.Name)
 	if !leader {
@@ -218,7 +185,7 @@ func TestCoalesceAbortFallsBackSolo(t *testing.T) {
 // still accumulates, and the abort is visible in both the coalescer and
 // the fault plan's stats.
 func TestCoalesceLeaderFailFault(t *testing.T) {
-	s, plan := newFaultyEAS(t, Options{CoalesceDecisions: true})
+	s, plan := newFaultyEAS(t, Options{Decision: DecisionPolicy{Coalesce: true}})
 	plan.FailCoalesceLeaders(1)
 
 	rep, err := s.ParallelFor(compKernel(), 200000)
@@ -243,7 +210,7 @@ func TestCoalesceLeaderFailFault(t *testing.T) {
 // is young and confident; without the knobs the same schedule
 // re-profiles every invocation.
 func TestFastPathSkipsPeriodicReprofile(t *testing.T) {
-	fast := newEAS(t, metrics.EDP, Options{ReprofileEvery: 1, TableTTL: time.Hour, MinConfidence: 1})
+	fast := newEAS(t, metrics.EDP, Options{ReprofileEvery: 1, Decision: DecisionPolicy{TableTTL: time.Hour, MinConfidence: 1}})
 	if rep, err := fast.ParallelFor(compKernel(), 200000); err != nil || !rep.Profiled {
 		t.Fatalf("first invocation: rep=%+v err=%v, want profiled", rep, err)
 	}
@@ -270,7 +237,7 @@ func TestFastPathSkipsPeriodicReprofile(t *testing.T) {
 // record must be hit MinConfidence times before a periodic re-profile
 // may be skipped.
 func TestFastPathMinConfidence(t *testing.T) {
-	s := newEAS(t, metrics.EDP, Options{ReprofileEvery: 1, TableTTL: time.Hour, MinConfidence: 3})
+	s := newEAS(t, metrics.EDP, Options{ReprofileEvery: 1, Decision: DecisionPolicy{TableTTL: time.Hour, MinConfidence: 3}})
 	for i := 1; i <= 3; i++ {
 		rep, err := s.ParallelFor(compKernel(), 200000)
 		if err != nil {
@@ -293,7 +260,7 @@ func TestFastPathMinConfidence(t *testing.T) {
 // TableTTL forces a re-profile of a stale record even on the plain
 // replay path (no ReprofileEvery).
 func TestTableTTLForcesReprofile(t *testing.T) {
-	s := newEAS(t, metrics.EDP, Options{TableTTL: time.Millisecond})
+	s := newEAS(t, metrics.EDP, Options{Decision: DecisionPolicy{TableTTL: time.Millisecond}})
 	if rep, err := s.ParallelFor(compKernel(), 200000); err != nil || !rep.Profiled {
 		t.Fatalf("first invocation: rep=%+v err=%v, want profiled", rep, err)
 	}
@@ -308,4 +275,16 @@ func TestTableTTLForcesReprofile(t *testing.T) {
 	if rep.FastPath {
 		t.Error("a forced stale re-profile must not be marked FastPath")
 	}
+}
+
+// With every decision knob at its zero value the batched decision path
+// is dead code for serial callers: coalescing only changes what
+// concurrent invocations do, and TTL/confidence only matter once a
+// table entry is stale or confident enough to skip profiling.
+func TestDecisionZeroKnobsByteIdentical(t *testing.T) {
+	bg := context.Background()
+	assertSerialEquivalence(t, []equivRow{
+		{"coalesce", Options{Decision: DecisionPolicy{Coalesce: true}}, bg},
+		{"fast-path", Options{Decision: DecisionPolicy{TableTTL: time.Hour, MinConfidence: 2}}, bg},
+	})
 }

@@ -3,11 +3,14 @@ package core
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/hetsched/eas/internal/engine"
 	"github.com/hetsched/eas/internal/metrics"
 	"github.com/hetsched/eas/internal/obs"
+	"github.com/hetsched/eas/internal/platform"
 	"github.com/hetsched/eas/internal/wclass"
 )
 
@@ -154,5 +157,71 @@ func TestRetainedExplainDoesNotPinScheduler(t *testing.T) {
 	if best.Alpha != ex.Alpha || best.Objective != ex.Objective {
 		t.Errorf("rebuilt grid minimum (α=%v, obj=%v), decision (α=%v, obj=%v)",
 			best.Alpha, best.Objective, ex.Alpha, ex.Objective)
+	}
+}
+
+// TestAuditRecordsSearchedAlphaStep checks that the decision audit
+// records the α step the search actually walked: a step outside (0, 1]
+// falls back to the paper's 0.1 in both, so the exported grid has the
+// 11 points the search evaluated and its minimum is the decision.
+func TestAuditRecordsSearchedAlphaStep(t *testing.T) {
+	ring := obs.NewRingSink(64)
+	o := obs.New(ring, obs.NewRegistry())
+	s := newEAS(t, metrics.EDP, Options{Observer: o, AlphaStep: 2})
+	if _, err := s.ParallelFor(compKernel(), 200000); err != nil {
+		t.Fatal(err)
+	}
+	var ex *obs.Explain
+	for _, sp := range ring.Snapshot() {
+		if sp.Explain != nil {
+			ex = sp.Explain
+		}
+	}
+	if ex == nil {
+		t.Fatal("no span carries an Explain")
+	}
+	if ex.AlphaStep != 0.1 {
+		t.Errorf("audit recorded AlphaStep %v, want the searched 0.1", ex.AlphaStep)
+	}
+	grid := ex.Grid()
+	if len(grid) != 11 {
+		t.Fatalf("Grid() exported %d points, want 11", len(grid))
+	}
+	best := grid[0]
+	for _, g := range grid {
+		if g.Objective < best.Objective {
+			best = g
+		}
+	}
+	if best.Alpha != ex.Alpha {
+		t.Errorf("grid argmin α=%v, decision α=%v", best.Alpha, ex.Alpha)
+	}
+}
+
+// TestNewRejectsUnrepairableOptions checks that New names the field of
+// a non-finite float option or an unknown WAL sync mode instead of
+// silently searching a degenerate grid.
+func TestNewRejectsUnrepairableOptions(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		opts  Options
+	}{
+		{"AlphaStep", Options{AlphaStep: math.NaN()}},
+		{"ConvergeTol", Options{ConvergeTol: math.Inf(1)}},
+		{"Admission.TenantRate", Options{Admission: AdmissionOptions{TenantRate: math.Inf(-1)}}},
+		{"Robustness.HampelK", Options{Robustness: Robustness{HampelK: math.NaN()}}},
+		{"State.Sync", Options{State: StatePolicy{Sync: 2}}},
+	} {
+		_, err := New(engine.New(platform.Desktop()), desktopModel(t), metrics.EDP, c.opts)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: New error = %v, want one naming the field", c.field, err)
+		}
+	}
+	// Negative values keep their documented meanings.
+	if _, err := New(engine.New(platform.Desktop()), desktopModel(t), metrics.EDP, Options{
+		ConvergeTol: -1,
+		Admission:   AdmissionOptions{RetryAfterFloor: -1},
+	}); err != nil {
+		t.Errorf("negative ConvergeTol/RetryAfterFloor rejected: %v", err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // Repro: a coalesce leader cancelled while waiting at the admission
 // gate leaks its flight; later same-kernel invocations park forever.
 func TestCoalesceLeaderLeak(t *testing.T) {
-	s, _ := newFaultyEAS(t, Options{CoalesceDecisions: true})
+	s, _ := newFaultyEAS(t, Options{Decision: DecisionPolicy{Coalesce: true}})
 	k := compKernel()
 
 	// Occupy the gate so the leader blocks in Acquire.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -46,19 +47,19 @@ func (r Retry) withDefaults() Retry {
 }
 
 // Options tune the EAS scheduler. Zero values select the paper's
-// settings.
+// settings. The four policy groups mirror the public eas.Config
+// groups of the same name, so the runtime hands each one across as a
+// single conversion and the compiler rejects any drift between the
+// layers. Options stays comparable (scalars and a pointer only).
 type Options struct {
-	// AlphaStep is the α grid granularity (paper: 0.1).
+	// AlphaStep is the α grid granularity (paper: 0.1). Steps outside
+	// (0, 1] select the paper's value, the same rule BestAlpha applies.
 	AlphaStep float64
 	// RefineAlpha refines each grid search's winner with a golden-section
 	// pass over the winning cell (BestAlphaRefined). The result is never
 	// worse than the plain grid; the cost is a handful of extra objective
 	// evaluations per decision.
 	RefineAlpha bool
-	// ProfileShare is the fraction of the first invocation's
-	// iterations consumed by repeated profiling steps (paper: 0.5 —
-	// "repeat profiling for half of the iterations").
-	ProfileShare float64
 	// ReprofileEvery re-runs profiling on every k-th invocation of a
 	// known kernel, for workloads whose behaviour drifts over time:
 	// counting the initial profiled invocation as 1, every invocation
@@ -79,9 +80,9 @@ type Options struct {
 	// literal repeat-until-half rule); negative also disables.
 	ConvergeTol float64
 	// MaxProfileSteps caps the repeated profiling loop; 0 is unlimited
-	// (bounded by ProfileShare). 1 gives the naive single-probe
-	// strategy of Kaleem et al. [12], which the paper's size-based
-	// strategy improves on.
+	// (bounded by half of the iterations). 1 gives the naive
+	// single-probe strategy of Kaleem et al. [12], which the paper's
+	// size-based strategy improves on.
 	MaxProfileSteps int
 	// ShortLongThreshold overrides the 100 ms short/long classification
 	// cut (0 keeps the paper's value). The paper notes the threshold
@@ -93,30 +94,6 @@ type Options struct {
 	MemoryBoundThreshold float64
 	// Retry tunes recovery from transient GPU-busy dispatch failures.
 	Retry Retry
-
-	// Telemetry-robustness knobs. All zero values disable the layer
-	// entirely, keeping reports byte-identical to the historical
-	// behaviour (Options must also stay comparable — scalars only).
-
-	// RobustMeter routes invocation energy through a robust.EnergyMeter
-	// that rejects implausible MSR samples (wrap-horizon violations,
-	// outliers, stuck counters) and substitutes the characterized
-	// model's predicted power.
-	RobustMeter bool
-	// Meter tunes the robust meter; zero fields pick defaults derived
-	// from the platform (MaxPlausiblePower = 4×TDP, window 5, Hampel
-	// K=8, 4 stuck reads).
-	Meter robust.MeterConfig
-	// ValidateProfiles sanitizes online-profile observations against
-	// the platform envelope before they may influence scheduling:
-	// impossible observations are quarantined (never reach the α
-	// table, force a re-profile next invocation), implausible
-	// throughput ratios are clamped.
-	ValidateProfiles bool
-	// CategoryHysteresis ≥ 2 requires that many consecutive recorded
-	// profiles to disagree before the remembered workload category
-	// flips. 0 or 1 keeps last-writer-wins.
-	CategoryHysteresis int
 	// BreakerThreshold enables the GPU circuit breaker: after this
 	// many consecutive GPU fallbacks the scheduler stops offering work
 	// to the GPU. 0 disables the breaker.
@@ -124,85 +101,98 @@ type Options struct {
 	// BreakerProbeAfter is how many suppressed invocations an open
 	// breaker waits before half-opening for a probe (default 8).
 	BreakerProbeAfter int
-
 	// Observer receives per-invocation span traces, decision-audit
 	// records, and runtime metrics. Nil (the default) disables all
 	// instrumentation: every hook degrades to a nil-check and the hot
-	// path allocates nothing. A pointer keeps Options comparable.
+	// path allocates nothing.
 	Observer *obs.Observer
 
-	// Overload-resilience bounds of the admission gate (tiered.go).
-	// With every field zero the gate is a single-class, unlimited,
-	// unbounded fair FIFO. Per-tenant quota overrides are a map and so
-	// live outside Options (Scheduler.SetTenantQuota) to keep Options
-	// comparable.
+	// Admission bounds the admission gate (tiered.go). The zero value
+	// is a single-class, unlimited, unbounded fair FIFO. Per-tenant
+	// quota overrides are a map and so live outside Options
+	// (Scheduler.SetTenantQuota).
+	Admission AdmissionOptions
+	// Decision tunes the batched decision path (coalesce.go).
+	Decision DecisionPolicy
+	// State configures the durable α table (state.go); an empty Path
+	// keeps state in memory only.
+	State StatePolicy
+	// Robustness tunes the telemetry-robustness layer; the zero value
+	// trusts every sensor reading and profile.
+	Robustness Robustness
+}
 
-	// AdmissionTenantRate / AdmissionTenantBurst are the default
-	// per-tenant token-bucket quota (admissions/sec, bucket depth).
-	AdmissionTenantRate  float64
-	AdmissionTenantBurst float64
-	// AdmissionQueueDepth bounds each class queue; arrivals beyond it
-	// are shed with ErrOverloaded.
-	AdmissionQueueDepth int
-	// AdmissionAgingStep is the starvation-proofing rate (default
-	// 100ms).
-	AdmissionAgingStep time.Duration
-	// AdmissionWatchdog force-releases the gate when one invocation
-	// holds it longer than this bound.
-	AdmissionWatchdog time.Duration
-	// AdmissionRetryFloor is the minimum RetryAfter attached to
-	// backlog-estimate sheds (default 1ms; negative disables the
-	// floor).
-	AdmissionRetryFloor time.Duration
-
-	// Batched decision-path knobs (coalesce.go). Every zero value keeps
-	// the decision path byte-identical to the legacy behaviour.
-
-	// CoalesceDecisions deduplicates concurrent scheduling decisions:
-	// invocations of the same kernel that would profile join a single
-	// flight whose leader runs the one online profile + α search, and
-	// followers execute their full iteration count at the published α
-	// (Report.Coalesced) instead of queueing for their own profile.
-	CoalesceDecisions bool
-	// TableTTL bounds the age of a table record the scheduler will
-	// replay: a record older than the TTL is re-profiled even when
-	// nothing else asks for it. Together with MinConfidence it also
-	// enables the fresh-entry fast path — a periodic re-profile
-	// (ReprofileEvery) is skipped while the record is younger than the
-	// TTL and confident enough (Report.FastPath). 0 disables age
-	// checks.
+// DecisionPolicy tunes the batched decision path (coalesce.go). Its
+// fields match eas.DecisionPolicy, which documents them in full.
+type DecisionPolicy struct {
+	// Coalesce runs one profile + α search per flight of concurrent
+	// invocations of a kernel; followers execute at the published α
+	// (Report.Coalesced).
+	Coalesce bool
+	// TableTTL re-profiles a record older than the TTL; with
+	// MinConfidence it also enables the fast path that skips a periodic
+	// re-profile of a fresh, confident record (Report.FastPath).
 	TableTTL time.Duration
-	// MinConfidence is the number of recorded invocations a record
-	// needs before the fast path may skip a periodic re-profile. 0
-	// disables the confidence gate (the fast path then needs TableTTL).
+	// MinConfidence is how many recorded invocations the fast path
+	// needs.
 	MinConfidence int
-	// Durable-state knobs (state.go). With StatePath empty — the zero
-	// value — persistence is completely off: no store is opened, the
-	// mutation hooks degrade to one nil check, and the scheduling path
-	// is byte-identical to the in-memory-only behaviour.
+}
 
-	// StatePath names the α-table snapshot file; the WAL lives beside
-	// it at StatePath+".wal". Opening recovers whatever state the files
-	// hold (tolerating torn tails and corrupt records) and routes every
-	// loaded record through the same evidence sanitization as live
-	// accumulation.
-	StatePath string
-	// StateSync selects WAL durability: 0 flushes+fsyncs at compaction
-	// and Close only (buffered appends; a hard kill loses the records
-	// since the last sync, never file integrity); 1 fsyncs every
-	// append (a hard kill loses at most the torn record being written).
-	StateSync int
-	// StateCompactEvery is how many WAL records trigger compaction into
-	// a fresh atomic snapshot (0 picks the statestore default, 1024).
-	StateCompactEvery int
+// Robustness tunes how skeptically the scheduler treats its sensors.
+// Its fields match eas.Robustness, which documents them in full.
+type Robustness struct {
+	// Meter routes invocation energy through a robust.EnergyMeter that
+	// rejects implausible MSR samples and substitutes the model's
+	// predicted power; the next four fields tune it, zero picking
+	// defaults (4×TDP, window 5, Hampel K=8, 4 stuck reads).
+	Meter              bool
+	MaxPlausiblePowerW float64
+	MeterWindow        int
+	HampelK            float64
+	StuckReads         int
+	// ValidateProfiles quarantines impossible online profiles before
+	// they reach the α table and clamps implausible throughput ratios.
+	ValidateProfiles bool
+	// CategoryHysteresis ≥ 2 requires that many consecutive
+	// disagreeing profiles before a remembered category flips.
+	CategoryHysteresis int
+}
+
+// profileShare is the fraction of a profiled invocation's iterations
+// repeated profiling may consume — the paper's "repeat profiling for
+// half of the iterations".
+const profileShare = 0.5
+
+// validate rejects option values no default can repair: a NaN or
+// infinite float, or a WAL sync mode the store does not know. Negative
+// values keep their documented meanings and pass.
+func (o Options) validate() error {
+	floats := [...]struct {
+		name string
+		v    float64
+	}{
+		{"AlphaStep", o.AlphaStep},
+		{"ConvergeTol", o.ConvergeTol},
+		{"MemoryBoundThreshold", o.MemoryBoundThreshold},
+		{"Admission.TenantRate", o.Admission.TenantRate},
+		{"Admission.TenantBurst", o.Admission.TenantBurst},
+		{"Robustness.MaxPlausiblePowerW", o.Robustness.MaxPlausiblePowerW},
+		{"Robustness.HampelK", o.Robustness.HampelK},
+	}
+	for _, f := range floats {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: option %s is %v, want a finite value", f.name, f.v)
+		}
+	}
+	if o.State.Sync != statestore.SyncOnCompact && o.State.Sync != statestore.SyncAlways {
+		return fmt.Errorf("core: option State.Sync is %d, want SyncOnCompact or SyncAlways", o.State.Sync)
+	}
+	return nil
 }
 
 func (o Options) withDefaults() Options {
-	if o.AlphaStep <= 0 {
+	if o.AlphaStep <= 0 || o.AlphaStep > 1 {
 		o.AlphaStep = 0.1
-	}
-	if o.ProfileShare <= 0 || o.ProfileShare > 1 {
-		o.ProfileShare = 0.5
 	}
 	if o.ShortLongThreshold <= 0 {
 		o.ShortLongThreshold = wclass.ShortLongThreshold
@@ -301,9 +291,9 @@ type Report struct {
 	BreakerState robust.BreakerState
 	// Coalesced is true when this invocation executed another
 	// invocation's published decision instead of deciding itself
-	// (Options.CoalesceDecisions); FastPath when a fresh,
+	// (Options.Decision.Coalesce); FastPath when a fresh,
 	// high-confidence table record let it skip a periodic re-profile
-	// (Options.TableTTL / MinConfidence).
+	// (Options.Decision.TableTTL / MinConfidence).
 	Coalesced, FastPath bool
 }
 
@@ -347,9 +337,9 @@ type Scheduler struct {
 	invPredW float64
 
 	// Batched decision-path state (nil when the knob is off).
-	coal *coalescer // decision singleflight (CoalesceDecisions)
+	coal *coalescer // decision singleflight (Decision.Coalesce)
 
-	// Durable-state layer (nil when Options.StatePath is empty).
+	// Durable-state layer (nil when Options.State.Path is empty).
 	// stateMu serializes {table mutation + WAL append} against
 	// {table export + compaction}, so a snapshot never absorbs a
 	// mutation whose WAL record would then land in the fresh WAL and
@@ -373,6 +363,9 @@ func New(eng *engine.Engine, model *powerchar.Model, metric metrics.Metric, opts
 	if !metric.Valid() {
 		return nil, fmt.Errorf("core: invalid metric")
 	}
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	s := &Scheduler{
 		eng:    eng,
 		model:  model,
@@ -386,8 +379,13 @@ func New(eng *engine.Engine, model *powerchar.Model, metric metrics.Metric, opts
 	}
 	s.breaker = robust.NewBreaker(s.opts.BreakerThreshold, s.opts.BreakerProbeAfter)
 	spec := eng.Platform().Spec()
-	if s.opts.RobustMeter {
-		cfg := s.opts.Meter
+	if rb := s.opts.Robustness; rb.Meter {
+		cfg := robust.MeterConfig{
+			MaxPlausiblePowerW: rb.MaxPlausiblePowerW,
+			Window:             rb.MeterWindow,
+			HampelK:            rb.HampelK,
+			StuckReads:         rb.StuckReads,
+		}
 		if cfg.MaxPlausiblePowerW <= 0 {
 			// Package power physically cannot sustain far beyond TDP;
 			// 4× leaves room for short turbo excursions.
@@ -407,7 +405,7 @@ func New(eng *engine.Engine, model *powerchar.Model, metric metrics.Metric, opts
 		}
 		s.rmeter = robust.NewEnergyMeter(eng.Platform().MSR, cfg)
 	}
-	if s.opts.ValidateProfiles {
+	if s.opts.Robustness.ValidateProfiles {
 		s.env = profile.EnvelopeFor(spec)
 	}
 	if o := s.opts.Observer; o.Enabled() && s.breaker != nil {
@@ -415,24 +413,14 @@ func New(eng *engine.Engine, model *powerchar.Model, metric metrics.Metric, opts
 			o.RecordBreakerTransition(int(to))
 		})
 	}
-	if s.opts.CoalesceDecisions {
+	if s.opts.Decision.Coalesce {
 		s.coal = newCoalescer()
 	}
-	aopts := AdmissionOptions{
-		TenantRate:      s.opts.AdmissionTenantRate,
-		TenantBurst:     s.opts.AdmissionTenantBurst,
-		QueueDepth:      s.opts.AdmissionQueueDepth,
-		AgingStep:       s.opts.AdmissionAgingStep,
-		Watchdog:        s.opts.AdmissionWatchdog,
-		RetryAfterFloor: s.opts.AdmissionRetryFloor,
-	}
+	s.adm.Configure(s.opts.Admission)
 	if o := s.opts.Observer; o.Enabled() {
-		aopts.OnStall = func(tenant string, held time.Duration) {
-			o.RecordWatchdogStall(tenant, held)
-		}
+		s.adm.onStall = o.RecordWatchdogStall
 	}
-	s.adm.Configure(aopts)
-	if s.opts.StatePath != "" {
+	if s.opts.State.Path != "" {
 		if err := s.openState(); err != nil {
 			return nil, err
 		}
@@ -455,6 +443,11 @@ func (s *Scheduler) SetTenantQuota(tenant string, rate, burst float64) {
 // enqueue failures, dispatch timeouts — through it so breaker state
 // reflects every path work can fail over to the CPU.
 func (s *Scheduler) Breaker() *robust.Breaker { return s.breaker }
+
+// Retry returns the scheduler's GPU retry policy with defaults
+// applied, so the runtime's functional layer retries enqueues on the
+// same budget as simulated dispatches.
+func (s *Scheduler) Retry() Retry { return s.opts.Retry }
 
 // Metric returns the objective the scheduler optimizes.
 func (s *Scheduler) Metric() metrics.Metric { return s.metric }
@@ -709,21 +702,22 @@ func (s *Scheduler) wouldProfile(ent *kernelEntry) bool {
 	return false
 }
 
-// tableStale reports whether the record's α has outlived Options.TableTTL.
+// tableStale reports whether the record's α has outlived
+// Options.Decision.TableTTL.
 func (s *Scheduler) tableStale(rec record) bool {
-	return s.opts.TableTTL > 0 && !rec.updatedAt.IsZero() &&
-		time.Since(rec.updatedAt) > s.opts.TableTTL
+	return s.opts.Decision.TableTTL > 0 && !rec.updatedAt.IsZero() &&
+		time.Since(rec.updatedAt) > s.opts.Decision.TableTTL
 }
 
 // fastFresh reports whether the record is confident enough for the
 // fast path to skip a periodic re-profile. With both knobs zero it is
-// always false (the legacy path, byte-identical); freshness itself is
-// tableStale's job — callers check it first.
+// always false; freshness itself is tableStale's job — callers check
+// it first.
 func (s *Scheduler) fastFresh(rec record) bool {
-	if s.opts.TableTTL == 0 && s.opts.MinConfidence == 0 {
+	if s.opts.Decision.TableTTL == 0 && s.opts.Decision.MinConfidence == 0 {
 		return false
 	}
-	return s.opts.MinConfidence <= 0 || rec.invocations >= s.opts.MinConfidence
+	return s.opts.Decision.MinConfidence <= 0 || rec.invocations >= s.opts.Decision.MinConfidence
 }
 
 // recordAdmitFailure closes a failed admission wait's span and
@@ -912,7 +906,7 @@ func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, plan invPl
 		}
 		var acc, prev profile.Observation
 		chunk := profileSize
-		stopAt := float64(n) * (1 - s.opts.ProfileShare)
+		stopAt := float64(n) * (1 - profileShare)
 		for nrem > stopAt && nrem > 0 {
 			gpuChunk := chunk
 			if gpuChunk > nrem {
@@ -975,7 +969,7 @@ func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, plan invPl
 				obs.Num("rc", acc.RC), obs.Num("rg", acc.RG))
 		}
 		rep.Profiled = true
-		if s.opts.ValidateProfiles {
+		if s.opts.Robustness.ValidateProfiles {
 			san, clamped, qerr := s.env.Sanitize(acc)
 			if qerr != nil {
 				// The profile is physically impossible: never let it
@@ -1106,7 +1100,7 @@ func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, plan invPl
 	// invocations. A quarantined profile never reaches the table.
 	if !quarantined {
 		if s.store == nil {
-			ent.accumulate(alpha, float64(n), rep.Category, s.opts.CategoryHysteresis)
+			ent.accumulate(alpha, float64(n), rep.Category, s.opts.Robustness.CategoryHysteresis)
 		} else {
 			s.accumulatePersist(ent, k.Name, alpha, float64(n), rep.Category)
 		}

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"context"
 	"math"
-	"reflect"
 	"testing"
 
 	"github.com/hetsched/eas/internal/engine"
@@ -31,7 +31,7 @@ func newSensorFaultyEAS(t *testing.T, opts Options, seed int64) (*Scheduler, *fa
 }
 
 func TestRobustMeterSubstitutesWhenMSRStuck(t *testing.T) {
-	s, plan := newSensorFaultyEAS(t, Options{RobustMeter: true}, 7)
+	s, plan := newSensorFaultyEAS(t, Options{Robustness: Robustness{Meter: true}}, 7)
 	plan.StuckMSRFor(100000) // every read latches
 	rep, err := s.ParallelFor(compKernel(), 200000)
 	if err != nil {
@@ -54,7 +54,7 @@ func TestRobustMeterSubstitutesWhenMSRStuck(t *testing.T) {
 }
 
 func TestRobustMeterFlagsWrapGap(t *testing.T) {
-	s, plan := newSensorFaultyEAS(t, Options{RobustMeter: true}, 7)
+	s, plan := newSensorFaultyEAS(t, Options{Robustness: Robustness{Meter: true}}, 7)
 	horizon := s.eng.Platform().MSR.WrapHorizonJoules()
 	// Two gapped reads: the first lands on the invocation-boundary
 	// Resync (discarded unjudged), the second inside a measured
@@ -77,7 +77,7 @@ func TestRobustMeterFlagsWrapGap(t *testing.T) {
 }
 
 func TestRobustMeterCleanRunStaysHealthy(t *testing.T) {
-	s, _ := newSensorFaultyEAS(t, Options{RobustMeter: true}, 7)
+	s, _ := newSensorFaultyEAS(t, Options{Robustness: Robustness{Meter: true}}, 7)
 	rep, err := s.ParallelFor(compKernel(), 200000)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestRobustMeterCleanRunStaysHealthy(t *testing.T) {
 }
 
 func TestQuarantinedProfileNeverReachesTable(t *testing.T) {
-	s, plan := newSensorFaultyEAS(t, Options{ValidateProfiles: true, ReprofileEvery: 2}, 7)
+	s, plan := newSensorFaultyEAS(t, Options{Robustness: Robustness{ValidateProfiles: true}, ReprofileEvery: 2}, 7)
 
 	// Invocation 1: clean — establishes the known-good record.
 	rep1, err := s.ParallelFor(compKernel(), 200000)
@@ -150,7 +150,7 @@ func TestQuarantinedProfileNeverReachesTable(t *testing.T) {
 }
 
 func TestQuarantineOnUnknownKernelRunsCPUOnly(t *testing.T) {
-	s, plan := newSensorFaultyEAS(t, Options{ValidateProfiles: true}, 7)
+	s, plan := newSensorFaultyEAS(t, Options{Robustness: Robustness{ValidateProfiles: true}}, 7)
 	plan.CorruptHWCFor(4)
 	rep, err := s.ParallelFor(memKernel(), 200000)
 	if err != nil {
@@ -280,34 +280,12 @@ func TestBreakerLifecycleInScheduler(t *testing.T) {
 	}
 }
 
-// With the breaker disabled (threshold 0) every report — including the
-// fallback interplay PR 1 pinned — must be byte-identical to a
-// scheduler with no robustness knobs at all, under the same fault
-// script and seed.
+// With the breaker disabled (threshold 0) every report, including the
+// GPU-busy fallback interplay, must equal a scheduler with no
+// robustness knobs at all, under the same fault script and seed.
 func TestBreakerDisabledIsByteIdenticalToLegacy(t *testing.T) {
-	run := func(opts Options) []Report {
-		s, plan := newFaultyEAS(t, opts)
-		var reps []Report
-		for _, busy := range []int{0, 100, 0} {
-			if busy > 0 {
-				plan.GPUBusyFor(busy)
-			}
-			rep, err := s.ParallelFor(compKernel(), 200000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reps = append(reps, rep)
-		}
-		return reps
-	}
-	legacy := run(Options{})
-	// Threshold 0 disables the breaker regardless of the probe knob.
-	disabled := run(Options{BreakerThreshold: 0, BreakerProbeAfter: 7})
-	if !reflect.DeepEqual(legacy, disabled) {
-		t.Errorf("breaker-disabled reports diverge from legacy:\nlegacy:   %+v\ndisabled: %+v", legacy, disabled)
-	}
-	if !legacy[1].GPUBusyFallback || legacy[1].Retries != 3 {
-		t.Errorf("PR 1 pinned semantics drifted: fallback=%v retries=%d",
-			legacy[1].GPUBusyFallback, legacy[1].Retries)
-	}
+	assertSerialEquivalence(t, []equivRow{
+		// Threshold 0 disables the breaker regardless of the probe knob.
+		{"breaker-off", Options{BreakerThreshold: 0, BreakerProbeAfter: 7}, context.Background()},
+	})
 }

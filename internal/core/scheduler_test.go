@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -250,9 +253,9 @@ func TestParallelForValidation(t *testing.T) {
 }
 
 func TestProfileShareRespected(t *testing.T) {
-	// With ProfileShare = 0.5 at least half the work must remain for
-	// the final split execution.
-	s := newEAS(t, metrics.EDP, Options{ProfileShare: 0.5, GrowProfileChunk: true})
+	// Profiling may consume at most half of the iterations (the
+	// paper's profileShare); the rest remains for the final split.
+	s := newEAS(t, metrics.EDP, Options{GrowProfileChunk: true})
 	const n = 4e6
 	rep, err := s.ParallelFor(memKernel(), n)
 	if err != nil {
@@ -263,6 +266,60 @@ func TestProfileShareRespected(t *testing.T) {
 	if rep.ProfileSteps < 2 {
 		t.Errorf("size-based profiling should take multiple steps, got %d", rep.ProfileSteps)
 	}
+}
+
+// equivRow is one configuration checked by assertSerialEquivalence.
+type equivRow struct {
+	name string
+	opts Options
+	ctx  context.Context
+}
+
+// assertSerialEquivalence is the invariant behind every policy group's
+// zero value: a knob that only reorders, delays, deduplicates or
+// persists decisions must not change what a serial caller computes.
+// Under the same GPU-busy fault script each row's reports must equal
+// the zero config's.
+func assertSerialEquivalence(t *testing.T, rows []equivRow) {
+	t.Helper()
+	run := func(t *testing.T, opts Options, ctx context.Context) []Report {
+		s, plan := newFaultyEAS(t, opts)
+		defer s.Close()
+		var reps []Report
+		for _, busy := range []int{0, 100, 0} {
+			if busy > 0 {
+				plan.GPUBusyFor(busy)
+			}
+			rep, err := s.ParallelForCtx(ctx, compKernel(), 200000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps = append(reps, rep)
+		}
+		return reps
+	}
+	want := run(t, Options{}, context.Background())
+	// The fault-path semantics pinned since fallbacks were introduced:
+	// the busy invocation exhausts its three attempts and runs CPU-only.
+	if !want[1].GPUBusyFallback || want[1].Retries != 3 {
+		t.Fatalf("GPU-busy fallback drifted: fallback=%v retries=%d",
+			want[1].GPUBusyFallback, want[1].Retries)
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if got := run(t, row.opts, row.ctx); !reflect.DeepEqual(got, want) {
+				t.Errorf("serial reports diverge from the zero config:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// Persisting the α table is write-behind only: a scheduler with a state
+// file computes what one without it does.
+func TestSerialDecisionEquivalence(t *testing.T) {
+	assertSerialEquivalence(t, []equivRow{
+		{"state", Options{State: StatePolicy{Path: filepath.Join(t.TempDir(), "alpha.state")}}, context.Background()},
+	})
 }
 
 func TestMetricAccessor(t *testing.T) {

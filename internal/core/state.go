@@ -28,6 +28,19 @@ import (
 // and stop trying, and the scheduling decision that triggered the
 // write completes untouched.
 
+// StatePolicy configures the durable α table. An empty Path — the
+// zero value — keeps state in memory only.
+type StatePolicy struct {
+	// Path names the snapshot file; the WAL lives at Path+".wal".
+	Path string
+	// Sync selects WAL durability; New rejects modes other than
+	// statestore.SyncOnCompact and statestore.SyncAlways.
+	Sync statestore.SyncMode
+	// CompactEvery is how many WAL records trigger compaction (0 picks
+	// the statestore default, 1024).
+	CompactEvery int
+}
+
 // RecoveryStats describes one startup recovery: what the store's
 // parser observed on disk plus what the scheduler's sanitization did
 // with it.
@@ -42,18 +55,14 @@ type RecoveryStats struct {
 }
 
 // openState opens (and recovers) the durable store configured by
-// Options.StatePath. Called from New; an environmental failure —
+// Options.State.Path. Called from New; an environmental failure —
 // unwritable directory, undeletable torn tail — fails construction,
 // because a scheduler that silently isn't persisting when asked to is
 // worse than one that refuses to start.
 func (s *Scheduler) openState() error {
-	mode := statestore.SyncOnCompact
-	if s.opts.StateSync >= 1 {
-		mode = statestore.SyncAlways
-	}
-	st, recs, stats, err := statestore.Open(s.opts.StatePath, statestore.Options{
-		Sync:         mode,
-		CompactEvery: s.opts.StateCompactEvery,
+	st, recs, stats, err := statestore.Open(s.opts.State.Path, statestore.Options{
+		Sync:         s.opts.State.Sync,
+		CompactEvery: s.opts.State.CompactEvery,
 		Faults:       s.eng.FaultPlan(),
 	})
 	if err != nil {
@@ -118,7 +127,7 @@ func (s *Scheduler) loadRecord(r statestore.Record, now time.Time) bool {
 		}
 		// accumulateAt applies the same items>0 / finite-α gates live
 		// accumulation does; its verdict is the admit/reject signal.
-		return s.table.intern(r.Kernel).accumulateAt(r.Alpha, r.Items, cat, s.opts.CategoryHysteresis, at)
+		return s.table.intern(r.Kernel).accumulateAt(r.Alpha, r.Items, cat, s.opts.Robustness.CategoryHysteresis, at)
 	case statestore.OpReprofile:
 		// Idempotent and a no-op for never-recorded kernels — exactly
 		// the live markReprofile semantics.
@@ -142,7 +151,7 @@ func saneAlpha(alpha float64) bool { return alpha >= 0 && alpha <= 1 }
 func (s *Scheduler) accumulatePersist(ent *kernelEntry, name string, alpha, items float64, cat wclass.Category) {
 	now := time.Now()
 	s.stateMu.Lock()
-	accepted := ent.accumulateAt(alpha, items, cat, s.opts.CategoryHysteresis, now)
+	accepted := ent.accumulateAt(alpha, items, cat, s.opts.Robustness.CategoryHysteresis, now)
 	if accepted {
 		s.appendLocked(statestore.Record{
 			Op:       statestore.OpAccum,

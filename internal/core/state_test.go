@@ -14,7 +14,7 @@ import (
 )
 
 func stateOpts(path string) Options {
-	return Options{GrowProfileChunk: true, StatePath: path, StateSync: 1}
+	return Options{GrowProfileChunk: true, State: StatePolicy{Path: path, Sync: statestore.SyncAlways}}
 }
 
 // TestStateWarmStart is the core of the durability contract: a second
@@ -74,7 +74,7 @@ func TestStateRecoveryPreservesStaleness(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 
 	opts := stateOpts(path)
-	opts.TableTTL = 10 * time.Millisecond
+	opts.Decision.TableTTL = 10 * time.Millisecond
 	s2 := newEAS(t, metrics.EDP, opts)
 	if s2.StateRecovery().Loaded == 0 {
 		t.Fatal("recovery loaded nothing")
@@ -145,7 +145,7 @@ func TestStateRecoveryClampsFutureTimestamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := stateOpts(path)
-	opts.TableTTL = 5 * time.Millisecond
+	opts.Decision.TableTTL = 5 * time.Millisecond
 	s := newEAS(t, metrics.EDP, opts)
 	defer s.Close()
 	if s.StateRecovery().Loaded != 1 {
@@ -167,7 +167,7 @@ func TestStateRecoveryClampsFutureTimestamps(t *testing.T) {
 func TestStateCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "alpha.state")
 	opts := stateOpts(path)
-	opts.StateCompactEvery = 3
+	opts.State.CompactEvery = 3
 	s := newEAS(t, metrics.EDP, opts)
 	for i := 0; i < 10; i++ {
 		if _, err := s.ParallelFor(compKernel(), 1e6); err != nil {

@@ -155,11 +155,6 @@ type AdmissionOptions struct {
 	// gate is saturated. Default 1ms; negative disables the floor.
 	// Token-refill estimates (quota sheds) are exact and not floored.
 	RetryAfterFloor time.Duration
-	// OnStall, when non-nil, is called (outside the gate's lock) after
-	// every watchdog force-release with the wedged holder's tenant and
-	// hold duration — the hook the observer records degradation
-	// instants through.
-	OnStall func(tenant string, held time.Duration)
 }
 
 // AdmissionStats is a snapshot of the gate's counters and queue
@@ -309,6 +304,12 @@ type Admission struct {
 	agingPromotions                        uint64
 	watchdogStalls                         uint64
 	lateReleases                           uint64
+
+	// onStall, when non-nil, is called (outside the lock) after every
+	// watchdog force-release with the wedged holder's tenant and hold
+	// duration — the hook New installs for the observer's degradation
+	// instants. Set before the gate is in use.
+	onStall func(tenant string, held time.Duration)
 }
 
 // Configure sets the gate's overload-resilience bounds. It must be
@@ -673,7 +674,7 @@ func (a *Admission) watchdogFire(ticket uint64) {
 	}
 	held := time.Since(a.holder.start)
 	tenant := a.holder.tenant
-	onStall := a.opts.OnStall
+	onStall := a.onStall
 	a.watchdogStalls++
 	if a.revoked == nil {
 		a.revoked = map[uint64]struct{}{}

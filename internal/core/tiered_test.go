@@ -32,39 +32,6 @@ func waitForWaiters(t *testing.T, a *Admission, want int) {
 	}
 }
 
-// Admission policy can only reorder, delay or reject invocations, never
-// change what an admitted one computes: serial reports under a fault
-// script are identical whatever bounds the gate carries and whatever
-// class the caller asks for, as long as nothing is shed.
-func TestAdmissionPolicyDecisionEquivalence(t *testing.T) {
-	run := func(opts Options, ctx context.Context) []Report {
-		s, plan := newFaultyEAS(t, opts)
-		var reps []Report
-		for _, busy := range []int{0, 100, 0} {
-			if busy > 0 {
-				plan.GPUBusyFor(busy)
-			}
-			rep, err := s.ParallelForCtx(ctx, compKernel(), 200000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reps = append(reps, rep)
-		}
-		return reps
-	}
-	bg := context.Background()
-	want := run(Options{}, bg)
-	for name, got := range map[string][]Report{
-		"watchdog":        run(Options{AdmissionWatchdog: 10 * time.Second}, bg),
-		"unlimited-quota": run(Options{AdmissionTenantRate: 1e9}, bg),
-		"background":      run(Options{}, WithRequest(bg, AdmitRequest{Class: ClassBackground})),
-	} {
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s reports diverge from the zero policy:\nzero: %+v\n%s: %+v", name, want, name, got)
-		}
-	}
-}
-
 func TestTieredQuotaSheds(t *testing.T) {
 	a := tieredGate(AdmissionOptions{TenantRate: 0.001, TenantBurst: 1})
 	ctx := context.Background()
@@ -306,10 +273,8 @@ func TestTieredCancelWhileQueued(t *testing.T) {
 
 func TestWatchdogForceReleasesHungHolder(t *testing.T) {
 	stalls := make(chan time.Duration, 1)
-	a := tieredGate(AdmissionOptions{
-		Watchdog: 30 * time.Millisecond,
-		OnStall:  func(tenant string, held time.Duration) { stalls <- held },
-	})
+	a := tieredGate(AdmissionOptions{Watchdog: 30 * time.Millisecond})
+	a.onStall = func(tenant string, held time.Duration) { stalls <- held }
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	tk, err := a.Acquire(ctx, AdmitRequest{Tenant: "wedged"}, cancel)
@@ -345,7 +310,7 @@ func TestWatchdogForceReleasesHungHolder(t *testing.T) {
 		t.Fatal("waiter still blocked after watchdog force-release")
 	}
 	if held := <-stalls; held < 30*time.Millisecond {
-		t.Errorf("OnStall held = %v, want >= watchdog bound", held)
+		t.Errorf("onStall held = %v, want >= watchdog bound", held)
 	}
 	if !a.Revoked(tk) {
 		t.Error("wedged ticket not marked revoked")
@@ -368,7 +333,7 @@ func TestWatchdogForceReleasesHungHolder(t *testing.T) {
 // node never deadlocks.
 func TestSchedulerWatchdogBreaksHungTenant(t *testing.T) {
 	s, plan := newFaultyEAS(t, Options{
-		AdmissionWatchdog: 40 * time.Millisecond,
+		Admission: AdmissionOptions{Watchdog: 40 * time.Millisecond},
 	})
 	plan.HoldAdmissionFor(10*time.Second, 1)
 
@@ -427,8 +392,7 @@ func TestSchedulerWatchdogBreaksHungTenant(t *testing.T) {
 // only work that actually executed.
 func TestShedNeverTouchesAlphaTable(t *testing.T) {
 	s := newEAS(t, metrics.EDP, Options{
-		AdmissionTenantRate:  0.0001,
-		AdmissionTenantBurst: 1,
+		Admission: AdmissionOptions{TenantRate: 0.0001, TenantBurst: 1},
 	})
 	ctx := WithRequest(context.Background(), AdmitRequest{Tenant: "acme"})
 	if _, err := s.ParallelForCtx(ctx, compKernel(), 200000); err != nil {
@@ -739,4 +703,17 @@ func TestWatchdogRevocationSeedsEstimator(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	a.Release(tk) // late release of the revoked ticket
+}
+
+// Admission policy can only reorder, delay or reject invocations, never
+// change what an admitted one computes: serial reports are identical
+// whatever bounds the gate carries and whatever class the caller asks
+// for, as long as nothing is shed.
+func TestAdmissionPolicyDecisionEquivalence(t *testing.T) {
+	bg := context.Background()
+	assertSerialEquivalence(t, []equivRow{
+		{"watchdog", Options{Admission: AdmissionOptions{Watchdog: 10 * time.Second}}, bg},
+		{"unlimited-quota", Options{Admission: AdmissionOptions{TenantRate: 1e9}}, bg},
+		{"background", Options{}, WithRequest(bg, AdmitRequest{Class: ClassBackground})},
+	})
 }

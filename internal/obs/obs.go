@@ -273,7 +273,7 @@ func New(sink Sink, reg *Registry) *Observer {
 		coalesceAbort: reg.Counter("eas_coalesce_aborts_total",
 			"Coalesced decision flights aborted by their leader (followers fell back to solo)."),
 		poolReuse: reg.Counter("eas_pool_reuse_total",
-			"Reports served from the Config.Reuse pool instead of the heap."),
+			"Reports served from the pool of released Reports instead of the heap."),
 		stateRecords: reg.Counter("eas_state_wal_records_total",
 			"Mutation records appended to the durable-state WAL."),
 		stateBytes: reg.Counter("eas_state_wal_bytes_total",
@@ -327,8 +327,8 @@ func New(sink Sink, reg *Registry) *Observer {
 	return o
 }
 
-// RecordPoolReuse counts one Report served from the Config.Reuse pool
-// instead of a fresh allocation.
+// RecordPoolReuse counts one Report served from the runtime's pool of
+// released Reports instead of a fresh allocation.
 func (o *Observer) RecordPoolReuse() {
 	if o == nil {
 		return

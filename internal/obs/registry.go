@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -15,18 +15,24 @@ import (
 // Registry holds the process's runtime metrics: counters, gauges, and
 // fixed-bucket histograms. Registration (by name) takes a lock once;
 // the returned instruments are lock-free atomics, so instrumented hot
-// paths never touch the registry again. Metric names may carry a
-// Prometheus label block (`eas_fallbacks_total{reason="gpu-busy"}`);
-// sharing the name prefix before '{' groups them into one family in
-// the exposition.
+// paths never touch the registry again. A metric name is a bare
+// family name; labelled families are CounterVec, GaugeVec and friends
+// (labels.go).
 type Registry struct {
 	mu      sync.Mutex
 	byName  map[string]metric
 	ordered []string
 
+	// collectMu serializes collector runs: a collector folds the delta
+	// since its own last snapshot, so two scrapes running it at once
+	// would race on that snapshot and could fold one delta twice.
 	collectMu  sync.Mutex
-	collectors []func()
+	collectors []*collector
 }
+
+// collector boxes a registered collector so its remove function can
+// find it by identity.
+type collector struct{ f func() }
 
 type metric interface {
 	help() string
@@ -79,34 +85,41 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 // RegisterCollector adds a function run at the start of every
 // WritePrometheus call, before samples are read — the hook by which
 // pull-style stats (work-stealing pool counters, driver queue stats,
-// breaker position) are folded into registry instruments.
-func (r *Registry) RegisterCollector(f func()) {
+// breaker position) are folded into registry instruments. Collectors
+// run one at a time under the registry's collector lock, so f must not
+// call RegisterCollector, a remove function or WritePrometheus.
+//
+// The returned function runs f one last time, so the deltas since the
+// previous scrape still reach the registry, and then removes it; later
+// calls do nothing. Call it when the component f reads goes away, or
+// the registry keeps that component reachable.
+func (r *Registry) RegisterCollector(f func()) (remove func()) {
 	if f == nil {
-		return
+		return func() {}
 	}
+	c := &collector{f}
 	r.collectMu.Lock()
-	r.collectors = append(r.collectors, f)
+	r.collectors = append(r.collectors, c)
 	r.collectMu.Unlock()
-}
-
-// familyOf strips a label block from a metric name.
-func familyOf(name string) string {
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:i]
+	return func() {
+		r.collectMu.Lock()
+		defer r.collectMu.Unlock()
+		if i := slices.Index(r.collectors, c); i >= 0 {
+			c.f()
+			r.collectors = slices.Delete(r.collectors, i, i+1)
+		}
 	}
-	return name
 }
 
 // WritePrometheus renders every metric in Prometheus text exposition
-// format (version 0.0.4), families sorted by name, HELP/TYPE emitted
-// once per family. Collectors run first so pull-style stats are fresh.
+// format (version 0.0.4), families sorted by name, each with its
+// HELP/TYPE header. Collectors run first so pull-style stats are fresh.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.collectMu.Lock()
-	collectors := append([]func(){}, r.collectors...)
-	r.collectMu.Unlock()
-	for _, f := range collectors {
-		f()
+	for _, c := range r.collectors {
+		c.f()
 	}
+	r.collectMu.Unlock()
 
 	r.mu.Lock()
 	names := append([]string(nil), r.ordered...)
@@ -117,15 +130,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Unlock()
 	sort.Strings(names)
 
-	lastFamily := ""
 	for _, name := range names {
 		m := metrics[name]
-		if fam := familyOf(name); fam != lastFamily {
-			lastFamily = fam
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
-				fam, m.help(), fam, m.kind()); err != nil {
-				return err
-			}
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
+			name, m.help(), name, m.kind()); err != nil {
+			return err
 		}
 		if err := m.write(w, name); err != nil {
 			return err
@@ -256,22 +265,21 @@ func (h *Histogram) BucketCounts() []uint64 {
 func (h *Histogram) help() string { return h.helpText }
 func (h *Histogram) kind() string { return "histogram" }
 func (h *Histogram) write(w io.Writer, name string) error {
-	fam := familyOf(name)
 	var cum uint64
 	for i, bound := range h.bounds {
 		cum += h.buckets[i].n.Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", fam, formatFloat(bound), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatFloat(bound), cum); err != nil {
 			return err
 		}
 	}
 	cum += h.buckets[len(h.bounds)].n.Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", fam, cum); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum %s\n", fam, formatFloat(h.Sum())); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(h.Sum())); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", fam, h.count.Load())
+	_, err := fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
 	return err
 }
 

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"io"
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -77,9 +79,10 @@ func TestPrometheusExposition(t *testing.T) {
 	h.Observe(0.3)
 	h.Observe(0.7)
 	h.Observe(0.7)
-	// Two labeled counters sharing one family: HELP/TYPE once.
-	reg.Counter(`eas_fallbacks_total{reason="gpu-busy"}`, "Fallbacks.").Inc()
-	reg.Counter(`eas_fallbacks_total{reason="gpu-timeout"}`, "Fallbacks.").Add(3)
+	// Two children of one labelled family: HELP/TYPE once.
+	fb := reg.CounterVec("eas_fallbacks_total", "Fallbacks.", []string{"reason"}, 0)
+	fb.With1("gpu-busy").Inc()
+	fb.With1("gpu-timeout").Add(3)
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -132,5 +135,56 @@ func TestRegistryCollectors(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "pull_total 5") {
 		t.Errorf("collector did not run before exposition:\n%s", b.String())
+	}
+	// Removing runs the collector a final time, then never again.
+	remove := reg.RegisterCollector(func() { c.Add(1) })
+	remove()
+	remove()
+	if got := c.Value(); got != 6 {
+		t.Errorf("after remove: pull_total = %d, want 6 (one final collection)", got)
+	}
+	b.Reset()
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Value(); got != 11 {
+		t.Errorf("after scrape: pull_total = %d, want 11 (removed collector ran again)", got)
+	}
+}
+
+// TestConcurrentScrapesFoldEachDeltaOnce runs a delta-folding collector
+// — the shape of the runtime's pull collectors — under concurrent
+// scrapes. Run with -race: the collector's snapshot is unsynchronized,
+// so the registry must never run it twice at once.
+func TestConcurrentScrapesFoldEachDeltaOnce(t *testing.T) {
+	reg := NewRegistry()
+	folded := reg.Counter("folded_total", "Deltas folded.")
+	var source atomic.Uint64
+	var last uint64
+	reg.RegisterCollector(func() {
+		cur := source.Load()
+		folded.Add(cur - last)
+		last = cur
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				source.Add(1)
+				if err := reg.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := reg.WritePrometheus(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := folded.Value(), source.Load(); got != want {
+		t.Errorf("folded %d deltas, source advanced %d", got, want)
 	}
 }

@@ -284,7 +284,7 @@ func (a adaptive) Run(ctx context.Context, w workloads.Workload, spec platform.S
 	if err != nil {
 		return Result{}, err
 	}
-	// Flush durable state (Options.StatePath) at the end of the run so
+	// Flush durable state (Options.State.Path) at the end of the run so
 	// a later process warm-starts from this run's learned α table; a
 	// no-op without a configured state store.
 	defer s.Close()

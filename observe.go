@@ -208,14 +208,16 @@ func (s *ObserverServer) Close() error {
 }
 
 // registerRuntimeCollectors wires a runtime's always-on component
-// counters (work-stealing pool, GPU command queue) into the observer's
-// registry as pull-style metrics: a collector snapshots the component
-// stats at scrape time and folds the delta since the previous scrape
-// into shared counters, so several runtimes on one observer sum
-// cleanly.
-func (o *Observer) registerRuntimeCollectors(r *Runtime) {
+// counters (work-stealing pool, GPU command queue, admission gate) into
+// the observer's registry as pull-style metrics: a collector snapshots
+// the component stats at scrape time and folds the delta since the
+// previous scrape into shared counters, so several runtimes on one
+// observer sum cleanly. The returned function folds the final deltas
+// and unregisters the collector, so a closed runtime keeps counting
+// toward the totals without staying reachable from the observer.
+func (o *Observer) registerRuntimeCollectors(r *Runtime) (remove func()) {
 	if o == nil {
-		return
+		return func() {}
 	}
 	steals := o.reg.Counter("eas_ws_steals_total",
 		"Work-stealing chunks executed by a worker other than their owner.")
@@ -227,58 +229,63 @@ func (o *Observer) registerRuntimeCollectors(r *Runtime) {
 		"Functional GPU NDRange enqueues attempted.")
 	busy := o.reg.Counter("eas_cl_enqueue_busy_total",
 		"Functional GPU enqueues transiently rejected as device-busy.")
-	lastPool := r.pool.Stats()
-	lastQ := r.queue.Stats()
-	o.reg.RegisterCollector(func() {
-		p := r.pool.Stats()
+	// Capture the components, not r: the runtime keeps the returned
+	// remove function, and a path from it back to r would form a cycle
+	// through the runtime that keeps a finalizer on it from running.
+	pool, queue := r.pool, r.queue
+	lastPool := pool.Stats()
+	lastQ := queue.Stats()
+	admission := o.admissionCollector(r.sched.Admission())
+	return o.reg.RegisterCollector(func() {
+		p := pool.Stats()
 		steals.Add(p.Steals - lastPool.Steals)
 		parks.Add(p.Parks - lastPool.Parks)
 		wakes.Add(p.Wakes - lastPool.Wakes)
 		lastPool = p
-		q := r.queue.Stats()
+		q := queue.Stats()
 		enqueues.Add(q.Enqueues - lastQ.Enqueues)
 		busy.Add(q.Busy - lastQ.Busy)
 		lastQ = q
+		admission()
 	})
-	o.registerAdmissionCollectors(r)
 }
 
-// registerAdmissionCollectors exposes admission-gate pressure on
-// /metrics: total queued waiters, per-class queue depths, per-class
-// admission counters, shed counters by reason, aging promotions, and
-// late-release counts. Deltas fold at scrape time like the other
-// pull-style collectors, so several runtimes on one observer sum
-// cleanly. (Watchdog stalls are push-style — see RecordWatchdogStall —
-// because each one also lands in the trace as a degradation instant.)
-func (o *Observer) registerAdmissionCollectors(r *Runtime) {
-	adm := r.sched.Admission()
+// admissionCollector exposes admission-gate pressure on /metrics:
+// total queued waiters, per-class queue depths, per-class admission
+// counters, shed counters by reason, aging promotions, and
+// late-release counts. Every class and reason series exists from
+// registration, so zero-valued series still appear. (Watchdog stalls
+// are push-style — see RecordWatchdogStall — because each one also
+// lands in the trace as a degradation instant.)
+func (o *Observer) admissionCollector(adm *core.Admission) func() {
 	waiters := o.reg.Gauge("eas_admission_waiters",
 		"Invocations currently queued at the admission gate.")
+	depthVec := o.reg.GaugeVec("eas_admission_queue_depth",
+		"Invocations queued at the admission gate, by priority class.", []string{"class"}, 0)
+	admittedVec := o.reg.CounterVec("eas_admission_admitted_total",
+		"Invocations admitted through the admission gate, by priority class.", []string{"class"}, 0)
 	var depth [core.NumClasses]*obs.Gauge
-	var admittedC [core.NumClasses]*obs.Counter
+	var admitted [core.NumClasses]*obs.Counter
 	for c := core.Class(0); c < core.NumClasses; c++ {
-		depth[c] = o.reg.Gauge(
-			`eas_admission_queue_depth{class="`+c.String()+`"}`,
-			"Invocations queued at the admission gate, by priority class.")
-		admittedC[c] = o.reg.Counter(
-			`eas_admission_admitted_total{class="`+c.String()+`"}`,
-			"Invocations admitted through the admission gate, by priority class.")
+		depth[c] = depthVec.With1(c.String())
+		admitted[c] = admittedVec.With1(c.String())
 	}
-	shedHelp := "Invocations shed at the admission gate, by reason."
-	shedQuota := o.reg.Counter(`eas_admission_shed_total{reason="tenant-quota"}`, shedHelp)
-	shedQueue := o.reg.Counter(`eas_admission_shed_total{reason="queue-full"}`, shedHelp)
-	shedDeadline := o.reg.Counter(`eas_admission_shed_total{reason="deadline"}`, shedHelp)
+	shed := o.reg.CounterVec("eas_admission_shed_total",
+		"Invocations shed at the admission gate, by reason.", []string{"reason"}, 0)
+	shedQuota := shed.With1("tenant-quota")
+	shedQueue := shed.With1("queue-full")
+	shedDeadline := shed.With1("deadline")
 	aging := o.reg.Counter("eas_admission_aging_promotions_total",
 		"Grants in which aging let a lower-priority waiter overtake a queued higher class.")
 	late := o.reg.Counter("eas_admission_late_releases_total",
 		"Releases arriving after the watchdog had already revoked the holder's ticket.")
 	var last core.AdmissionStats
-	o.reg.RegisterCollector(func() {
+	return func() {
 		waiters.Set(float64(adm.Waiters()))
 		st := adm.Stats()
 		for c := 0; c < core.NumClasses; c++ {
 			depth[c].Set(float64(st.QueueDepth[c]))
-			admittedC[c].Add(st.Admitted[c] - last.Admitted[c])
+			admitted[c].Add(st.Admitted[c] - last.Admitted[c])
 		}
 		shedQuota.Add(st.ShedQuota - last.ShedQuota)
 		shedQueue.Add(st.ShedQueueFull - last.ShedQueueFull)
@@ -286,7 +293,7 @@ func (o *Observer) registerAdmissionCollectors(r *Runtime) {
 		aging.Add(st.AgingPromotions - last.AgingPromotions)
 		late.Add(st.LateReleases - last.LateReleases)
 		last = st
-	})
+	}
 }
 
 // invocationAttrs builds the root-span closing attributes for a

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -235,4 +236,91 @@ func httpGet(t *testing.T, url string) string {
 		t.Fatalf("GET %s: %d\n%s", url, resp.StatusCode, blob)
 	}
 	return string(blob)
+}
+
+// TestConcurrentWriteMetrics scrapes one observed runtime from eight
+// goroutines while it serves invocations. Run with -race: the pull
+// collectors keep unsynchronized snapshots, so the registry must run
+// them one scrape at a time.
+func TestConcurrentWriteMetrics(t *testing.T) {
+	observer := NewObserver(ObserverOptions{})
+	rt, err := NewRuntime(DesktopPlatform(), Config{Model: sharedModel(t), Observer: observer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if err := observer.WriteMetrics(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := rt.ParallelFor(computeKernel("scraped", func(int) {}), 4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+}
+
+// TestClosedRuntimesReleasedByObserver checks that a shared Observer
+// does not keep closed runtimes reachable through their pull
+// collectors, and that Close folds each runtime's final deltas first,
+// so the shared counters still count work no scrape ever saw.
+func TestClosedRuntimesReleasedByObserver(t *testing.T) {
+	observer := NewObserver(ObserverOptions{})
+	const runtimes, calls = 4, 3
+	collected := make(chan struct{}, runtimes)
+	for i := 0; i < runtimes; i++ {
+		func() {
+			rt, err := NewRuntime(DesktopPlatform(), Config{Model: sharedModel(t), Observer: observer})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.SetFinalizer(rt, func(*Runtime) { collected <- struct{}{} })
+			for j := 0; j < calls; j++ {
+				rep, err := rt.ParallelFor(computeKernel("pinned", func(int) {}), 200000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.GPUItems == 0 {
+					t.Fatal("compute kernel ran CPU-only; no GPU enqueue to count")
+				}
+			}
+			if err := rt.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}()
+	}
+	deadline := time.After(5 * time.Second)
+	for n := 0; n < runtimes; {
+		runtime.GC()
+		select {
+		case <-collected:
+			n++
+		case <-deadline:
+			t.Fatalf("%d of %d closed runtimes collected; the observer still pins the rest", n, runtimes)
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	var b strings.Builder
+	if err := observer.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		fmt.Sprintf("eas_cl_enqueues_total %d\n", runtimes*calls),
+		fmt.Sprintf("eas_admission_admitted_total{class=\"interactive\"} %d\n", runtimes*calls),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("metrics missing %q after Close:\n%s", want, out)
+		}
+	}
 }
