@@ -215,6 +215,14 @@ func (e *Engine) Run(ph Phase) (Result, error) {
 		launchRemaining = spec.GPU.LaunchOverhead
 	}
 
+	// The compute-side throughputs are pure functions of the clocks and
+	// the worker count for the whole phase (the cost, item count and
+	// speed factors are fixed), and the clocks rarely move between
+	// steps: keep the last result of each, keyed on its exact inputs.
+	// NaN keys never match, so the first busy step computes.
+	memoCPUHz, memoCores, memoCPUTPc := math.NaN(), math.NaN(), 0.0
+	memoGPUHz, memoGPUTPc := math.NaN(), 0.0
+
 	for {
 		cpuBusy := pool > epsilon
 		gpuBusy := gpuRemaining > epsilon
@@ -244,7 +252,11 @@ func (e *Engine) Run(ph Phase) (Result, error) {
 		// Compute-side throughputs (pre-bandwidth).
 		cpuTPc := 0.0
 		if cpuBusy {
-			cpuTPc = spec.CPU.ComputeThroughput(cpuHz, cost, workerCores) * ph.Kernel.cpuFactor()
+			if cpuHz != memoCPUHz || workerCores != memoCores {
+				memoCPUHz, memoCores = cpuHz, workerCores
+				memoCPUTPc = spec.CPU.ComputeThroughput(cpuHz, cost, workerCores) * ph.Kernel.cpuFactor()
+			}
+			cpuTPc = memoCPUTPc
 		}
 		gpuTPc := 0.0
 		gpuExecuting := gpuBusy && launchRemaining <= 0
@@ -253,7 +265,11 @@ func (e *Engine) Run(ph Phase) (Result, error) {
 			// instantaneous remainder: hardware retires the final wave
 			// of a large kernel at full rate, while a small kernel
 			// under-fills the machine for its whole run.
-			gpuTPc = spec.GPU.ComputeThroughput(gpuHz, cost, ph.GPUItems) * ph.Kernel.gpuFactor()
+			if gpuHz != memoGPUHz {
+				memoGPUHz = gpuHz
+				memoGPUTPc = spec.GPU.ComputeThroughput(gpuHz, cost, ph.GPUItems) * ph.Kernel.gpuFactor()
+			}
+			gpuTPc = memoGPUTPc
 		}
 
 		// Bandwidth arbitration, with extractable bandwidth reduced for
@@ -264,13 +280,15 @@ func (e *Engine) Run(ph Phase) (Result, error) {
 			device.FreqBandwidthScale(cpuHz, spec.Policy.CPUTurboHz),
 			device.FreqBandwidthScale(gpuHz, spec.Policy.GPUTurboHz),
 		)
+		cpuBW := device.BandwidthLimitedThroughput(cpuAlloc, cost)
+		gpuBW := device.BandwidthLimitedThroughput(gpuAlloc, cost)
 		cpuTP := cpuTPc
-		if bw := device.BandwidthLimitedThroughput(cpuAlloc, cost); bw < cpuTP {
-			cpuTP = bw
+		if cpuBW < cpuTP {
+			cpuTP = cpuBW
 		}
 		gpuTP := gpuTPc
-		if bw := device.BandwidthLimitedThroughput(gpuAlloc, cost); bw < gpuTP {
-			gpuTP = bw
+		if gpuBW < gpuTP {
+			gpuTP = gpuBW
 		}
 		// An injected slow device retires items below its modeled rate
 		// whatever the limiter (compute or bandwidth) — the shape of a
@@ -331,14 +349,14 @@ func (e *Engine) Run(ph Phase) (Result, error) {
 			if powerCores > 0 {
 				cpuLoad.Active = 1
 				cpuLoad.ActiveCores = powerCores
-				cpuLoad.MemShare = device.MemStallShare(cpuTPc, device.BandwidthLimitedThroughput(cpuAlloc, cost))
+				cpuLoad.MemShare = device.MemStallShare(cpuTPc, cpuBW)
 				cpuLoad.MemBytesPerSec = cpuTP * traffic
 			}
 		}
 		gpuLoad := device.Load{Hz: gpuHz}
 		if gpuBusy {
 			gpuLoad.Active = 1
-			gpuLoad.MemShare = device.MemStallShare(gpuTPc, device.BandwidthLimitedThroughput(gpuAlloc, cost))
+			gpuLoad.MemShare = device.MemStallShare(gpuTPc, gpuBW)
 			gpuLoad.MemBytesPerSec = gpuTP * traffic
 		}
 		bk := e.p.PCU.Observe(cpuLoad, gpuLoad, dt)

@@ -131,18 +131,45 @@ func (b Breakdown) Total() float64 { return b.Idle + b.CPU + b.GPU + b.DRAM }
 
 // Package computes the power breakdown for the given device loads.
 func (m PowerModel) Package(cpu, gpu device.Load) Breakdown {
+	return m.breakdown(cpu, gpu, nil, nil)
+}
+
+// breakdown is Package with optional per-device frequency-scale memos
+// (nil computes the scale afresh).
+func (m *PowerModel) breakdown(cpu, gpu device.Load, cpuScale, gpuScale *scaleMemo) Breakdown {
 	var b Breakdown
 	b.Idle = m.IdleW
 	if cpu.ActiveCores > 0 && cpu.Hz > 0 {
 		perCore := blend(m.CPUCoreComputeW, m.CPUCoreStallW, cpu.MemShare)
-		b.CPU = cpu.ActiveCores * perCore * freqScale(cpu.Hz, m.CPURefHz, m.CPUFreqExp) * clamp01(cpu.Active)
+		b.CPU = cpu.ActiveCores * perCore * cpuScale.freqScale(cpu.Hz, m.CPURefHz, m.CPUFreqExp) * clamp01(cpu.Active)
 	}
 	if gpu.Active > 0 && gpu.Hz > 0 {
 		w := blend(m.GPUComputeW, m.GPUStallW, gpu.MemShare)
-		b.GPU = w * freqScale(gpu.Hz, m.GPURefHz, m.GPUFreqExp) * clamp01(gpu.Active)
+		b.GPU = w * gpuScale.freqScale(gpu.Hz, m.GPURefHz, m.GPUFreqExp) * clamp01(gpu.Active)
 	}
 	b.DRAM = m.DRAMWPerGBs * (cpu.MemBytesPerSec + gpu.MemBytesPerSec) / 1e9
 	return b
+}
+
+// scaleMemo holds one device's last freqScale result. The PCU's
+// frequencies change only at DVFS and budget-scale steps, so most
+// ticks repeat the previous Hz; reusing the result skips a math.Pow
+// per device per tick. The key is the exact Hz and the memo belongs
+// to one PowerModel (fixed ref and exponent), so a hit returns the
+// bits a fresh call would. Callers pass Hz > 0, so the zero value's
+// key never matches.
+type scaleMemo struct {
+	hz, scale float64
+}
+
+func (s *scaleMemo) freqScale(hz, ref, exp float64) float64 {
+	if s == nil {
+		return freqScale(hz, ref, exp)
+	}
+	if s.hz != hz {
+		s.hz, s.scale = hz, freqScale(hz, ref, exp)
+	}
+	return s.scale
 }
 
 func blend(computeW, stallW, memShare float64) float64 {
@@ -193,6 +220,10 @@ type PCU struct {
 	gpuEnergyJ       float64 // PP1 domain (integrated GPU)
 	dramEnergyJ      float64 // DRAM domain
 	simulatedSeconds float64
+
+	// Memos of pure functions of the model; not part of State, since
+	// a hit is bit-identical to a recomputation whatever the state.
+	cpuScale, gpuScale scaleMemo
 }
 
 // New constructs a PCU. It panics on invalid configuration: platform
@@ -282,7 +313,7 @@ func (p *PCU) Frequencies(cpuBusy, gpuBusy bool) (cpuHz, gpuHz float64) {
 // PCU integrates power, advances transient timers, and updates the TDP
 // controller. It returns the package power breakdown for the tick.
 func (p *PCU) Observe(cpu, gpu device.Load, dt time.Duration) Breakdown {
-	b := p.model.Package(cpu, gpu)
+	b := p.model.breakdown(cpu, gpu, &p.cpuScale, &p.gpuScale)
 	w := b.Total()
 	dts := dt.Seconds()
 

@@ -11,6 +11,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/hetsched/eas/internal/core"
 	"github.com/hetsched/eas/internal/metrics"
@@ -74,9 +75,9 @@ type Options struct {
 	Model *powerchar.Model
 	// Serial disables the evaluation grid's parallel fan-out, running
 	// every cell sequentially in display order. The parallel path is
-	// byte-identical by construction (each cell boots its own
-	// platform); Serial exists so tests can prove that, and as an
-	// escape hatch for single-core debugging.
+	// byte-identical by construction (each run boots its own platform
+	// and shares only read-only schedules); Serial exists so tests can
+	// prove that, and as an escape hatch for single-core debugging.
 	Serial bool
 }
 
@@ -129,13 +130,22 @@ func EvaluateCtx(ctx context.Context, platformName, metricName string, opts Opti
 }
 
 // evaluateSpec is Evaluate for an explicit platform spec (used by the
-// SKU-variation study, which runs on perturbed units). Every cell of
-// the workloads × strategies grid executes on a freshly booted
-// simulated platform, so the cells run concurrently on a pool bounded
-// by GOMAXPROCS; results are written into pre-sized slots and
-// assembled in display order, keeping the figure byte-identical to a
-// serial evaluation.
+// SKU-variation study, which runs on perturbed units) over the
+// workloads the platform supports.
 func evaluateSpec(ctx context.Context, spec platform.Spec, metricName string, opts Options) (*EfficiencyFigure, error) {
+	return evaluateWorkloads(ctx, spec, workloads.ForPlatform(spec.Name), metricName, opts)
+}
+
+// evaluateWorkloads runs the workloads × strategies grid. Every run
+// executes on a freshly booted simulated platform, so the grid's jobs
+// run concurrently on a pool bounded by GOMAXPROCS; results are
+// written into pre-sized slots and assembled in display order, keeping
+// the figure byte-identical to a serial evaluation.
+//
+// Nothing is simulated twice: each workload's schedule is built once
+// and shared read-only by all of its runs, and the CPU cell is the
+// Oracle sweep's α = 0 candidate (the same run as sched.CPUOnly).
+func evaluateWorkloads(ctx context.Context, spec platform.Spec, wls []workloads.Workload, metricName string, opts Options) (*EfficiencyFigure, error) {
 	opts = opts.withDefaults()
 	metric, err := metrics.ByName(metricName)
 	if err != nil {
@@ -149,30 +159,32 @@ func evaluateSpec(ctx context.Context, spec platform.Spec, metricName string, op
 		}
 	}
 
+	// The CPU strategy heads the display order; its cell comes from the
+	// Oracle sweep, so only the others run as jobs of their own.
+	cpuName := sched.CPUOnly().Name()
 	strategies := []sched.Strategy{
-		sched.CPUOnly(),
 		sched.GPUOnly(),
 		sched.Perf(opts.EAS),
 		sched.EAS(opts.EAS),
 	}
-	oracleStrat := sched.Oracle(opts.OracleStep)
 
 	fig := &EfficiencyFigure{
-		ID:       figureID(spec.Name, metricName),
-		Platform: spec.Name,
-		Metric:   metricName,
-		Cells:    map[string]map[string]Cell{},
-		Oracle:   map[string]sched.Result{},
+		ID:         figureID(spec.Name, metricName),
+		Platform:   spec.Name,
+		Metric:     metricName,
+		Strategies: []string{cpuName},
+		Cells:      map[string]map[string]Cell{},
+		Oracle:     map[string]sched.Result{},
 	}
 	for _, s := range strategies {
 		fig.Strategies = append(fig.Strategies, s.Name())
 	}
 
-	// One job per cell: index j decomposes as (workload, slot) with
-	// slot 0 the Oracle and slot i>0 strategies[i-1]. Serial mode runs
-	// the same jobs on one worker in index order — exactly the old
-	// nested loop.
-	wls := workloads.ForPlatform(spec.Name)
+	// One job per run: index j decomposes as (workload, slot) with slot
+	// 0 the Oracle sweep (which also yields the CPU cell) and slot i>0
+	// strategies[i-1]. Serial mode runs the same jobs on one worker in
+	// index order.
+	wls = shareSchedules(wls, spec.Name, opts.Seed)
 	for _, w := range wls {
 		fig.Workloads = append(fig.Workloads, w.Abbrev)
 	}
@@ -180,7 +192,7 @@ func evaluateSpec(ctx context.Context, spec platform.Spec, metricName string, op
 	oracleRes := make([]sched.Result, len(wls))
 	cellRes := make([][]sched.Result, len(wls))
 	for i := range cellRes {
-		cellRes[i] = make([]sched.Result, len(strategies))
+		cellRes[i] = make([]sched.Result, slots)
 	}
 	workers := 0
 	if opts.Serial {
@@ -190,11 +202,16 @@ func evaluateSpec(ctx context.Context, spec platform.Spec, metricName string, op
 		wi, si := j/slots, j%slots
 		w := wls[wi]
 		if si == 0 {
-			res, err := oracleStrat.Run(ctx, w, spec, model, metric, opts.Seed)
+			cands, err := sched.OracleSweep(ctx, opts.OracleStep, w, spec, metric, opts.Seed)
+			if err == nil {
+				oracleRes[wi], err = sched.OracleBest(cands)
+			}
 			if err != nil {
 				return fmt.Errorf("report: oracle on %s: %w", w.Abbrev, err)
 			}
-			oracleRes[wi] = res
+			cpu := cands[0]
+			cpu.Strategy = cpuName
+			cellRes[wi][0] = cpu
 			return nil
 		}
 		s := strategies[si-1]
@@ -202,7 +219,7 @@ func evaluateSpec(ctx context.Context, spec platform.Spec, metricName string, op
 		if err != nil {
 			return fmt.Errorf("report: %s on %s: %w", s.Name(), w.Abbrev, err)
 		}
-		cellRes[wi][si-1] = res
+		cellRes[wi][si] = res
 		return nil
 	})
 	if err != nil {
@@ -212,14 +229,41 @@ func evaluateSpec(ctx context.Context, spec platform.Spec, metricName string, op
 	for wi, w := range wls {
 		fig.Oracle[w.Abbrev] = oracleRes[wi]
 		fig.Cells[w.Abbrev] = map[string]Cell{}
-		for si, s := range strategies {
-			fig.Cells[w.Abbrev][s.Name()] = Cell{
+		for si, name := range fig.Strategies {
+			fig.Cells[w.Abbrev][name] = Cell{
 				Result:        cellRes[wi][si],
 				EfficiencyPct: metrics.Efficiency(oracleRes[wi].Value, cellRes[wi][si].Value),
 			}
 		}
 	}
 	return fig, nil
+}
+
+// shareSchedules returns copies of wls whose Schedule builds the
+// (platformName, seed) schedule once, on first use, and hands every
+// later caller the same slice, which they must treat as read-only.
+// Every run of the grid asks for exactly that schedule; any other
+// arguments are an error. The copies live only as long as the
+// evaluation that made them.
+func shareSchedules(wls []workloads.Workload, platformName string, seed int64) []workloads.Workload {
+	out := make([]workloads.Workload, len(wls))
+	for i, w := range wls {
+		build := w.Schedule
+		var (
+			once sync.Once
+			invs []workloads.Invocation
+			err  error
+		)
+		w.Schedule = func(p string, s int64) ([]workloads.Invocation, error) {
+			if p != platformName || s != seed {
+				return nil, fmt.Errorf("report: schedule of %s shared for (%s, %d), asked for (%s, %d)", w.Abbrev, platformName, seed, p, s)
+			}
+			once.Do(func() { invs, err = build(p, s) })
+			return invs, err
+		}
+		out[i] = w
+	}
+	return out
 }
 
 // Render writes the figure as a table: one row per workload, one

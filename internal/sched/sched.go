@@ -178,23 +178,51 @@ type oracle struct {
 }
 
 // Oracle returns the paper's baseline: the best fixed ratio found by
-// exhaustive search over α ∈ {0, step, …, 1} (paper: step = 0.1).
+// exhaustive search over OracleSweep's α grid (paper: step = 0.1).
 func Oracle(step float64) Strategy {
+	return oracle{step: oracleStep(step)}
+}
+
+// oracleStep normalizes an Oracle grid step: values outside (0, 0.5]
+// select the paper's 0.1.
+func oracleStep(step float64) float64 {
 	if step <= 0 || step > 0.5 {
-		step = 0.1
+		return 0.1
 	}
-	return oracle{step: step}
+	return step
 }
 
 func (o oracle) Name() string { return "Oracle" }
 
 func (o oracle) Run(ctx context.Context, w workloads.Workload, spec platform.Spec, _ *powerchar.Model, metric metrics.Metric, seed int64) (Result, error) {
-	// Every fixed-ratio run boots its own platform, so the exhaustive
-	// sweep fans out across the worker pool; candidates land in
-	// per-index slots and the winner is picked by the same low-to-high
-	// scan as the serial search (ties break toward smaller α).
+	cands, err := OracleSweep(ctx, o.step, w, spec, metric, seed)
+	if err != nil {
+		return Result{}, err
+	}
+	return OracleBest(cands)
+}
+
+// OracleSweep runs the workload at every α of the Oracle's grid and
+// returns one candidate per α, low to high. The grid accumulates
+// alpha += step from 0 while alpha ≤ 1+1e-9, so its points carry the
+// float rounding of the sum: with the paper's step 0.1 they are 0,
+// 0.1, 0.2, 0.30000000000000004, …, 0.9999999999999999 — the last
+// point is not 1. Candidate 0 is exactly α = 0, the same run as
+// CPUOnly (only the Strategy label differs), so a caller that needs
+// both may take the CPU result from here. The GPU result cannot be
+// taken the same way: the last point leaves a ~1e-16 share of every
+// invocation to the CPU, so its GPU share, time and energy differ from
+// GPUOnly's α = 1 run (BFS on the desktop: 168.129071 ms against
+// 168.129166 ms). Moving the grid onto exact multiples of step would
+// change those candidates, and with them the pinned figures. step is
+// normalized as Oracle normalizes it.
+//
+// Every fixed-ratio run boots its own platform, so the sweep fans out
+// across the worker pool with candidates in per-index slots.
+func OracleSweep(ctx context.Context, step float64, w workloads.Workload, spec platform.Spec, metric metrics.Metric, seed int64) ([]Result, error) {
+	step = oracleStep(step)
 	var alphas []float64
-	for alpha := 0.0; alpha <= 1+1e-9; alpha += o.step {
+	for alpha := 0.0; alpha <= 1+1e-9; alpha += step {
 		a := alpha
 		if a > 1 {
 			a = 1
@@ -217,18 +245,22 @@ func (o oracle) Run(ctx context.Context, w workloads.Workload, spec platform.Spe
 		return nil
 	})
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	best := Result{}
-	found := false
-	for _, c := range cands {
-		if !found || c.Value < best.Value {
-			found = true
+	return cands, nil
+}
+
+// OracleBest picks the Oracle's result from an OracleSweep: the lowest
+// metric value by a low-to-high scan, so ties break toward smaller α.
+func OracleBest(cands []Result) (Result, error) {
+	if len(cands) == 0 {
+		return Result{}, fmt.Errorf("sched: oracle found no feasible ratio")
+	}
+	best := cands[0]
+	for _, c := range cands[1:] {
+		if c.Value < best.Value {
 			best = c
 		}
-	}
-	if !found {
-		return Result{}, fmt.Errorf("sched: oracle found no feasible ratio for %s", w.Abbrev)
 	}
 	return best, nil
 }
