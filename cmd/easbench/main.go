@@ -4,7 +4,7 @@
 // Usage:
 //
 //	easbench [-fig 9|10|11|12|all] [-table1] [-seed N] [-oracle-step S]
-//	easbench -concurrent N   (multi-tenant throughput demo)
+//	easbench -overload 4     (open-loop multi-tenant overload soak)
 //
 // With no flags it reproduces everything: Table 1 and Figures 9-12.
 package main
@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 	"time"
 
 	"github.com/hetsched/eas"
@@ -38,10 +37,6 @@ func main() {
 	ablations := flag.Bool("ablations", false, "run the ablation studies (poly order, alpha step, curves, profiling, thresholds)")
 	contention := flag.String("contention", "", "run the GPU-contention study for this workload abbreviation")
 	dynOracle := flag.Bool("dyn-oracle", false, "run the dynamic per-invocation oracle study")
-	concurrent := flag.Int("concurrent", 0, "run the multi-tenant throughput demo with this many concurrent tenants")
-	coalesce := flag.Bool("coalesce", false, "coalesce concurrent same-kernel scheduling decisions in the -concurrent demo")
-	tableTTL := flag.Duration("table-ttl", 0, "re-profile alpha-table records older than this (0 = never; enables the fresh-entry fast path)")
-	minConfidence := flag.Int("min-confidence", 0, "recorded invocations a record needs before the fast path may skip a periodic re-profile")
 	overload := flag.Float64("overload", 0, "run the open-loop overload soak at this multiple of measured capacity (e.g. 4)")
 	overloadTenants := flag.Int("overload-tenants", 6, "tenant identities for -overload")
 	overloadDuration := flag.Duration("overload-duration", 2*time.Second, "arrival-generation window for -overload")
@@ -53,11 +48,11 @@ func main() {
 	modelCache := flag.String("model-cache", "", "JSON file persisting characterization models across invocations (loaded at start, saved on exit)")
 	chaos := flag.Int64("chaos", 0, "run the degraded-telemetry chaos demo with this seed (0 = off)")
 	sensorFaults := flag.String("sensor-faults", "", "fault spec for -chaos, e.g. \"stuck=6,noise=0.5,lie=0.1x2\" (empty = seeded random storm)")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the scheduling decisions to this file (observed runs: -concurrent, -chaos)")
+	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the scheduling decisions to this file (observed runs: -overload, -chaos, -warmstart)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /debug/trace on this HOST:PORT while the run executes")
 	flightDir := flag.String("flight-dir", "", "arm the flight recorder and write incident dumps (JSON) into this directory on anomaly triggers")
 	pprofOn := flag.Bool("pprof", false, "with -metrics-addr: also mount Go pprof profiling endpoints under /debug/pprof/")
-	statePath := flag.String("state", "", "persist the learned α table to FILE (WAL at FILE.wal); applies to -concurrent and -warmstart")
+	statePath := flag.String("state", "", "persist the learned α table to FILE (WAL at FILE.wal); used by -warmstart")
 	warmstart := flag.Bool("warmstart", false, "run the kill-restart warm-start soak (needs -state): soak, hard-stop with a torn WAL, restart warm, restart stale")
 	warmstartTenants := flag.Int("warmstart-tenants", 4, "tenant identities for -warmstart")
 	warmstartRuns := flag.Int("warmstart-runs", 6, "invocations per tenant in the -warmstart cold phase")
@@ -172,18 +167,6 @@ func main() {
 			Assert:    *warmstartAssert,
 		}, observer)
 		if err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	if *concurrent > 0 {
-		decision := eas.DecisionPolicy{
-			Coalesce:      *coalesce,
-			TableTTL:      *tableTTL,
-			MinConfidence: *minConfidence,
-		}
-		if err := runConcurrent(*concurrent, decision, *statePath, observer); err != nil {
 			fail(err)
 		}
 		return
@@ -341,97 +324,6 @@ func runAblations() {
 		report.RenderAblation(os.Stdout, s.title, rows)
 		fmt.Println()
 	}
-}
-
-// runConcurrent demonstrates the multi-tenant scheduling core: N
-// tenants share one Runtime, each invoking its own kernel repeatedly.
-// The admission gate serializes the scheduling decisions FIFO while the
-// functional work runs on the shared pool, so per-tenant α and energy
-// stay honest however many tenants contend.
-func runConcurrent(tenants int, decision eas.DecisionPolicy, statePath string, observer *eas.Observer) error {
-	model, err := eas.Characterize(eas.DesktopPlatform())
-	if err != nil {
-		return err
-	}
-	rt, err := eas.NewRuntime(eas.DesktopPlatform(), eas.Config{
-		Metric: eas.EDP, Model: model, Decision: decision, Observer: observer,
-		State: eas.StatePolicy{Path: statePath},
-	})
-	if err != nil {
-		return err
-	}
-	defer rt.Close()
-
-	const (
-		runsEach = 8
-		n        = 100000
-	)
-	type tenantStat struct {
-		name      string
-		alpha     float64
-		energyJ   float64
-		simTime   time.Duration
-		coalesced int
-		fastPath  int
-	}
-	stats := make([]tenantStat, tenants)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < tenants; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Alternate compute- and memory-bound tenants so the table
-			// ends up with a spread of α decisions.
-			k := eas.Kernel{
-				Name:         fmt.Sprintf("tenant-%d", g),
-				FLOPsPerItem: 20000, MemOpsPerItem: 20, L3MissRatio: 0.02, InstructionsPerItem: 3000,
-			}
-			if g%2 == 1 {
-				k.FLOPsPerItem, k.MemOpsPerItem, k.L3MissRatio, k.InstructionsPerItem = 10, 100, 0.6, 500
-			}
-			st := tenantStat{name: k.Name}
-			for r := 0; r < runsEach; r++ {
-				rep, err := rt.ParallelFor(k, n)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "easbench: tenant %d: %v\n", g, err)
-					return
-				}
-				st.alpha = rep.Alpha
-				st.energyJ += rep.EnergyJ
-				st.simTime += rep.Duration
-				if rep.Coalesced {
-					st.coalesced++
-				}
-				if rep.FastPath {
-					st.fastPath++
-				}
-			}
-			stats[g] = st
-		}(g)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	fmt.Printf("multi-tenant demo: %d tenants x %d invocations of %d items on one shared runtime\n\n",
-		tenants, runsEach, n)
-	fmt.Printf("%12s %8s %12s %14s\n", "tenant", "α", "sim time", "sim energy (J)")
-	for _, st := range stats {
-		fmt.Printf("%12s %8.2f %12v %14.2f\n", st.name, st.alpha, st.simTime.Round(time.Microsecond), st.energyJ)
-	}
-	fmt.Printf("\n%d invocations admitted FIFO in %v wall time (%.0f invocations/s)\n",
-		tenants*runsEach, wall.Round(time.Microsecond),
-		float64(tenants*runsEach)/wall.Seconds())
-	if decision != (eas.DecisionPolicy{}) {
-		coalesced, fastPath := 0, 0
-		for _, st := range stats {
-			coalesced += st.coalesced
-			fastPath += st.fastPath
-		}
-		fmt.Printf("decision path: %d coalesced, %d fast-path of %d invocations\n",
-			coalesced, fastPath, tenants*runsEach)
-	}
-	return nil
 }
 
 func fail(err error) {

@@ -1,10 +1,10 @@
 package main
 
 // Open-loop multi-tenant overload generator for the admission gate.
-// Unlike -concurrent (closed loop: each tenant waits for its previous
-// invocation), arrivals here are generated at a fixed
-// offered rate regardless of completions — the only regime in which an
-// overloaded system actually shows its failure mode. The offered rate
+// Unlike a closed loop, where each tenant waits for its previous
+// invocation, arrivals here are generated at a fixed offered rate
+// regardless of completions — the only regime in which an overloaded
+// system actually shows its failure mode. The offered rate
 // is a multiple of the measured scheduling capacity, so "-overload 4"
 // means 4x what the gate can serve and the controller MUST shed.
 //

@@ -580,7 +580,7 @@ func (r *Runtime) ParallelForCtx(ctx context.Context, k Kernel, n int) (*Report,
 		}
 	}
 	out.Finished = time.Now()
-	r.finishScope(ctx, sc, core.StatsFor(rep), k.Name, out, started)
+	r.finishScope(ctx, sc, rep, k.Name, out)
 	return out, nil
 }
 

@@ -26,19 +26,19 @@ import (
 // solo decisions; they never re-join, so a persistently failing leader
 // cannot livelock the population.
 
-// Decision is the published outcome of one coalesced scheduling
-// decision: everything a follower needs to execute at the leader's α
-// without re-running online profiling or the α search.
+// Decision is the outcome of one scheduling decision, whatever its
+// source — profile + α search, table replay, or a coalesced leader.
+// Published to a flight, it is everything a follower needs to execute
+// at the leader's α without re-running online profiling or the α
+// search.
 type Decision struct {
 	// Alpha is the GPU offload ratio the leader chose.
 	Alpha float64
 	// Category is the workload class whose power curve won the search.
 	Category wclass.Category
-	// RC and RG are the leader's measured combined-mode throughputs
-	// (zero when the leader published a replayed α).
-	RC, RG float64
 	// PredictedPower and PredictedTime are the model's estimates at
-	// Alpha (diagnostics, mirrored into follower reports).
+	// Alpha (diagnostics, mirrored into follower reports; zero when the
+	// α was replayed rather than searched).
 	PredictedPower, PredictedTime float64
 }
 

@@ -495,25 +495,34 @@ func (s *Scheduler) ParallelForCtx(ctx context.Context, k engine.Kernel, n int) 
 		if err != nil {
 			sc.End(obs.Str("error", err.Error()))
 		} else {
-			st := StatsFor(rep)
-			st.Kernel = k.Name
-			req := RequestFromContext(ctx)
-			st.Tenant = req.Tenant
-			st.Class = req.Class.String()
-			st.Seconds = sc.Elapsed().Seconds()
-			sc.End(obs.Num("alpha", rep.Alpha), obs.Num("energy_j", rep.EnergyJ))
-			o.RecordInvocation(st)
+			FinishInvocation(ctx, o, sc, k.Name, StatsFor(rep),
+				obs.Num("alpha", rep.Alpha), obs.Num("energy_j", rep.EnergyJ))
 		}
 		return rep, err
 	}
 	return s.ParallelForScoped(ctx, k, n, obs.Scope{})
 }
 
+// FinishInvocation closes a completed invocation's root scope with
+// attrs and records its metric deltas in o, once. st gains the kernel
+// name, the tenant and class the caller was admitted under, and the
+// scope's wall-clock latency; a caller that knows a more specific
+// fallback reason, α or retry count amends st before calling.
+func FinishInvocation(ctx context.Context, o *obs.Observer, sc obs.Scope, kernel string, st obs.InvocationStats, attrs ...obs.Attr) {
+	st.Kernel = kernel
+	req := RequestFromContext(ctx)
+	st.Tenant = req.Tenant
+	st.Class = req.Class.String()
+	st.Seconds = sc.Elapsed().Seconds()
+	sc.End(attrs...)
+	o.RecordInvocation(st)
+}
+
 // StatsFor summarizes a completed invocation's report as the metric
 // deltas the observer registry records. Callers that open their own
 // scope via ParallelForScoped fold these in exactly once per
-// invocation (amending the fallback reason if they know a more
-// specific one); the ParallelForCtx path does it automatically.
+// invocation through FinishInvocation; the ParallelForCtx path does it
+// automatically.
 func StatsFor(rep Report) obs.InvocationStats {
 	st := obs.InvocationStats{
 		Seconds:        rep.Duration.Seconds(),
@@ -550,7 +559,7 @@ func StatsFor(rep Report) obs.InvocationStats {
 // Explain decision audit), and remainder execution are emitted as
 // children of sc, and instant events mark retries, fallbacks, and
 // breaker suppressions. The caller owns the scope's lifecycle — it
-// calls sc.End and records invocation metrics (see StatsFor) itself.
+// finishes it with FinishInvocation (see StatsFor) itself.
 // A zero Scope (or one from a nil observer) disables all of it.
 func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n int, sc obs.Scope) (Report, error) {
 	if n <= 0 {
@@ -569,12 +578,12 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 			// This invocation leads a coalesced flight and must resolve
 			// it exactly once, on every exit — including a cancelled
 			// admission Acquire or a load shed that never reaches
-			// the decision body. Publishing happens inline at the
-			// decision points in parallelFor; any other exit reaches
-			// this deferred abort, which sends the flight's followers to
-			// solo decisions. The flight only leaves the map here, after
-			// the table is updated, so a late same-kernel arrival shares
-			// the decision instead of profiling again.
+			// the decision body. parallelFor publishes from its one site
+			// after decide; any other exit reaches this deferred abort,
+			// which sends the flight's followers to solo decisions. The
+			// flight only leaves the map here, after the table is
+			// updated, so a late same-kernel arrival shares the decision
+			// instead of profiling again.
 			defer func() {
 				if plan.flight.abort() {
 					s.coal.recordAbort()
@@ -635,14 +644,21 @@ func (s *Scheduler) holdAdmission(runCtx context.Context, sc obs.Scope, d time.D
 
 // joinCoalesce decides this invocation's role in the decision
 // singleflight. An invocation that would not profile (replay, small-N)
-// stays solo. Otherwise it joins the kernel's flight: the creator
-// leads — it proceeds to the gate and runs the one profile + α search,
-// resolving the flight on the way out — and everyone else parks here,
-// *before* queueing at the admission gate (the leader holds the gate
-// for its whole invocation, so waiting after Acquire would deadlock),
-// until the leader publishes or aborts.
+// stays solo; the check is decide's own profileDue read outside the
+// gate, where it may race with a concurrent accumulate — a stale answer
+// only costs a redundant flight, never correctness. Otherwise it joins
+// the kernel's flight: the creator leads — it proceeds to the gate and
+// runs the one profile + α search, resolving the flight on the way out
+// — and everyone else parks here, *before* queueing at the admission
+// gate (the leader holds the gate for its whole invocation, so waiting
+// after Acquire would deadlock), until the leader publishes or aborts.
 func (s *Scheduler) joinCoalesce(ctx context.Context, k engine.Kernel, n int, sc obs.Scope, ent *kernelEntry) (invPlan, error) {
-	if float64(n) < float64(s.eng.Platform().GPUProfileSize()) || !s.wouldProfile(ent) {
+	if float64(n) < float64(s.eng.Platform().GPUProfileSize()) {
+		return invPlan{}, nil
+	}
+	var rec record
+	ok := ent.snapshot(&rec)
+	if due, _ := s.profileDue(rec, ok); !due {
 		return invPlan{}, nil
 	}
 	f, leader := s.coal.join(k.Name)
@@ -682,42 +698,6 @@ func (s *Scheduler) joinCoalesce(ctx context.Context, k engine.Kernel, n int, sc
 		wait.End(obs.Str("outcome", "aborted"))
 	}
 	return invPlan{}, nil
-}
-
-// wouldProfile mirrors parallelFor's needProfile decision from outside
-// the admission gate — the coalesce-eligibility pre-check. It may race
-// with a concurrent accumulate; a stale answer only costs a redundant
-// flight, never correctness.
-func (s *Scheduler) wouldProfile(ent *kernelEntry) bool {
-	var rec record
-	if !ent.snapshot(&rec) || !rec.profiled || rec.reprofile {
-		return true
-	}
-	if s.tableStale(rec) {
-		return true
-	}
-	if s.opts.ReprofileEvery > 0 && (rec.invocations+1)%s.opts.ReprofileEvery == 0 {
-		return !s.fastFresh(rec)
-	}
-	return false
-}
-
-// tableStale reports whether the record's α has outlived
-// Options.Decision.TableTTL.
-func (s *Scheduler) tableStale(rec record) bool {
-	return s.opts.Decision.TableTTL > 0 && !rec.updatedAt.IsZero() &&
-		time.Since(rec.updatedAt) > s.opts.Decision.TableTTL
-}
-
-// fastFresh reports whether the record is confident enough for the
-// fast path to skip a periodic re-profile. With both knobs zero it is
-// always false; freshness itself is tableStale's job — callers check
-// it first.
-func (s *Scheduler) fastFresh(rec record) bool {
-	if s.opts.Decision.TableTTL == 0 && s.opts.Decision.MinConfidence == 0 {
-		return false
-	}
-	return s.opts.Decision.MinConfidence <= 0 || rec.invocations >= s.opts.Decision.MinConfidence
 }
 
 // recordAdmitFailure closes a failed admission wait's span and
@@ -792,320 +772,346 @@ func (s *Scheduler) runAdmitted(k engine.Kernel, n int, sc obs.Scope, plan invPl
 	return rep, nil
 }
 
-// parallelFor is the EAS algorithm proper; the caller holds the
-// admission gate.
+// parallelFor is the EAS algorithm proper (Fig. 7); the caller holds
+// the admission gate. Three CPU-only exits decide nothing; every other
+// invocation runs decide → execute → account over one Decision. A
+// flight-leading plan is resolved by ParallelForScoped's deferred
+// abort/finish, which also covers exits that never publish.
 func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, plan invPlan, ent *kernelEntry) (Report, error) {
-	// A flight-leading plan is resolved by ParallelForScoped's deferred
-	// abort/finish, which also covers exits that never reach this body.
+	items := float64(n)
 	// GPU owned by another application (the A26 check): CPU-only run,
 	// nothing recorded. The breaker counts it like any other
 	// GPU-unavailable fallback.
 	if s.eng.Platform().GPUBusy() {
 		sc.Event("gpu-busy-upfront")
-		res, err := s.eng.Run(engine.Phase{Kernel: k, PoolItems: float64(n)})
-		if err != nil {
-			return Report{}, err
-		}
-		s.breaker.RecordFallback()
-		return s.addResult(res, Report{GPUBusyFallback: true}), nil
+		return s.busyFallback(k, items, Report{})
 	}
-
-	profileSize := float64(s.eng.Platform().GPUProfileSize())
-	var rec record
-	ok := ent.snapshot(&rec)
-	known := ok && rec.profiled
-
 	// Too little parallelism to fill the GPU: multi-core CPU alone
-	// (Fig. 7 steps 6-10). The run is not recorded: a tiny frontier
-	// says nothing about how larger invocations should split.
-	if float64(n) < profileSize {
+	// (Fig. 7 steps 6-10). A tiny frontier says nothing about how larger
+	// invocations should split.
+	if items < float64(s.eng.Platform().GPUProfileSize()) {
 		sc.Event("small-n-cpu-only")
-		res, err := s.eng.Run(engine.Phase{Kernel: k, PoolItems: float64(n)})
-		if err != nil {
-			return Report{}, err
-		}
-		return s.addResult(res, Report{}), nil
+		return s.cpuOnly(k, items, Report{})
 	}
-
 	// Circuit breaker open: the GPU has been failing every recent
-	// invocation, so stop paying dispatch+timeout latency and run
-	// CPU-only. Not recorded — a suppressed run says nothing about the
-	// kernel's best split.
+	// invocation, so stop paying dispatch+timeout latency.
 	if !s.breaker.Allow() {
 		sc.Event("breaker-suppressed")
-		res, err := s.eng.Run(engine.Phase{Kernel: k, PoolItems: float64(n)})
-		if err != nil {
-			return Report{}, err
-		}
-		return s.addResult(res, Report{BreakerOpen: true}), nil
+		return s.cpuOnly(k, items, Report{BreakerOpen: true})
 	}
 
-	rep := Report{}
-	nrem := float64(n)
-	var alpha float64
-	// rec.invocations counts completed recorded invocations, so this
-	// one's ordinal is rec.invocations+1; it re-profiles when that
-	// ordinal is a multiple of k, making k=1 profile every invocation
-	// and k=2 fire first on the 2nd (not 3rd) invocation. A
-	// quarantined profile also forces a re-profile (rec.reprofile).
-	needProfile := !known || rec.reprofile ||
-		(s.opts.ReprofileEvery > 0 && (rec.invocations+1)%s.opts.ReprofileEvery == 0)
-	if known && !rec.reprofile {
-		if s.tableStale(rec) {
-			// The remembered α outlived its TTL: too old to trust, even
-			// if no periodic re-profile was due.
-			needProfile = true
-		} else if needProfile && s.fastFresh(rec) {
-			// Fresh-entry fast path: the record is young and confident
-			// enough that the periodic re-profile would just re-measure
-			// what the table already knows.
-			needProfile = false
-			rep.FastPath = true
-		}
-	}
-
-	quarantined := false
-	if plan.forced != nil {
-		// Coalesced follower: execute the full iteration count at the
-		// leader's published α — no profiling, no search.
-		dec := *plan.forced
-		alpha = dec.Alpha
+	var rep Report
+	dec, src, nrem, err := s.decide(k, items, sc, plan, ent, &rep)
+	if err == nil {
+		// Every source's Decision reaches the report, the robust meter's
+		// substitute power and the flight's followers here, and only here.
+		rep.Alpha = dec.Alpha
 		rep.Category = dec.Category
-		rep.CatKnown = true
-		rep.Coalesced = true
-		rep.PredictedPower = dec.PredictedPower
-		rep.PredictedTime = dec.PredictedTime
-		if s.rmeter != nil {
+		rep.CatKnown = src != fromNone
+		rep.PredictedPower, rep.PredictedTime = dec.PredictedPower, dec.PredictedTime
+		rep.Coalesced = src == fromLeader
+		if s.rmeter != nil && rep.CatKnown {
 			if curve, ok := s.curve(dec.Category); ok {
 				s.invPredW = curve.Power(dec.Alpha)
 			}
 		}
-	} else if known && !needProfile {
-		// Fig. 7 steps 2-4: reuse the accumulated α.
-		alpha = rec.alpha
-		rep.Category = rec.category
-		rep.CatKnown = true
-		if s.rmeter != nil {
-			if curve, ok := s.curve(rec.category); ok {
-				s.invPredW = curve.Power(rec.alpha)
-			}
-		}
-		if plan.flight != nil {
-			// A leader that landed on the replay path (another
-			// invocation filled the table between join and admission)
-			// still publishes, so its followers replay the same α
-			// instead of stalling until the deferred abort.
-			plan.flight.publish(Decision{Alpha: alpha, Category: rec.category})
-		}
-	} else {
-		// Fig. 7 steps 11-22: repeated online profiling over the first
-		// half of the iterations.
-		var prof obs.Timed
-		if sc.Enabled() {
-			prof = sc.Span("profile")
-		}
-		var acc, prev profile.Observation
-		chunk := profileSize
-		stopAt := float64(n) * (1 - profileShare)
-		for nrem > stopAt && nrem > 0 {
-			gpuChunk := chunk
-			if gpuChunk > nrem {
-				gpuChunk = nrem
-			}
-			var step obs.Timed
-			if prof.Enabled() {
-				step = prof.Child("profile-step")
-			}
-			var ob profile.Observation
-			var remaining float64
-			err := s.retryBusy(&rep, sc, func() error {
-				var e error
-				ob, remaining, e = profile.Step(s.eng, k, gpuChunk, nrem-gpuChunk)
-				return e
-			})
-			if errors.Is(err, engine.ErrGPUBusy) {
-				// The GPU became (and stayed) busy mid-profiling: finish
-				// the invocation CPU-only and remember nothing.
-				if step.Enabled() {
-					step.End(obs.Str("outcome", "gpu-busy"))
-					prof.End(obs.Num("steps", float64(rep.ProfileSteps)))
-				}
-				return s.cpuFallback(k, nrem, rep, sc)
-			}
-			if err != nil {
-				return Report{}, err
-			}
-			if step.Enabled() {
-				step.End(obs.Num("gpu_chunk", gpuChunk),
-					obs.Num("rc", ob.RC), obs.Num("rg", ob.RG))
-			}
-			rep.ProfileSteps++
-			if rep.ProfileSteps == 1 {
-				acc = ob
+		if plan.flight != nil && (src == fromProfile || src == fromTable) {
+			if src == fromProfile && s.eng.FaultPlan().TakeCoalesceLeaderFail() {
+				// Injected leader failure: the decision is ready but never
+				// published — the deferred abort wakes the followers into
+				// their solo fallback. The leader's own invocation
+				// continues unharmed.
+				sc.Event("coalesce-leader-fail")
 			} else {
-				acc = profile.Merge(acc, ob)
-			}
-			rep.Duration += ob.Duration
-			rep.ProfileDuration += ob.Duration
-			rep.EnergyJ += s.measureEnergy(ob.Duration, ob.EnergyJ)
-			rep.CPUItems += ob.CPUItems
-			rep.GPUItems += ob.GPUItems
-			nrem = remaining
-			if s.opts.MaxProfileSteps > 0 && rep.ProfileSteps >= s.opts.MaxProfileSteps {
-				break
-			}
-			if s.opts.ConvergeTol > 0 && rep.ProfileSteps >= 2 &&
-				within(ob.RC, prev.RC, s.opts.ConvergeTol) &&
-				within(ob.RG, prev.RG, s.opts.ConvergeTol) {
-				break
-			}
-			prev = ob
-			if s.opts.GrowProfileChunk {
-				chunk *= 2
+				plan.flight.publish(dec)
 			}
 		}
-		if prof.Enabled() {
-			prof.End(obs.Num("steps", float64(rep.ProfileSteps)),
-				obs.Num("rc", acc.RC), obs.Num("rg", acc.RG))
-		}
-		rep.Profiled = true
-		if s.opts.Robustness.ValidateProfiles {
-			san, clamped, qerr := s.env.Sanitize(acc)
-			if qerr != nil {
-				// The profile is physically impossible: never let it
-				// near the α table. Replay the last known-good split
-				// (or CPU-only for unknown kernels) and force a fresh
-				// profile next invocation.
-				quarantined = true
-				rep.ProfileQuarantined = true
-				if sc.Enabled() {
-					sc.Event("profile-quarantined", obs.Str("cause", qerr.Error()))
-				}
-				ent.markReprofile()
-				if s.store != nil {
-					s.persistReprofile(k.Name)
-				}
-				if known {
-					alpha = rec.alpha
-					rep.Category = rec.category
-					rep.CatKnown = true
-				}
-			} else {
-				acc = san
-				rep.ProfileSanitized = clamped
-			}
-		}
-		if !quarantined {
-			rep.Category = acc.ClassifyWith(nrem, s.opts.ShortLongThreshold, s.opts.MemoryBoundThreshold)
-			rep.CatKnown = true
-			curve, ok := s.curve(rep.Category)
-			if !ok {
-				return Report{}, fmt.Errorf("core: characterization has no curve for %s", rep.Category)
-			}
-			tm := TimeModel{RC: acc.RC, RG: acc.RG}
-			if !tm.Valid() {
-				return Report{}, fmt.Errorf("core: profiling produced no usable throughputs for kernel %q", k.Name)
-			}
-			// Search over at least half an invocation's work: profiling may
-			// have consumed nearly everything (small N), and the α chosen
-			// here is what the table replays on *future* invocations, so it
-			// must reflect a representative workload size, not a remnant.
-			searchN := nrem
-			if searchN < float64(n)/2 {
-				searchN = float64(n) / 2
-				rep.Category = acc.ClassifyWith(searchN, s.opts.ShortLongThreshold, s.opts.MemoryBoundThreshold)
-				curve, ok = s.curve(rep.Category)
-				if !ok {
-					return Report{}, fmt.Errorf("core: characterization has no curve for %s", rep.Category)
-				}
-			}
-			var search obs.Timed
-			if sc.Enabled() {
-				search = sc.Span("alpha-search")
-			}
-			if s.opts.RefineAlpha {
-				alpha, _ = BestAlphaRefined(curve, tm, searchN, s.metric, s.opts.AlphaStep, 0)
-			} else {
-				alpha, _ = BestAlpha(curve, tm, searchN, s.metric, s.opts.AlphaStep)
-			}
-			if search.Enabled() {
-				search.EndExplain(s.explain(tm, searchN, alpha, rep.Category))
-			}
-			rep.PredictedTime = tm.Time(alpha, searchN)
-			rep.PredictedPower = curve.Power(alpha)
-			s.invPredW = rep.PredictedPower
-			if plan.flight != nil {
-				if s.eng.FaultPlan().TakeCoalesceLeaderFail() {
-					// Injected leader failure: the decision is ready but
-					// never published — the deferred abort wakes the
-					// followers into their solo fallback. The leader's
-					// own invocation continues unharmed.
-					if sc.Enabled() {
-						sc.Event("coalesce-leader-fail")
-					}
-				} else {
-					plan.flight.publish(Decision{
-						Alpha:          alpha,
-						Category:       rep.Category,
-						RC:             tm.RC,
-						RG:             tm.RG,
-						PredictedPower: rep.PredictedPower,
-						PredictedTime:  rep.PredictedTime,
-					})
-				}
-			}
-		}
+		err = s.execute(k, dec.Alpha, nrem, sc, &rep)
 	}
-	rep.Alpha = alpha
-
-	// Fig. 7 steps 23-25: execute the remainder with the chosen split.
-	if nrem > 0 {
-		var exec obs.Timed
+	if errors.Is(err, engine.ErrGPUBusy) {
+		// The GPU became (and stayed) busy while profiling or executing:
+		// finish the remaining items CPU-only and remember nothing.
 		if sc.Enabled() {
-			exec = sc.Span("execute")
+			sc.Event("cpu-fallback", obs.Num("items", nrem))
 		}
-		var res engine.Result
-		err := s.retryBusy(&rep, sc, func() error {
+		return s.busyFallback(k, nrem, rep)
+	}
+	if err != nil {
+		return Report{}, err
+	}
+	s.account(k.Name, items, ent, &rep)
+	return rep, nil
+}
+
+// source names where an invocation's Decision came from.
+type source uint8
+
+const (
+	fromProfile  source = iota // online profiling + α search (Fig. 7 steps 11-22)
+	fromTable                  // the accumulated α (steps 2-4), fast path included
+	fromLeader                 // a coalesced flight leader's published Decision
+	fromLastGood               // a quarantined profile, replaying the last known-good α
+	fromNone                   // a quarantined profile of a kernel with no known-good α
+)
+
+// profileDue is the one rule for whether an invocation profiles: a
+// kernel without a clean profiled record, a record older than
+// Decision.TableTTL, and every ReprofileEvery-th invocation profile.
+// rec.invocations counts completed recorded invocations, so this one's
+// ordinal is rec.invocations+1: k=1 profiles every invocation and k=2
+// fires first on the 2nd. A periodic re-profile of a fresh, confident
+// record is skipped instead (fastPath). decide applies it under the
+// gate; joinCoalesce reads it outside to pick flight leaders.
+func (s *Scheduler) profileDue(rec record, ok bool) (profile, fastPath bool) {
+	switch {
+	case !ok || !rec.profiled || rec.reprofile:
+		return true, false
+	case s.opts.Decision.TableTTL > 0 && !rec.updatedAt.IsZero() &&
+		time.Since(rec.updatedAt) > s.opts.Decision.TableTTL:
+		// The remembered α outlived its TTL: too old to trust, even if no
+		// periodic re-profile was due.
+		return true, false
+	case s.opts.ReprofileEvery > 0 && (rec.invocations+1)%s.opts.ReprofileEvery == 0:
+		fast := (s.opts.Decision.TableTTL != 0 || s.opts.Decision.MinConfidence != 0) &&
+			rec.invocations >= s.opts.Decision.MinConfidence
+		return !fast, fast
+	}
+	return false, false
+}
+
+// decide resolves the invocation's Decision and names its source: the
+// leader's published decision for a coalesced follower, the table's
+// accumulated α, or online profiling plus the α search — which a
+// quarantined profile turns back into the last known-good α. nrem is
+// what profiling left for execute.
+func (s *Scheduler) decide(k engine.Kernel, n float64, sc obs.Scope, plan invPlan, ent *kernelEntry, rep *Report) (dec Decision, src source, nrem float64, err error) {
+	var rec record
+	present := ent.snapshot(&rec)
+	due, fast := s.profileDue(rec, present)
+	rep.FastPath = fast
+	switch {
+	case plan.forced != nil:
+		// The full iteration count at the leader's α: no profiling, no
+		// search.
+		return *plan.forced, fromLeader, n, nil
+	case !due:
+		return Decision{Alpha: rec.alpha, Category: rec.category}, fromTable, n, nil
+	}
+
+	acc, nrem, err := s.runProfile(k, n, sc, rep)
+	if err != nil {
+		return Decision{}, 0, nrem, err
+	}
+	rep.Profiled = true
+	if s.opts.Robustness.ValidateProfiles {
+		san, clamped, qerr := s.env.Sanitize(acc)
+		if qerr != nil {
+			// The profile is physically impossible: never let it near the
+			// α table. Replay the last known-good split (or CPU-only for
+			// unknown kernels) and force a fresh profile next invocation.
+			rep.ProfileQuarantined = true
+			if sc.Enabled() {
+				sc.Event("profile-quarantined", obs.Str("cause", qerr.Error()))
+			}
+			ent.markReprofile()
+			if s.store != nil {
+				s.persistReprofile(k.Name)
+			}
+			if present && rec.profiled {
+				return Decision{Alpha: rec.alpha, Category: rec.category}, fromLastGood, nrem, nil
+			}
+			return Decision{}, fromNone, nrem, nil
+		}
+		acc, rep.ProfileSanitized = san, clamped
+	}
+
+	// Search over at least half an invocation's work: profiling may have
+	// consumed nearly everything (small N), and the α chosen here is what
+	// the table replays on *future* invocations, so it must reflect a
+	// representative workload size, not a remnant.
+	searchN := max(nrem, n/2)
+	cat := acc.ClassifyWith(searchN, s.opts.ShortLongThreshold, s.opts.MemoryBoundThreshold)
+	curve, ok := s.curve(cat)
+	if !ok {
+		return Decision{}, 0, nrem, fmt.Errorf("core: characterization has no curve for %s", cat)
+	}
+	tm := TimeModel{RC: acc.RC, RG: acc.RG}
+	if !tm.Valid() {
+		return Decision{}, 0, nrem, fmt.Errorf("core: profiling produced no usable throughputs for kernel %q", k.Name)
+	}
+	var search obs.Timed
+	if sc.Enabled() {
+		search = sc.Span("alpha-search")
+	}
+	var alpha float64
+	if s.opts.RefineAlpha {
+		alpha, _ = BestAlphaRefined(curve, tm, searchN, s.metric, s.opts.AlphaStep, 0)
+	} else {
+		alpha, _ = BestAlpha(curve, tm, searchN, s.metric, s.opts.AlphaStep)
+	}
+	if search.Enabled() {
+		search.EndExplain(s.explain(tm, searchN, alpha, cat))
+	}
+	return Decision{
+		Alpha:          alpha,
+		Category:       cat,
+		PredictedPower: curve.Power(alpha),
+		PredictedTime:  tm.Time(alpha, searchN),
+	}, fromProfile, nrem, nil
+}
+
+// runProfile is Fig. 7 steps 11-22: repeated online profiling over the
+// first half of the iterations. Each step's time, energy, items and
+// busy retries go into rep; the merged observation and the items left
+// come back. A GPU busy through a whole retry budget returns
+// engine.ErrGPUBusy with nrem still counting the failed step's items.
+func (s *Scheduler) runProfile(k engine.Kernel, n float64, sc obs.Scope, rep *Report) (acc profile.Observation, nrem float64, err error) {
+	var prof obs.Timed
+	if sc.Enabled() {
+		prof = sc.Span("profile")
+	}
+	var prev profile.Observation
+	nrem = n
+	chunk := float64(s.eng.Platform().GPUProfileSize())
+	stopAt := n * (1 - profileShare)
+	for nrem > stopAt && nrem > 0 {
+		gpuChunk := min(chunk, nrem)
+		var step obs.Timed
+		if prof.Enabled() {
+			step = prof.Child("profile-step")
+		}
+		var ob profile.Observation
+		var remaining float64
+		err = s.retryBusy(rep, sc, func() error {
 			var e error
-			res, e = s.eng.Run(engine.Phase{
-				Kernel:    k,
-				GPUItems:  alpha * nrem,
-				PoolItems: (1 - alpha) * nrem,
-			})
+			ob, remaining, e = profile.Step(s.eng, k, gpuChunk, nrem-gpuChunk)
 			return e
 		})
-		if errors.Is(err, engine.ErrGPUBusy) {
-			if exec.Enabled() {
-				exec.End(obs.Str("outcome", "gpu-busy"))
+		if err != nil {
+			if step.Enabled() && errors.Is(err, engine.ErrGPUBusy) {
+				step.End(obs.Str("outcome", "gpu-busy"))
+				prof.End(obs.Num("steps", float64(rep.ProfileSteps)))
 			}
-			return s.cpuFallback(k, nrem, rep, sc)
+			return acc, nrem, err
 		}
+		if step.Enabled() {
+			step.End(obs.Num("gpu_chunk", gpuChunk),
+				obs.Num("rc", ob.RC), obs.Num("rg", ob.RG))
+		}
+		rep.ProfileSteps++
+		if rep.ProfileSteps == 1 {
+			acc = ob
+		} else {
+			acc = profile.Merge(acc, ob)
+		}
+		rep.Duration += ob.Duration
+		rep.ProfileDuration += ob.Duration
+		rep.EnergyJ += s.measureEnergy(ob.Duration, ob.EnergyJ)
+		rep.CPUItems += ob.CPUItems
+		rep.GPUItems += ob.GPUItems
+		nrem = remaining
+		if s.opts.MaxProfileSteps > 0 && rep.ProfileSteps >= s.opts.MaxProfileSteps {
+			break
+		}
+		if s.opts.ConvergeTol > 0 && rep.ProfileSteps >= 2 &&
+			within(ob.RC, prev.RC, s.opts.ConvergeTol) &&
+			within(ob.RG, prev.RG, s.opts.ConvergeTol) {
+			break
+		}
+		prev = ob
+		if s.opts.GrowProfileChunk {
+			chunk *= 2
+		}
+	}
+	if prof.Enabled() {
+		prof.End(obs.Num("steps", float64(rep.ProfileSteps)),
+			obs.Num("rc", acc.RC), obs.Num("rg", acc.RG))
+	}
+	return acc, nrem, nil
+}
+
+// execute runs the post-profiling remainder at the decided split (Fig.
+// 7 steps 23-25), retrying busy GPU dispatches on the Retry budget. A
+// budget exhausted by a busy GPU returns engine.ErrGPUBusy for
+// parallelFor's CPU-only fallback.
+func (s *Scheduler) execute(k engine.Kernel, alpha, nrem float64, sc obs.Scope, rep *Report) error {
+	if nrem <= 0 {
+		return nil
+	}
+	var exec obs.Timed
+	if sc.Enabled() {
+		exec = sc.Span("execute")
+	}
+	var res engine.Result
+	err := s.retryBusy(rep, sc, func() error {
+		var e error
+		res, e = s.eng.Run(engine.Phase{
+			Kernel:    k,
+			GPUItems:  alpha * nrem,
+			PoolItems: (1 - alpha) * nrem,
+		})
+		return e
+	})
+	if err != nil {
+		if exec.Enabled() && errors.Is(err, engine.ErrGPUBusy) {
+			exec.End(obs.Str("outcome", "gpu-busy"))
+		}
+		return err
+	}
+	if exec.Enabled() {
+		exec.End(obs.Num("gpu_items", alpha*nrem),
+			obs.Num("cpu_items", (1-alpha)*nrem))
+	}
+	s.addResult(rep, res)
+	return nil
+}
+
+// cpuOnly runs items on the CPU pool alone and folds the run into rep.
+// Every CPU-only exit comes through here, and none feeds the α table:
+// a run that never offered the GPU its share says nothing about the
+// kernel's best split.
+func (s *Scheduler) cpuOnly(k engine.Kernel, items float64, rep Report) (Report, error) {
+	if items > 0 {
+		res, err := s.eng.Run(engine.Phase{Kernel: k, PoolItems: items})
 		if err != nil {
 			return Report{}, err
 		}
-		if exec.Enabled() {
-			exec.End(obs.Num("gpu_items", alpha*nrem),
-				obs.Num("cpu_items", (1-alpha)*nrem))
-		}
-		rep = s.addResult(res, rep)
-	}
-
-	// The invocation touched the GPU (profiling chunks and/or an α>0
-	// remainder) and completed without falling back: the device works.
-	if rep.Profiled || alpha > 0 {
-		s.breaker.RecordSuccess()
-	}
-
-	// Fig. 7 step 26: sample-weighted α accumulation across
-	// invocations. A quarantined profile never reaches the table.
-	if !quarantined {
-		if s.store == nil {
-			ent.accumulate(alpha, float64(n), rep.Category, s.opts.Robustness.CategoryHysteresis)
-		} else {
-			s.accumulatePersist(ent, k.Name, alpha, float64(n), rep.Category)
-		}
+		s.addResult(&rep, res)
 	}
 	return rep, nil
+}
+
+// busyFallback is the CPU-only exit for an unavailable GPU — owned by
+// another application up front, or busy through a whole retry budget
+// mid-invocation. The breaker counts it as a GPU fallback.
+func (s *Scheduler) busyFallback(k engine.Kernel, items float64, rep Report) (Report, error) {
+	rep, err := s.cpuOnly(k, items, rep)
+	if err != nil {
+		return Report{}, err
+	}
+	rep.GPUBusyFallback = true
+	rep.Alpha = 0
+	s.breaker.RecordFallback()
+	return rep, nil
+}
+
+// account closes an invocation that ran as decided. Touching the GPU
+// (profiling chunks and/or an α>0 remainder) without falling back
+// proves the device works, so the breaker records a success. Fig. 7
+// step 26 then accumulates the sample-weighted α — through the WAL when
+// state is durable — unless the profile was quarantined.
+func (s *Scheduler) account(name string, n float64, ent *kernelEntry, rep *Report) {
+	if rep.Profiled || rep.Alpha > 0 {
+		s.breaker.RecordSuccess()
+	}
+	if rep.ProfileQuarantined {
+		return
+	}
+	if s.store == nil {
+		ent.accumulate(rep.Alpha, n, rep.Category, s.opts.Robustness.CategoryHysteresis)
+	} else {
+		s.accumulatePersist(ent, name, rep.Alpha, n, rep.Category)
+	}
 }
 
 // retryBusy runs op, retrying GPU-busy dispatch failures with capped
@@ -1139,27 +1145,6 @@ func (s *Scheduler) retryBusy(rep *Report, sc obs.Scope, op func() error) error 
 			backoff = s.opts.Retry.MaxBackoff
 		}
 	}
-}
-
-// cpuFallback drains the remaining items CPU-only after the GPU
-// became unavailable mid-invocation. The run is NOT accumulated into
-// the α table — a degraded execution says nothing about the kernel's
-// best split, and must not drag the remembered ratio toward zero.
-func (s *Scheduler) cpuFallback(k engine.Kernel, items float64, rep Report, sc obs.Scope) (Report, error) {
-	if sc.Enabled() {
-		sc.Event("cpu-fallback", obs.Num("items", items))
-	}
-	if items > 0 {
-		res, err := s.eng.Run(engine.Phase{Kernel: k, PoolItems: items})
-		if err != nil {
-			return Report{}, err
-		}
-		rep = s.addResult(res, rep)
-	}
-	rep.GPUBusyFallback = true
-	rep.Alpha = 0
-	s.breaker.RecordFallback()
-	return rep, nil
 }
 
 // explain records the α grid search as a decision-audit record: the
@@ -1242,12 +1227,11 @@ func within(a, b, tol float64) bool {
 
 // addResult folds an engine result into the report, routing its energy
 // through the robust meter when one is configured.
-func (s *Scheduler) addResult(res engine.Result, rep Report) Report {
+func (s *Scheduler) addResult(rep *Report, res engine.Result) {
 	rep.Duration += res.Duration
 	rep.EnergyJ += s.measureEnergy(res.Duration, res.EnergyJ)
 	rep.CPUItems += res.CPUItems
 	rep.GPUItems += res.GPUItems
-	return rep
 }
 
 // measureEnergy returns the energy to account for an interval of

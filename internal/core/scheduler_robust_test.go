@@ -149,6 +149,43 @@ func TestQuarantinedProfileNeverReachesTable(t *testing.T) {
 	}
 }
 
+// A quarantined re-profile of a known kernel replays the last
+// known-good α, and the remainder it executes is as predictable as any
+// replay: with the package MSR stuck, the robust meter must bill a
+// rejected sample at the model's P(α) for that α, not at the window
+// median.
+func TestQuarantinedReplaySubstitutesPredictedPower(t *testing.T) {
+	opts := Options{Robustness: Robustness{ValidateProfiles: true, Meter: true}, ReprofileEvery: 2}
+	s, plan := newSensorFaultyEAS(t, opts, 7)
+	k := compKernel()
+	if _, err := s.ParallelFor(k, 200000); err != nil {
+		t.Fatal(err)
+	}
+	var rec record
+	if !s.table.intern(k.Name).snapshot(&rec) {
+		t.Fatal("first run recorded nothing")
+	}
+	curve, _ := s.curve(rec.category)
+	want := curve.Power(rec.alpha)
+
+	plan.CorruptHWCFor(4)    // invocation 2 re-profiles into a quarantine
+	plan.StuckMSRFor(100000) // and every energy read latches
+	rep, err := s.ParallelFor(k, 200000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.ProfileQuarantined || rep.Alpha != rec.alpha {
+		t.Fatalf("invocation 2: quarantined=%v α=%v, want a quarantined replay of α=%v",
+			rep.ProfileQuarantined, rep.Alpha, rec.alpha)
+	}
+	if rep.MeterSamplesRejected == 0 {
+		t.Fatal("stuck MSR produced no rejected samples")
+	}
+	if s.invPredW != want {
+		t.Errorf("rejected samples substituted at %v W, want P(α=%v) = %v W", s.invPredW, rec.alpha, want)
+	}
+}
+
 func TestQuarantineOnUnknownKernelRunsCPUOnly(t *testing.T) {
 	s, plan := newSensorFaultyEAS(t, Options{Robustness: Robustness{ValidateProfiles: true}}, 7)
 	plan.CorruptHWCFor(4)

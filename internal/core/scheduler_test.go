@@ -7,12 +7,14 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/hetsched/eas/internal/device"
 	"github.com/hetsched/eas/internal/engine"
 	"github.com/hetsched/eas/internal/metrics"
 	"github.com/hetsched/eas/internal/platform"
 	"github.com/hetsched/eas/internal/powerchar"
+	"github.com/hetsched/eas/internal/statestore"
 )
 
 var (
@@ -242,6 +244,37 @@ func TestReprofileSchedule(t *testing.T) {
 	}
 }
 
+// TestProfileDue pins the one profile-due rule decide and joinCoalesce
+// share, row by row, as the exact (profile, fastPath) pair. The
+// scheduler re-profiles every 2nd invocation; the fast path needs a
+// record younger than an hour with at least 3 recorded invocations.
+func TestProfileDue(t *testing.T) {
+	s := &Scheduler{opts: Options{
+		ReprofileEvery: 2,
+		Decision:       DecisionPolicy{TableTTL: time.Hour, MinConfidence: 3},
+	}}
+	fresh := time.Now()
+	for _, c := range []struct {
+		name          string
+		rec           record
+		ok            bool
+		profile, fast bool
+	}{
+		{"unknown", record{}, false, true, false},
+		{"present but never profiled", record{invocations: 2}, true, true, false},
+		{"reprofile flag", record{profiled: true, reprofile: true, invocations: 5, updatedAt: fresh}, true, true, false},
+		{"ttl stale", record{profiled: true, invocations: 2, updatedAt: fresh.Add(-2 * time.Hour)}, true, true, false},
+		{"periodic due, confident and fresh", record{profiled: true, invocations: 3, updatedAt: fresh}, true, false, true},
+		{"periodic due, not confident", record{profiled: true, invocations: 1, updatedAt: fresh}, true, true, false},
+		{"not due", record{profiled: true, invocations: 2, updatedAt: fresh}, true, false, false},
+	} {
+		profile, fast := s.profileDue(c.rec, c.ok)
+		if profile != c.profile || fast != c.fast {
+			t.Errorf("%s: profileDue = (%v, %v), want (%v, %v)", c.name, profile, fast, c.profile, c.fast)
+		}
+	}
+}
+
 func TestParallelForValidation(t *testing.T) {
 	s := newEAS(t, metrics.EDP, Options{})
 	if _, err := s.ParallelFor(compKernel(), 0); err == nil {
@@ -275,35 +308,80 @@ type equivRow struct {
 	ctx  context.Context
 }
 
+// equivStep is one invocation of assertSerialEquivalence's script.
+type equivStep struct {
+	k     engine.Kernel
+	n     int
+	busy  int  // GPU-busy dispatches scripted just before the invocation
+	owned bool // GPU owned by another application (the up-front check)
+}
+
+// equivScript crosses, on two kernels, every path a serial caller
+// reaches with the robustness knobs off: first profiles, small N, a
+// periodic re-profile (ReprofileEvery 2) that a busy GPU cuts short,
+// the re-profile that follows, table replays, a replay whose remainder
+// exhausts the retry budget, and an up-front GPU-busy run. Each kernel
+// records three invocations, one short of the second periodic
+// re-profile, where a confident record would take the fast path.
+func equivScript() []equivStep {
+	comp, mem := compKernel(), memKernel()
+	return []equivStep{
+		{k: comp, n: 200000},          // 0: first profile
+		{k: mem, n: 1e6},              // 1: first profile
+		{k: comp, n: 100},             // 2: small N, CPU alone
+		{k: comp, n: 2e6, busy: 3},    // 3: re-profile falls back mid-profile
+		{k: comp, n: 2e6},             // 4: the re-profile, ordinal 2
+		{k: mem, n: 5e5},              // 5: re-profile, ordinal 2
+		{k: comp, n: 200000, busy: 3}, // 6: replay falls back mid-execute
+		{k: mem, n: 2e6, owned: true}, // 7: GPU owned up front
+		{k: comp, n: 1e6},             // 8: replay, ordinal 3
+		{k: mem, n: 1e6},              // 9: replay, ordinal 3
+	}
+}
+
 // assertSerialEquivalence is the invariant behind every policy group's
 // zero value: a knob that only reorders, delays, deduplicates or
 // persists decisions must not change what a serial caller computes.
-// Under the same GPU-busy fault script each row's reports must equal
-// the zero config's.
+// Under equivScript each row's reports must equal the zero config's,
+// field for field. Every run, the zero config included, re-profiles
+// every second invocation with growing profile chunks.
 func assertSerialEquivalence(t *testing.T, rows []equivRow) {
 	t.Helper()
 	run := func(t *testing.T, opts Options, ctx context.Context) []Report {
+		opts.ReprofileEvery = 2
+		opts.GrowProfileChunk = true
 		s, plan := newFaultyEAS(t, opts)
 		defer s.Close()
 		var reps []Report
-		for _, busy := range []int{0, 100, 0} {
-			if busy > 0 {
-				plan.GPUBusyFor(busy)
-			}
-			rep, err := s.ParallelForCtx(ctx, compKernel(), 200000)
+		for i, st := range equivScript() {
+			plan.GPUBusyFor(st.busy)
+			s.eng.Platform().SetGPUBusy(st.owned)
+			rep, err := s.ParallelForCtx(ctx, st.k, st.n)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("step %d: %v", i, err)
 			}
 			reps = append(reps, rep)
 		}
 		return reps
 	}
 	want := run(t, Options{}, context.Background())
-	// The fault-path semantics pinned since fallbacks were introduced:
-	// the busy invocation exhausts its three attempts and runs CPU-only.
-	if !want[1].GPUBusyFallback || want[1].Retries != 3 {
-		t.Fatalf("GPU-busy fallback drifted: fallback=%v retries=%d",
-			want[1].GPUBusyFallback, want[1].Retries)
+	// Pin that the script still reaches what it claims to: a busy
+	// invocation exhausts its three attempts and runs CPU-only.
+	for _, c := range []struct {
+		step int
+		ok   bool
+	}{
+		{0, want[0].Profiled && want[1].Profiled},
+		{2, !want[2].Profiled && !want[2].CatKnown && want[2].GPUItems == 0},
+		{3, want[3].GPUBusyFallback && want[3].Retries == 3 && want[3].ProfileSteps == 0},
+		{4, want[4].Profiled && want[5].Profiled},
+		{6, want[6].GPUBusyFallback && want[6].Retries == 3 && want[6].CatKnown && !want[6].Profiled},
+		{7, want[7].GPUBusyFallback && want[7].Retries == 0 && !want[7].CatKnown},
+		{8, !want[8].Profiled && want[8].CatKnown && want[8].Alpha > 0 && !want[9].Profiled},
+	} {
+		if !c.ok {
+			t.Fatalf("script step %d no longer takes its path: %+v", c.step, want[c.step])
+		}
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -315,10 +393,11 @@ func assertSerialEquivalence(t *testing.T, rows []equivRow) {
 }
 
 // Persisting the α table is write-behind only: a scheduler with a state
-// file computes what one without it does.
+// file computes what one without it does, whatever its sync mode.
 func TestSerialDecisionEquivalence(t *testing.T) {
 	assertSerialEquivalence(t, []equivRow{
 		{"state", Options{State: StatePolicy{Path: filepath.Join(t.TempDir(), "alpha.state")}}, context.Background()},
+		{"state-sync-always", Options{State: StatePolicy{Path: filepath.Join(t.TempDir(), "alpha.state"), Sync: statestore.SyncAlways}}, context.Background()},
 	})
 }
 

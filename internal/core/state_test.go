@@ -202,43 +202,6 @@ func TestStateCompaction(t *testing.T) {
 	}
 }
 
-// TestStateZeroKnobIdentical: with StatePath unset the scheduler must
-// behave byte-identically to one that persists — persistence observes
-// decisions, never shapes them.
-func TestStateZeroKnobIdentical(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "alpha.state")
-	plain := newEAS(t, metrics.EDP, Options{GrowProfileChunk: true})
-	durable := newEAS(t, metrics.EDP, stateOpts(path))
-	defer durable.Close()
-	for i := 0; i < 6; i++ {
-		for _, n := range []int{1e6, 2e6, 5e5} {
-			a, err := plain.ParallelFor(compKernel(), n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := durable.ParallelFor(compKernel(), n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Alpha != b.Alpha || a.GPUItems != b.GPUItems || a.Profiled != b.Profiled ||
-				a.Duration != b.Duration || a.EnergyJ != b.EnergyJ {
-				t.Fatalf("persistence changed a decision: plain=%+v durable=%+v", a, b)
-			}
-			am, err := plain.ParallelFor(memKernel(), n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bm, err := durable.ParallelFor(memKernel(), n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if am.Alpha != bm.Alpha || am.GPUItems != bm.GPUItems || am.Profiled != bm.Profiled {
-				t.Fatalf("persistence changed a decision: plain=%+v durable=%+v", am, bm)
-			}
-		}
-	}
-}
-
 // TestStateWriteFailureDegrades arms a WAL write fault and checks
 // persistence turns itself off while scheduling continues untouched.
 func TestStateWriteFailureDegrades(t *testing.T) {

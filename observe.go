@@ -312,23 +312,18 @@ func invocationAttrs(out *Report) []obs.Attr {
 
 // finishScope closes an invocation's root span and records its metric
 // deltas — the eas layer owns the scope, so it records exactly once,
-// amending the core's fallback reason with the functional layer's more
-// specific one (enqueue-error, gpu-timeout) when the degradation
+// amending the core's α, retry count and fallback reason with the
+// functional layer's (enqueue-error, gpu-timeout) when the degradation
 // happened there.
-func (r *Runtime) finishScope(ctx context.Context, sc obs.Scope, st obs.InvocationStats, kernel string, out *Report, started time.Time) {
+func (r *Runtime) finishScope(ctx context.Context, sc obs.Scope, rep core.Report, kernel string, out *Report) {
 	if !sc.Enabled() {
 		return
 	}
-	st.Kernel = kernel
-	req := core.RequestFromContext(ctx)
-	st.Tenant = req.Tenant
-	st.Class = req.Class.String()
-	st.Seconds = time.Since(started).Seconds()
+	st := core.StatsFor(rep)
 	st.Alpha = out.Alpha
 	st.Retries = out.Retries
 	if out.FallbackReason != FallbackNone {
 		st.Fallback = string(out.FallbackReason)
 	}
-	sc.End(invocationAttrs(out)...)
-	r.obsv.RecordInvocation(st)
+	core.FinishInvocation(ctx, r.obsv, sc, kernel, st, invocationAttrs(out)...)
 }
