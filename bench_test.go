@@ -190,8 +190,9 @@ func BenchmarkFig06_TabletCharacterization(b *testing.B) {
 }
 
 // BenchmarkAlphaSearch measures the scheduler's per-decision cost: the
-// grid evaluation of the objective over α (paper §5: "on average 1-2
-// microseconds on both platforms").
+// grid evaluation of the objective over α, on the paper's 0.1 grid
+// (paper §5: "on average 1-2 microseconds on both platforms") and on
+// the 2001-point 0.0005 grid, which takes the block-pruned search.
 func BenchmarkAlphaSearch(b *testing.B) {
 	model, err := powerchar.Cached(context.Background(), platform.DesktopSpec(), powerchar.Options{})
 	if err != nil {
@@ -199,10 +200,13 @@ func BenchmarkAlphaSearch(b *testing.B) {
 	}
 	curve, _ := model.Curve(wclass.Category{Memory: true})
 	tm := core.TimeModel{RC: 7.5e6, RG: 1.4e7}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.BestAlpha(curve, tm, 1e6, metrics.EDP, 0.1)
+	for _, step := range []float64{0.1, 0.0005} {
+		b.Run(fmt.Sprintf("step=%g", step), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				core.BestAlpha(curve, tm, 1e6, metrics.EDP, step)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"github.com/hetsched/eas/internal/metrics"
@@ -62,9 +63,11 @@ func TestBestAlphaRefinedOnGridWhenFlat(t *testing.T) {
 }
 
 // TestAlphaSearchNoAllocs pins the hot path's allocation budget to
-// zero: the objective closure and both searches must stay on the stack.
-// One α decision runs per scheduled invocation, so a single heap
-// allocation here would show up in every workload.
+// zero: the objective closure and both searches must stay on the stack,
+// on the paper's 0.1 grid and on the 0.0005 grid, whose block-pruned
+// search keeps its block bounds in a fixed stack array. One α decision
+// runs per scheduled invocation, so a single heap allocation here would
+// show up in every workload.
 func TestAlphaSearchNoAllocs(t *testing.T) {
 	model, err := powerchar.Cached(context.Background(), platform.DesktopSpec(), powerchar.Options{})
 	if err != nil {
@@ -73,17 +76,40 @@ func TestAlphaSearchNoAllocs(t *testing.T) {
 	curve, _ := model.Curve(wclass.Category{Memory: true})
 	tm := TimeModel{RC: 7.5e6, RG: 1.4e7}
 	var sink float64
-	if n := testing.AllocsPerRun(100, func() {
-		a, _ := BestAlpha(curve, tm, 1e6, metrics.EDP, 0.1)
-		sink += a
-	}); n != 0 {
-		t.Errorf("BestAlpha allocates %.0f objects/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		a, _ := BestAlphaRefined(curve, tm, 1e6, metrics.EDP, 0.1, 0)
-		sink += a
-	}); n != 0 {
-		t.Errorf("BestAlphaRefined allocates %.0f objects/op, want 0", n)
+	for _, step := range []float64{0.1, 0.0005} {
+		if n := testing.AllocsPerRun(100, func() {
+			a, _ := BestAlpha(curve, tm, 1e6, metrics.EDP, step)
+			sink += a
+		}); n != 0 {
+			t.Errorf("BestAlpha(step %v) allocates %.0f objects/op, want 0", step, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			a, _ := BestAlphaRefined(curve, tm, 1e6, metrics.EDP, step, 0)
+			sink += a
+		}); n != 0 {
+			t.Errorf("BestAlphaRefined(step %v) allocates %.0f objects/op, want 0", step, n)
+		}
 	}
 	_ = sink
+}
+
+// TestBestAlphaInvalidStep checks that every step outside (0, 1] —
+// NaN included, which fails both halves of a "step <= 0 || step > 1"
+// test — searches the paper's 0.1 grid, in both searches.
+func TestBestAlphaInvalidStep(t *testing.T) {
+	// αPERF = 0.6 is on the 0.1 grid and far from the endpoints a
+	// 2-point grid would pick from.
+	curve := flatCurve(40)
+	tm := TimeModel{RC: 100, RG: 150}
+	const n = 1e6
+	wantA, wantV := BestAlpha(curve, tm, n, metrics.EDP, 0.1)
+	wantRA, wantRV := BestAlphaRefined(curve, tm, n, metrics.EDP, 0.1, 0)
+	for _, step := range []float64{0, -0.5, 1.5, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if a, v := BestAlpha(curve, tm, n, metrics.EDP, step); a != wantA || v != wantV {
+			t.Errorf("BestAlpha(step %v) = (%v, %v), want the 0.1 grid's (%v, %v)", step, a, v, wantA, wantV)
+		}
+		if a, v := BestAlphaRefined(curve, tm, n, metrics.EDP, step, 0); a != wantRA || v != wantRV {
+			t.Errorf("BestAlphaRefined(step %v) = (%v, %v), want the 0.1 grid's (%v, %v)", step, a, v, wantRA, wantRV)
+		}
+	}
 }

@@ -146,3 +146,16 @@ func TestChromeTraceEmpty(t *testing.T) {
 		t.Fatalf("empty trace is invalid JSON: %s", buf.String())
 	}
 }
+
+// TestExplainGridInvalidStep checks that Grid walks the grid the search
+// walked when the recorded step is outside (0, 1]: the paper's 11-point
+// 0.1 grid, NaN included, not the 2-point grid int(Round(1/NaN)) once
+// produced.
+func TestExplainGridInvalidStep(t *testing.T) {
+	for _, step := range []float64{0, -0.5, 1.5, math.Inf(1), math.NaN()} {
+		ex := &Explain{AlphaStep: step, Source: fixedGrid{}}
+		if got := len(ex.Grid()); got != 11 {
+			t.Errorf("AlphaStep %v: Grid() has %d points, want 11", step, got)
+		}
+	}
+}

@@ -116,7 +116,13 @@ func (ex *Explain) Grid() []GridPoint {
 	if ex == nil || ex.Source == nil {
 		return nil
 	}
-	steps := int(math.Round(1 / ex.AlphaStep))
+	// The search's own rule (core.BestAlpha): a step outside (0, 1],
+	// NaN included, walks the paper's 0.1 grid.
+	step := ex.AlphaStep
+	if !(step > 0 && step <= 1) {
+		step = 0.1
+	}
+	steps := int(math.Round(1 / step))
 	if steps < 1 {
 		steps = 1
 	}
