@@ -28,6 +28,7 @@ import (
 	"github.com/hetsched/eas/internal/profile"
 	"github.com/hetsched/eas/internal/report"
 	"github.com/hetsched/eas/internal/sched"
+	"github.com/hetsched/eas/internal/trace"
 	"github.com/hetsched/eas/internal/wclass"
 	"github.com/hetsched/eas/internal/workloads"
 )
@@ -246,21 +247,64 @@ func BenchmarkOnlineProfilingStep(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSimulation measures raw simulation throughput: one
-// second of simulated combined execution.
+// BenchmarkEngineSimulation measures raw simulation throughput in two
+// shapes, each reporting ns per simulated step. steady is one long
+// phase of combined execution at fixed clocks: ~1,900 steps at one
+// operating point, the case most favourable to the engine's memos.
+// schedule is one Table 1 desktop schedule (BFS) at α = 0.5 with the
+// idle gap between invocations: ~1,750 phases of three steps, none of
+// which repeats an operating point. That is the memos' worst case, and
+// the short-phase shape of the grid's irregular workloads. Each
+// iteration boots its platform, so allocs/op counts the boot;
+// engine.Run itself allocates nothing (TestRunAllocatesNothing).
 func BenchmarkEngineSimulation(b *testing.B) {
-	suite, err := microbench.Suite(platform.DesktopSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
-	k := suite[4].Kernel // mem-LL
-	for i := 0; i < b.N; i++ {
-		p := platform.Desktop()
-		eng := engine.New(p)
-		if _, err := eng.Run(engine.Phase{Kernel: k, GPUItems: 5e6, PoolItems: 5e6}); err != nil {
+	spec := platform.DesktopSpec()
+	b.Run("steady", func(b *testing.B) {
+		suite, err := microbench.Suite(spec)
+		if err != nil {
 			b.Fatal(err)
 		}
+		ph := engine.Phase{Kernel: suite[4].Kernel, GPUItems: 5e6, PoolItems: 5e6} // mem-LL
+		benchSimulation(b, spec, func(eng *engine.Engine, tr *trace.Set) {
+			ph.Trace = tr
+			if _, err := eng.Run(ph); err != nil {
+				b.Fatal(err)
+			}
+		})
+	})
+	b.Run("schedule", func(b *testing.B) {
+		invs, err := workloads.BFS().Schedule(spec.Name, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		const alpha = 0.5
+		benchSimulation(b, spec, func(eng *engine.Engine, tr *trace.Set) {
+			for i := range invs {
+				n := float64(invs[i].N)
+				ph := engine.Phase{Kernel: invs[i].Kernel, GPUItems: alpha * n, PoolItems: (1 - alpha) * n, Trace: tr}
+				if _, err := eng.Run(ph); err != nil {
+					b.Fatal(err)
+				}
+				eng.RunIdle(sched.InterInvocationGap, tr)
+			}
+		})
+	})
+}
+
+// benchSimulation times sim on a freshly booted platform per iteration
+// and reports ns per simulated step. An untimed traced run first counts
+// the steps: the trace holds one sample per step.
+func benchSimulation(b *testing.B, spec platform.Spec, sim func(*engine.Engine, *trace.Set)) {
+	tr := trace.NewSet()
+	sim(engine.New(platform.MustNew(spec)), tr)
+	steps := tr.PackagePower.Len()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim(engine.New(platform.MustNew(spec)), nil)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
+	b.ReportMetric(float64(steps), "steps/op")
 }
 
 // BenchmarkAblationAlphaStep runs the α-granularity ablation.

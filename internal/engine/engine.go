@@ -201,6 +201,9 @@ func (e *Engine) Run(ph Phase) (Result, error) {
 	spec := e.p.Spec()
 	cost := ph.Kernel.Cost
 	traffic := cost.TrafficBytes()
+	misses := cost.MissesPerItem()
+	tick := spec.Tick
+	tickSeconds := tick.Seconds()
 
 	meter := msr.NewMeter(e.p.MSR)
 	counters0 := e.p.HWC.Snapshot()
@@ -215,13 +218,20 @@ func (e *Engine) Run(ph Phase) (Result, error) {
 		launchRemaining = spec.GPU.LaunchOverhead
 	}
 
-	// The compute-side throughputs are pure functions of the clocks and
-	// the worker count for the whole phase (the cost, item count and
-	// speed factors are fixed), and the clocks rarely move between
-	// steps: keep the last result of each, keyed on its exact inputs.
-	// NaN keys never match, so the first busy step computes.
-	memoCPUHz, memoCores, memoCPUTPc := math.NaN(), math.NaN(), 0.0
-	memoGPUHz, memoGPUTPc := math.NaN(), 0.0
+	// Everything a step derives before integrating is a pure function
+	// of its operating point — the two clocks, which devices are busy,
+	// and whether the GPU is past its launch window — because the other
+	// inputs (cost, GPU item count, speed factors, spec, slowdown) are
+	// fixed for the phase. The operating point rarely moves between
+	// steps, so keep the last one's derived values, keyed on its exact
+	// inputs. The NaN clock never matches, so the first step computes.
+	var op struct {
+		cpuHz, gpuHz                   float64
+		cpuBusy, gpuBusy, gpuExecuting bool
+		cpuTP, gpuTP                   float64
+		cpuLoad, gpuLoad               device.Load
+	}
+	op.cpuHz = math.NaN()
 
 	for {
 		cpuBusy := pool > epsilon
@@ -238,65 +248,84 @@ func (e *Engine) Run(ph Phase) (Result, error) {
 		}
 
 		cpuHz, gpuHz := e.p.PCU.Frequencies(cpuBusy, gpuBusy)
-
-		// Worker cores: the GPU proxy thread costs a fraction of one
-		// core whenever a kernel is in flight.
-		workerCores := 0.0
-		if cpuBusy {
-			workerCores = float64(spec.CPU.Cores)
-			if gpuBusy {
-				workerCores -= spec.ProxyCoreFraction
-			}
-		}
-
-		// Compute-side throughputs (pre-bandwidth).
-		cpuTPc := 0.0
-		if cpuBusy {
-			if cpuHz != memoCPUHz || workerCores != memoCores {
-				memoCPUHz, memoCores = cpuHz, workerCores
-				memoCPUTPc = spec.CPU.ComputeThroughput(cpuHz, cost, workerCores) * ph.Kernel.cpuFactor()
-			}
-			cpuTPc = memoCPUTPc
-		}
-		gpuTPc := 0.0
 		gpuExecuting := gpuBusy && launchRemaining <= 0
-		if gpuExecuting {
-			// Occupancy depends on the enqueued NDRange size, not the
-			// instantaneous remainder: hardware retires the final wave
-			// of a large kernel at full rate, while a small kernel
-			// under-fills the machine for its whole run.
-			if gpuHz != memoGPUHz {
-				memoGPUHz = gpuHz
-				memoGPUTPc = spec.GPU.ComputeThroughput(gpuHz, cost, ph.GPUItems) * ph.Kernel.gpuFactor()
-			}
-			gpuTPc = memoGPUTPc
-		}
 
-		// Bandwidth arbitration, with extractable bandwidth reduced for
-		// down-clocked devices.
-		cpuAlloc, gpuAlloc := spec.Memory.ShareBandwidthScaled(
-			device.BandwidthDemand(cpuTPc, cost),
-			device.BandwidthDemand(gpuTPc, cost),
-			device.FreqBandwidthScale(cpuHz, spec.Policy.CPUTurboHz),
-			device.FreqBandwidthScale(gpuHz, spec.Policy.GPUTurboHz),
-		)
-		cpuBW := device.BandwidthLimitedThroughput(cpuAlloc, cost)
-		gpuBW := device.BandwidthLimitedThroughput(gpuAlloc, cost)
-		cpuTP := cpuTPc
-		if cpuBW < cpuTP {
-			cpuTP = cpuBW
+		if cpuHz != op.cpuHz || gpuHz != op.gpuHz || cpuBusy != op.cpuBusy ||
+			gpuBusy != op.gpuBusy || gpuExecuting != op.gpuExecuting {
+			op.cpuHz, op.gpuHz = cpuHz, gpuHz
+			op.cpuBusy, op.gpuBusy, op.gpuExecuting = cpuBusy, gpuBusy, gpuExecuting
+
+			// Worker cores: the GPU proxy thread costs a fraction of one
+			// core whenever a kernel is in flight.
+			workerCores := 0.0
+			if cpuBusy {
+				workerCores = float64(spec.CPU.Cores)
+				if gpuBusy {
+					workerCores -= spec.ProxyCoreFraction
+				}
+			}
+
+			// Compute-side throughputs (pre-bandwidth).
+			cpuTPc := 0.0
+			if cpuBusy {
+				cpuTPc = spec.CPU.ComputeThroughput(cpuHz, cost, workerCores) * ph.Kernel.cpuFactor()
+			}
+			gpuTPc := 0.0
+			if gpuExecuting {
+				// Occupancy depends on the enqueued NDRange size, not the
+				// instantaneous remainder: hardware retires the final wave
+				// of a large kernel at full rate, while a small kernel
+				// under-fills the machine for its whole run.
+				gpuTPc = spec.GPU.ComputeThroughput(gpuHz, cost, ph.GPUItems) * ph.Kernel.gpuFactor()
+			}
+
+			// Bandwidth arbitration, with extractable bandwidth reduced
+			// for down-clocked devices.
+			cpuAlloc, gpuAlloc := spec.Memory.ShareBandwidthScaled(
+				device.BandwidthDemand(cpuTPc, cost),
+				device.BandwidthDemand(gpuTPc, cost),
+				device.FreqBandwidthScale(cpuHz, spec.Policy.CPUTurboHz),
+				device.FreqBandwidthScale(gpuHz, spec.Policy.GPUTurboHz),
+			)
+			cpuBW := device.BandwidthLimitedThroughput(cpuAlloc, cost)
+			gpuBW := device.BandwidthLimitedThroughput(gpuAlloc, cost)
+			cpuTP := cpuTPc
+			if cpuBW < cpuTP {
+				cpuTP = cpuBW
+			}
+			gpuTP := gpuTPc
+			if gpuBW < gpuTP {
+				gpuTP = gpuBW
+			}
+			// An injected slow device retires items below its modeled
+			// rate whatever the limiter (compute or bandwidth) — the
+			// shape of a thermally throttled or contended GPU.
+			gpuTP /= gpuSlowdown
+			op.cpuTP, op.gpuTP = cpuTP, gpuTP
+
+			// The realized loads the PCU will see.
+			op.cpuLoad = device.Load{Hz: cpuHz}
+			powerCores := workerCores
+			if gpuBusy {
+				powerCores += spec.ProxyCoreFraction // proxy spins while GPU runs
+			}
+			if powerCores > 0 {
+				op.cpuLoad.Active = 1
+				op.cpuLoad.ActiveCores = powerCores
+				op.cpuLoad.MemShare = device.MemStallShare(cpuTPc, cpuBW)
+				op.cpuLoad.MemBytesPerSec = cpuTP * traffic
+			}
+			op.gpuLoad = device.Load{Hz: gpuHz}
+			if gpuBusy {
+				op.gpuLoad.Active = 1
+				op.gpuLoad.MemShare = device.MemStallShare(gpuTPc, gpuBW)
+				op.gpuLoad.MemBytesPerSec = gpuTP * traffic
+			}
 		}
-		gpuTP := gpuTPc
-		if gpuBW < gpuTP {
-			gpuTP = gpuBW
-		}
-		// An injected slow device retires items below its modeled rate
-		// whatever the limiter (compute or bandwidth) — the shape of a
-		// thermally throttled or contended GPU.
-		gpuTP /= gpuSlowdown
+		cpuTP, gpuTP := op.cpuTP, op.gpuTP
 
 		// Step length: capped at the tick, shortened to hit events.
-		dt := spec.Tick
+		dt := tick
 		if launchRemaining > 0 && launchRemaining < dt {
 			dt = launchRemaining
 		}
@@ -313,7 +342,10 @@ func (e *Engine) Run(ph Phase) (Result, error) {
 		if dt < minStep {
 			dt = minStep
 		}
-		dts := dt.Seconds()
+		dts := tickSeconds
+		if dt != tick {
+			dts = dt.Seconds()
+		}
 
 		// Retire work.
 		cpuDone := minf(pool, cpuTP*dts)
@@ -337,32 +369,13 @@ func (e *Engine) Run(ph Phase) (Result, error) {
 		}
 
 		// CPU hardware counters see only CPU-retired items.
-		e.p.HWC.Account(cpuDone, cost.MissesPerItem(), cost.Instructions, cost.MemOps)
+		e.p.HWC.Account(cpuDone, misses, cost.Instructions, cost.MemOps)
 
 		// Report realized loads to the PCU.
-		cpuLoad := device.Load{Hz: cpuHz}
-		if cpuBusy || gpuBusy {
-			powerCores := workerCores
-			if gpuBusy {
-				powerCores += spec.ProxyCoreFraction // proxy spins while GPU runs
-			}
-			if powerCores > 0 {
-				cpuLoad.Active = 1
-				cpuLoad.ActiveCores = powerCores
-				cpuLoad.MemShare = device.MemStallShare(cpuTPc, cpuBW)
-				cpuLoad.MemBytesPerSec = cpuTP * traffic
-			}
-		}
-		gpuLoad := device.Load{Hz: gpuHz}
-		if gpuBusy {
-			gpuLoad.Active = 1
-			gpuLoad.MemShare = device.MemStallShare(gpuTPc, gpuBW)
-			gpuLoad.MemBytesPerSec = gpuTP * traffic
-		}
-		bk := e.p.PCU.Observe(cpuLoad, gpuLoad, dt)
+		bk := e.p.PCU.Observe(op.cpuLoad, op.gpuLoad, dt)
 
 		if ph.Trace != nil {
-			e.record(ph.Trace, now, bk, cpuLoad, gpuLoad)
+			e.record(ph.Trace, now, bk, op.cpuLoad, op.gpuLoad)
 		}
 		e.p.Clock.AdvanceExact(dt)
 	}
@@ -382,7 +395,7 @@ func (e *Engine) RunIdle(d time.Duration, tr *trace.Set) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	tick := e.p.Spec().Tick
+	tick := e.p.Clock.Tick()
 	if tr != nil && tick > 0 {
 		// The recording grid is fixed (one sample per tick), so reserve
 		// the whole run's samples up front instead of growing ~log n

@@ -175,3 +175,18 @@ func TestFreqBandwidthScaleBounds(t *testing.T) {
 		t.Errorf("half-speed scale = %v, want 0.6", mid)
 	}
 }
+
+// TestRunAllocatesNothing pins the simulation loop, memos included, to
+// zero heap allocations per phase and per idle gap.
+func TestRunAllocatesNothing(t *testing.T) {
+	e := desktopEngine()
+	ph := Phase{Kernel: Kernel{Cost: memoryCost()}, GPUItems: 2e4, PoolItems: 2e4}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := e.Run(ph); err != nil {
+			t.Fatal(err)
+		}
+		e.RunIdle(200*time.Microsecond, nil)
+	}); n != 0 {
+		t.Errorf("Run + RunIdle allocated %v times per call, want 0", n)
+	}
+}

@@ -224,6 +224,58 @@ type PCU struct {
 	// Memos of pure functions of the model; not part of State, since
 	// a hit is bit-identical to a recomputation whatever the state.
 	cpuScale, gpuScale scaleMemo
+	loads              loadMemo
+	dtMemo             dtCoeffs
+}
+
+// loadMemo holds the breakdown of the last busy load pair Observe saw.
+// The engine reports the same pair on every step its operating point
+// repeats, and the power model is fixed for the PCU's life, so a hit
+// on the exact pair returns the bits a fresh breakdown would (the
+// engine's loads are built from non-negative rates, so no -0 meets a
+// +0 key). New NaN-initializes the key, so the first busy tick
+// computes.
+type loadMemo struct {
+	cpu, gpu device.Load
+	b        Breakdown
+}
+
+// breakdown is the model's breakdown through the PCU's memos. All-zero
+// loads (the engine's idle ticks between phases) are not stored: they
+// cost two skipped branches, and keeping them out leaves the last busy
+// pair in place for the next phase.
+func (p *PCU) breakdown(cpu, gpu device.Load) Breakdown {
+	if cpu == p.loads.cpu && gpu == p.loads.gpu {
+		return p.loads.b
+	}
+	b := p.model.breakdown(cpu, gpu, &p.cpuScale, &p.gpuScale)
+	if cpu != (device.Load{}) || gpu != (device.Load{}) {
+		// Field by field: a composite literal would copy the whole
+		// memo through a temporary.
+		p.loads.cpu, p.loads.gpu, p.loads.b = cpu, gpu, b
+	}
+	return b
+}
+
+// Time constants of Observe's two EWMAs, in seconds.
+const (
+	shareTau = 0.02 // CPU memory-stall share (the reaction-window gate)
+	ewmaTau  = 0.05 // package power (the TDP controller's input)
+)
+
+// dtCoeffs are Observe's coefficients derived from the step length
+// alone. Most steps are one platform tick, so Observe keeps
+// the last step's set, keyed on the exact dt. The zero value is the
+// correct entry for dt = 0, so it needs no initialization.
+type dtCoeffs struct {
+	dt          time.Duration
+	dts         float64 // dt in seconds
+	share, ewma float64 // dts/(tau+dts) for each EWMA
+}
+
+func newDTCoeffs(dt time.Duration) dtCoeffs {
+	dts := dt.Seconds()
+	return dtCoeffs{dt: dt, dts: dts, share: dts / (shareTau + dts), ewma: dts / (ewmaTau + dts)}
 }
 
 // New constructs a PCU. It panics on invalid configuration: platform
@@ -236,6 +288,7 @@ func New(policy Policy, model PowerModel) *PCU {
 		panic(err)
 	}
 	p := &PCU{policy: policy, model: model}
+	p.loads.cpu.Hz = math.NaN()
 	p.Reset()
 	return p
 }
@@ -313,9 +366,12 @@ func (p *PCU) Frequencies(cpuBusy, gpuBusy bool) (cpuHz, gpuHz float64) {
 // PCU integrates power, advances transient timers, and updates the TDP
 // controller. It returns the package power breakdown for the tick.
 func (p *PCU) Observe(cpu, gpu device.Load, dt time.Duration) Breakdown {
-	b := p.model.breakdown(cpu, gpu, &p.cpuScale, &p.gpuScale)
+	b := p.breakdown(cpu, gpu)
 	w := b.Total()
-	dts := dt.Seconds()
+	if dt != p.dtMemo.dt {
+		p.dtMemo = newDTCoeffs(dt)
+	}
+	dts := p.dtMemo.dts
 
 	p.totalEnergyJ += w * dts
 	p.coreEnergyJ += b.CPU * dts
@@ -327,9 +383,7 @@ func (p *PCU) Observe(cpu, gpu device.Load, dt time.Duration) Breakdown {
 	// Track how memory-stalled the CPU's work is (drives the reaction
 	// transient's gate).
 	if cpu.ActiveCores > 0 {
-		const shareTau = 0.02
-		a := dts / (shareTau + dts)
-		p.cpuMemShareEWMA += a * (cpu.MemShare - p.cpuMemShareEWMA)
+		p.cpuMemShareEWMA += p.dtMemo.share * (cpu.MemShare - p.cpuMemShareEWMA)
 	}
 
 	// Transient timers.
@@ -354,9 +408,7 @@ func (p *PCU) Observe(cpu, gpu device.Load, dt time.Duration) Breakdown {
 
 	// RAPL-style running-average power limiting: integral controller
 	// on the frequency scale.
-	const ewmaTau = 0.05 // seconds
-	alpha := dts / (ewmaTau + dts)
-	p.powerEWMA += alpha * (w - p.powerEWMA)
+	p.powerEWMA += p.dtMemo.ewma * (w - p.powerEWMA)
 	err := (p.policy.TDPW - p.powerEWMA) / p.policy.TDPW
 	// Over-temperature overrides the power budget: force the scale
 	// down proportionally to the overshoot.

@@ -59,8 +59,10 @@ type Strategy interface {
 	Run(ctx context.Context, w workloads.Workload, spec platform.Spec, model *powerchar.Model, metric metrics.Metric, seed int64) (Result, error)
 }
 
-// runFixed executes a whole workload at one fixed GPU offload ratio.
-func runFixed(w workloads.Workload, spec platform.Spec, alpha float64, seed int64) (time.Duration, float64, float64, int, error) {
+// runFixed executes a whole workload at one fixed GPU offload ratio,
+// recording the power trace of every phase and idle gap into tr when
+// tr is non-nil.
+func runFixed(w workloads.Workload, spec platform.Spec, alpha float64, seed int64, tr *trace.Set) (time.Duration, float64, float64, int, error) {
 	invs, err := w.Schedule(spec.Name, seed)
 	if err != nil {
 		return 0, 0, 0, 0, err
@@ -72,12 +74,14 @@ func runFixed(w workloads.Workload, spec platform.Spec, alpha float64, seed int6
 	eng := engine.New(p)
 	var total time.Duration
 	var energy, gpuItems, allItems float64
-	for _, inv := range invs {
+	for i := range invs {
+		inv := &invs[i]
 		n := float64(inv.N)
 		res, err := eng.Run(engine.Phase{
 			Kernel:    inv.Kernel,
 			GPUItems:  alpha * n,
 			PoolItems: (1 - alpha) * n,
+			Trace:     tr,
 		})
 		if err != nil {
 			return 0, 0, 0, 0, fmt.Errorf("sched: %s at alpha=%v: %w", w.Abbrev, alpha, err)
@@ -86,7 +90,7 @@ func runFixed(w workloads.Workload, spec platform.Spec, alpha float64, seed int6
 		energy += res.EnergyJ
 		gpuItems += res.GPUItems
 		allItems += n
-		eng.RunIdle(InterInvocationGap, nil)
+		eng.RunIdle(InterInvocationGap, tr)
 	}
 	share := 0.0
 	if allItems > 0 {
@@ -99,42 +103,14 @@ func runFixed(w workloads.Workload, spec platform.Spec, alpha float64, seed int6
 // with full power-trace recording — the analysis path behind the
 // per-workload detail reports.
 func RunFixedTraced(w workloads.Workload, spec platform.Spec, alpha float64, seed int64) (Result, *trace.Set, error) {
-	invs, err := w.Schedule(spec.Name, seed)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	p, err := platform.New(spec)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	eng := engine.New(p)
 	tr := trace.NewSet()
-	var total time.Duration
-	var energy, gpuItems, allItems float64
-	for _, inv := range invs {
-		n := float64(inv.N)
-		res, err := eng.Run(engine.Phase{
-			Kernel:    inv.Kernel,
-			GPUItems:  alpha * n,
-			PoolItems: (1 - alpha) * n,
-			Trace:     tr,
-		})
-		if err != nil {
-			return Result{}, nil, err
-		}
-		total += res.Duration
-		energy += res.EnergyJ
-		gpuItems += res.GPUItems
-		allItems += n
-		eng.RunIdle(InterInvocationGap, tr)
-	}
-	share := 0.0
-	if allItems > 0 {
-		share = gpuItems / allItems
+	dur, energy, share, n, err := runFixed(w, spec, alpha, seed, tr)
+	if err != nil {
+		return Result{}, nil, err
 	}
 	return Result{
 		Strategy: fmt.Sprintf("alpha=%.2f", alpha), Workload: w.Abbrev, Platform: spec.Name,
-		Duration: total, EnergyJ: energy, GPUShare: share, Invocations: len(invs),
+		Duration: dur, EnergyJ: energy, GPUShare: share, Invocations: n,
 	}, tr, nil
 }
 
@@ -159,7 +135,7 @@ func FixedAlpha(alpha float64) Strategy {
 func (f fixed) Name() string { return f.name }
 
 func (f fixed) Run(_ context.Context, w workloads.Workload, spec platform.Spec, _ *powerchar.Model, metric metrics.Metric, seed int64) (Result, error) {
-	dur, energy, share, n, err := runFixed(w, spec, f.alpha, seed)
+	dur, energy, share, n, err := runFixed(w, spec, f.alpha, seed, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -232,7 +208,7 @@ func OracleSweep(ctx context.Context, step float64, w workloads.Workload, spec p
 	cands := make([]Result, len(alphas))
 	err := par.ForEach(ctx, len(alphas), 0, func(_ context.Context, i int) error {
 		a := alphas[i]
-		dur, energy, share, n, err := runFixed(w, spec, a, seed)
+		dur, energy, share, n, err := runFixed(w, spec, a, seed, nil)
 		if err != nil {
 			return err
 		}
@@ -322,7 +298,8 @@ func (a adaptive) Run(ctx context.Context, w workloads.Workload, spec platform.S
 	defer s.Close()
 	var total time.Duration
 	var energy, gpuItems, allItems float64
-	for _, inv := range invs {
+	for i := range invs {
+		inv := &invs[i]
 		rep, err := s.ParallelForCtx(ctx, inv.Kernel, inv.N)
 		if err != nil {
 			return Result{}, fmt.Errorf("sched: %s on %s: %w", a.name, w.Abbrev, err)
