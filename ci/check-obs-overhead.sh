@@ -10,7 +10,8 @@
 #      TestProfilingObserverAllocBudget pins the enabled observer's
 #      profiling path (fresh profile + 0.0005-step α search + Explain
 #      record every invocation) to 2 allocations beyond the unobserved
-#      run plus the span tree's attribute slices, and under 2 KiB.
+#      run, and under 2 KiB. Spans carry their attributes by value, so
+#      the one allocation the path takes is the Explain record.
 #   2. BenchmarkParallelForObserverNil's allocs/op is compared against
 #      the committed baseline (ci/obs-overhead-baseline.txt); any
 #      regression past the baseline fails. Allocation counts are exact

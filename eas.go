@@ -622,13 +622,12 @@ func (r *Runtime) executeCtx(ctx context.Context, k Kernel, n int, alpha float64
 			return fmt.Errorf("eas: GPU dispatch: %w", err)
 		}
 	}
-	if cpuItems := n - gpuItems; cpuItems > 0 {
-		err := r.pool.ParallelForCtx(ctx, cpuItems, 0, func(i int) { k.Body(gpuItems + i) })
-		if err != nil {
+	if gpuItems < n {
+		if err := r.pool.ParallelForIn(ctx, gpuItems, n, 0, k.Body); err != nil {
 			if ev != nil {
 				ev.Abandon()
 			}
-			return wrapBodyError(k, gpuItems, err)
+			return wrapBodyError(k, err)
 		}
 	}
 	if ev != nil {
@@ -660,10 +659,10 @@ func (r *Runtime) executeCtx(ctx context.Context, k Kernel, n int, alpha float64
 			out.FallbackError = fmt.Errorf("eas: kernel %q: %w after %v", k.Name, ErrGPUTimeout, r.timeout)
 			out.ReexecutedItems += gpuItems
 			if rerr := r.pool.ParallelForCtx(ctx, gpuItems, 0, k.Body); rerr != nil {
-				return wrapBodyError(k, 0, rerr)
+				return wrapBodyError(k, rerr)
 			}
 		default:
-			return wrapBodyError(k, 0, err)
+			return wrapBodyError(k, err)
 		}
 	}
 	return nil
@@ -704,14 +703,13 @@ func (r *Runtime) enqueueWithRetry(ctx context.Context, k Kernel, gpuItems int, 
 }
 
 // wrapBodyError converts pool- and driver-level failures into the
-// public error types. indexBase shifts pool-local indices into the
-// loop's global iteration space.
-func wrapBodyError(k Kernel, indexBase int, err error) error {
+// public error types. Both layers report the absolute iteration index.
+func wrapBodyError(k Kernel, err error) error {
 	var wsPanic *ws.PanicError
 	if errors.As(err, &wsPanic) {
 		return &KernelPanicError{
 			Kernel: k.Name,
-			Index:  indexBase + wsPanic.Index,
+			Index:  wsPanic.Index,
 			Value:  wsPanic.Value,
 			Stack:  wsPanic.Stack,
 		}

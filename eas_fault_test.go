@@ -52,6 +52,9 @@ func TestKernelPanicIsIsolated(t *testing.T) {
 	if kp.Kernel != "public-mem" || kp.Value != "bad index math" || len(kp.Stack) == 0 {
 		t.Errorf("panic detail = kernel %q value %v stack %d bytes", kp.Kernel, kp.Value, len(kp.Stack))
 	}
+	if kp.Index != n-10 {
+		t.Errorf("panic index = %d, want %d (the absolute iteration index)", kp.Index, n-10)
+	}
 	// The pool drained and the runtime survives: the next invocation
 	// runs to completion.
 	var ran atomic.Int64

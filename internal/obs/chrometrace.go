@@ -76,7 +76,7 @@ func micros(d time.Duration) float64 {
 }
 
 func spanArgs(sp Span) map[string]any {
-	args := make(map[string]any, len(sp.Attrs)+4)
+	args := make(map[string]any, sp.Attrs.Len()+4)
 	if sp.Kernel != "" {
 		args["kernel"] = sp.Kernel
 	}
@@ -85,7 +85,7 @@ func spanArgs(sp Span) map[string]any {
 	if sp.Parent != 0 {
 		args["parent"] = sp.Parent
 	}
-	for _, a := range sp.Attrs {
+	for _, a := range sp.Attrs.List() {
 		if a.IsNum {
 			args[a.Key] = jsonSafe(a.Num)
 		} else {

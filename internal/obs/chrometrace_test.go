@@ -20,7 +20,7 @@ func fixedSpans() []Span {
 		{
 			ID: 1, Invocation: 1, Name: "invocation", Kernel: "bfs",
 			Start: base, End: base.Add(500 * time.Microsecond),
-			Attrs: []Attr{Num("alpha", 0.6), Str("fallback", "")},
+			Attrs: AttrsOf(Num("alpha", 0.6), Str("fallback", "")),
 		},
 		{
 			ID: 2, Parent: 1, Invocation: 1, Name: "alpha-search", Kernel: "bfs",
@@ -38,7 +38,7 @@ func fixedSpans() []Span {
 			ID: 3, Parent: 1, Invocation: 1, Kind: KindInstant, Name: "gpu-retry",
 			Kernel: "bfs",
 			Start:  base.Add(200 * time.Microsecond), End: base.Add(200 * time.Microsecond),
-			Attrs: []Attr{Num("attempt", 1)},
+			Attrs: AttrsOf(Num("attempt", 1)),
 		},
 	}
 }
@@ -120,7 +120,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	spans := []Span{{
 		ID: 1, Invocation: 7, Name: "invocation", Kernel: "scale",
 		Start: base, End: base.Add(250 * time.Microsecond),
-		Attrs: []Attr{Num("alpha", 0.5)},
+		Attrs: AttrsOf(Num("alpha", 0.5)),
 	}}
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, spans); err != nil {

@@ -64,6 +64,32 @@ func Str(key, value string) Attr { return Attr{Key: key, Str: value} }
 // Num builds a numeric attribute.
 func Num(key string, value float64) Attr { return Attr{Key: key, Num: value, IsNum: true} }
 
+// MaxAttrs is the number of attributes a span carries; the widest
+// instrumented site, a degraded invocation's root span, has four.
+const MaxAttrs = 4
+
+// Attrs is a span's attribute list held by value, so emitting a span
+// allocates nothing for its labels and a sink that stores the span
+// owns a copy.
+type Attrs struct {
+	list [MaxAttrs]Attr
+	n    uint8
+}
+
+// AttrsOf copies the first MaxAttrs of attrs; any further ones are
+// dropped.
+func AttrsOf(attrs ...Attr) Attrs {
+	var a Attrs
+	a.n = uint8(copy(a.list[:], attrs))
+	return a
+}
+
+// List returns the attributes as a slice of a's storage.
+func (a *Attrs) List() []Attr { return a.list[:a.n] }
+
+// Len returns the number of attributes.
+func (a Attrs) Len() int { return int(a.n) }
+
 // GridPoint is the objective value at one α of the scheduler's grid
 // search.
 type GridPoint struct {
@@ -144,14 +170,14 @@ type Span struct {
 	Name       string
 	Kernel     string
 	Start, End time.Time
-	Attrs      []Attr
+	Attrs      Attrs
 	Explain    *Explain
 }
 
 // Sink receives completed spans. Implementations must be safe for
-// concurrent use; Emit must not retain references into the span's
-// slices beyond the call unless it owns them (the runtime hands over
-// ownership of Attrs and Explain on emission).
+// concurrent use. The span is a value — its attributes included — and
+// the runtime hands over the immutable Explain on emission, so a sink
+// may keep what it receives.
 type Sink interface {
 	Emit(sp Span)
 }
@@ -165,7 +191,10 @@ type Observer struct {
 	sink    Sink
 	reg     *Registry
 	spanIDs atomic.Uint64
-	invSeq  atomic.Uint64
+	// epoch anchors span times: now() is epoch plus the monotonic time
+	// since, one clock read instead of time.Now's two.
+	epoch  time.Time
+	invSeq atomic.Uint64
 
 	// Pre-resolved instruments: resolved once at construction so the
 	// per-invocation path never touches the registry's map.
@@ -241,8 +270,9 @@ func New(sink Sink, reg *Registry) *Observer {
 		reg = NewRegistry()
 	}
 	o := &Observer{
-		sink: sink,
-		reg:  reg,
+		sink:  sink,
+		reg:   reg,
+		epoch: time.Now(),
 		invocations: reg.Counter("eas_invocations_total",
 			"ParallelFor invocations completed."),
 		latency: reg.Histogram("eas_invocation_seconds",
@@ -356,6 +386,10 @@ func (o *Observer) Registry() *Registry {
 // behind this so the disabled path stays allocation-free.
 func (o *Observer) Enabled() bool { return o != nil }
 
+// now is the span clock: wall time at the observer's creation advanced
+// by the monotonic clock.
+func (o *Observer) now() time.Time { return o.epoch.Add(time.Since(o.epoch)) }
+
 func (o *Observer) emit(sp Span) {
 	if o.sink != nil {
 		o.sink.Emit(sp)
@@ -386,7 +420,7 @@ func (o *Observer) BeginInvocation(inv uint64, kernel string) Scope {
 		inv:    inv,
 		root:   o.spanIDs.Add(1),
 		kernel: kernel,
-		start:  time.Now(),
+		start:  o.now(),
 	}
 }
 
@@ -628,7 +662,7 @@ func (o *Observer) RecordWatchdogStall(tenant string, held time.Duration) {
 		return
 	}
 	o.watchdogStall.Inc()
-	now := time.Now()
+	now := o.now()
 	o.emit(Span{
 		ID:     o.spanIDs.Add(1),
 		Kind:   KindInstant,
@@ -636,7 +670,7 @@ func (o *Observer) RecordWatchdogStall(tenant string, held time.Duration) {
 		Kernel: tenant,
 		Start:  now,
 		End:    now,
-		Attrs:  []Attr{Str("tenant", tenant), Num("held_ms", float64(held.Milliseconds()))},
+		Attrs:  AttrsOf(Str("tenant", tenant), Num("held_ms", float64(held.Milliseconds()))),
 	})
 	o.flight.RecordWatchdogStall(tenant, held)
 }
@@ -779,8 +813,8 @@ func (sc Scope) End(attrs ...Attr) {
 		Name:       "invocation",
 		Kernel:     sc.kernel,
 		Start:      sc.start,
-		End:        time.Now(),
-		Attrs:      attrs,
+		End:        sc.obs.now(),
+		Attrs:      AttrsOf(attrs...),
 	})
 }
 
@@ -796,7 +830,7 @@ func (sc Scope) Span(name string) Timed {
 		id:     sc.obs.spanIDs.Add(1),
 		kernel: sc.kernel,
 		name:   name,
-		start:  time.Now(),
+		start:  sc.obs.now(),
 	}
 }
 
@@ -805,7 +839,7 @@ func (sc Scope) Event(name string, attrs ...Attr) {
 	if sc.obs == nil {
 		return
 	}
-	now := time.Now()
+	now := sc.obs.now()
 	sc.obs.emit(Span{
 		ID:         sc.obs.spanIDs.Add(1),
 		Parent:     sc.root,
@@ -815,7 +849,7 @@ func (sc Scope) Event(name string, attrs ...Attr) {
 		Kernel:     sc.kernel,
 		Start:      now,
 		End:        now,
-		Attrs:      attrs,
+		Attrs:      AttrsOf(attrs...),
 	})
 }
 
@@ -850,8 +884,8 @@ func (t Timed) end(ex *Explain, attrs []Attr) {
 		Name:       t.name,
 		Kernel:     t.kernel,
 		Start:      t.start,
-		End:        time.Now(),
-		Attrs:      attrs,
+		End:        t.obs.now(),
+		Attrs:      AttrsOf(attrs...),
 		Explain:    ex,
 	})
 }
@@ -868,7 +902,7 @@ func (t Timed) Child(name string) Timed {
 		id:     t.obs.spanIDs.Add(1),
 		kernel: t.kernel,
 		name:   name,
-		start:  time.Now(),
+		start:  t.obs.now(),
 	}
 }
 
@@ -877,7 +911,7 @@ func (t Timed) Event(name string, attrs ...Attr) {
 	if t.obs == nil {
 		return
 	}
-	now := time.Now()
+	now := t.obs.now()
 	t.obs.emit(Span{
 		ID:         t.obs.spanIDs.Add(1),
 		Parent:     t.id,
@@ -887,6 +921,6 @@ func (t Timed) Event(name string, attrs ...Attr) {
 		Kernel:     t.kernel,
 		Start:      now,
 		End:        now,
-		Attrs:      attrs,
+		Attrs:      AttrsOf(attrs...),
 	})
 }

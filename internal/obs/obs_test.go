@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -81,19 +82,93 @@ func TestObserverSpanTree(t *testing.T) {
 	}
 }
 
-func TestRingSinkWraps(t *testing.T) {
-	ring := NewRingSink(3)
-	for i := 1; i <= 5; i++ {
-		ring.Emit(Span{ID: uint64(i)})
+// TestSpanAttrsByValue pins the value semantics of span attributes:
+// the sink receives a copy, so reusing the caller's slice after End
+// changes nothing it stored; at most MaxAttrs are kept; and span times
+// are monotone in emission order on the observer's clock.
+func TestSpanAttrsByValue(t *testing.T) {
+	ring := NewRingSink(8)
+	o := New(ring, nil)
+	sc := o.BeginInvocation(1, "k")
+	attrs := []Attr{Num("a", 1), Str("b", "x"), Num("c", 3), Str("d", "y"), Num("e", 5)}
+	sc.Span("wide").End(attrs...)
+	attrs[0] = Num("a", -1)
+	sc.Event("one", Num("n", 7))
+	sc.End()
+
+	spans := ring.Snapshot()
+	if len(spans) != 3 {
+		t.Fatalf("got %d spans, want 3", len(spans))
 	}
-	if ring.Len() != 3 || ring.Total() != 5 {
-		t.Fatalf("len=%d total=%d, want 3/5", ring.Len(), ring.Total())
+	wide := spans[0].Attrs
+	got := wide.List()
+	if wide.Len() != MaxAttrs || len(got) != MaxAttrs {
+		t.Fatalf("wide span keeps %d attributes, want %d", wide.Len(), MaxAttrs)
 	}
-	got := ring.Snapshot()
-	for i, want := range []uint64{3, 4, 5} {
-		if got[i].ID != want {
-			t.Fatalf("snapshot order wrong: %+v", got)
+	for i, a := range got {
+		want := []Attr{Num("a", 1), Str("b", "x"), Num("c", 3), Str("d", "y")}[i]
+		if a != want {
+			t.Errorf("attribute %d = %+v, want %+v", i, a, want)
 		}
+	}
+	if ev := spans[1].Attrs.List(); len(ev) != 1 || ev[0] != Num("n", 7) {
+		t.Errorf("event attributes = %+v, want [n=7]", ev)
+	}
+	if spans[2].Attrs.Len() != 0 {
+		t.Errorf("root span has %d attributes, want 0", spans[2].Attrs.Len())
+	}
+	for i, sp := range spans {
+		if sp.End.Before(sp.Start) {
+			t.Errorf("span %q ends before it starts", sp.Name)
+		}
+		if i > 0 && sp.End.Before(spans[i-1].End) {
+			t.Errorf("span %q ends before the span emitted ahead of it", sp.Name)
+		}
+	}
+}
+
+func TestRingSinkWraps(t *testing.T) {
+	for _, tc := range []struct{ capacity, emitted int }{
+		{3, 5},
+		{3, 2},
+		{ringPage, ringPage + 1},
+		{2*ringPage + 44, 3*ringPage + 7}, // a short last page, wrapped
+	} {
+		ring := NewRingSink(tc.capacity)
+		for i := 1; i <= tc.emitted; i++ {
+			ring.Emit(Span{ID: uint64(i)})
+		}
+		kept := min(tc.capacity, tc.emitted)
+		if ring.Len() != kept || ring.Total() != uint64(tc.emitted) {
+			t.Fatalf("capacity %d: len=%d total=%d, want %d/%d",
+				tc.capacity, ring.Len(), ring.Total(), kept, tc.emitted)
+		}
+		got := ring.Snapshot()
+		if len(got) != kept {
+			t.Fatalf("capacity %d: snapshot holds %d spans, want %d", tc.capacity, len(got), kept)
+		}
+		for i, sp := range got {
+			if want := uint64(tc.emitted - kept + 1 + i); sp.ID != want {
+				t.Fatalf("capacity %d: snapshot[%d] = span %d, want %d", tc.capacity, i, sp.ID, want)
+			}
+		}
+	}
+}
+
+// TestRingSinkAllocatesOnUse pins that a ring's memory follows the
+// spans it has held: an unused default ring costs a page table, not
+// DefaultRingCapacity spans.
+func TestRingSinkAllocatesOnUse(t *testing.T) {
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	ring := NewRingSink(DefaultRingCapacity)
+	runtime.ReadMemStats(&ms1)
+	if got := ms1.TotalAlloc - ms0.TotalAlloc; got > 4096 {
+		t.Errorf("an empty %d-span ring allocated %d bytes, want <= 4096", DefaultRingCapacity, got)
+	}
+	ring.Emit(Span{ID: 1})
+	if ring.Len() != 1 {
+		t.Fatalf("len = %d after one span, want 1", ring.Len())
 	}
 }
 

@@ -7,16 +7,23 @@ import "sync"
 // trees without unbounded growth.
 const DefaultRingCapacity = 8192
 
+// ringPage is how many spans a RingSink allocates at a time, so a sink
+// costs memory in proportion to the spans it has held, not to its
+// capacity: a span is a few hundred bytes, and most sinks are built at
+// set-up long before they fill.
+const ringPage = 256
+
 // RingSink retains the most recent spans in a fixed-capacity ring for
 // post-mortem dumps: when something goes wrong, the last N spans are a
 // flight recorder of what the scheduler decided and why. It is safe
 // for concurrent use.
 type RingSink struct {
-	mu      sync.Mutex
-	buf     []Span
-	next    int
-	wrapped bool
-	total   uint64
+	mu       sync.Mutex
+	pages    [][]Span // ring slot i is pages[i/ringPage][i%ringPage]
+	capacity int
+	next     int
+	wrapped  bool
+	total    uint64
 }
 
 // NewRingSink returns a ring retaining up to capacity spans
@@ -25,15 +32,25 @@ func NewRingSink(capacity int) *RingSink {
 	if capacity <= 0 {
 		capacity = DefaultRingCapacity
 	}
-	return &RingSink{buf: make([]Span, capacity)}
+	return &RingSink{
+		pages:    make([][]Span, (capacity+ringPage-1)/ringPage),
+		capacity: capacity,
+	}
 }
 
 // Emit implements Sink.
 func (r *RingSink) Emit(sp Span) {
 	r.mu.Lock()
-	r.buf[r.next] = sp
+	page := r.pages[r.next/ringPage]
+	if page == nil {
+		// The ring fills in order, so a page is first written at its
+		// first slot.
+		page = make([]Span, min(ringPage, r.capacity-r.next))
+		r.pages[r.next/ringPage] = page
+	}
+	page[r.next%ringPage] = sp
 	r.next++
-	if r.next == len(r.buf) {
+	if r.next == r.capacity {
 		r.next = 0
 		r.wrapped = true
 	}
@@ -46,7 +63,7 @@ func (r *RingSink) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.wrapped {
-		return len(r.buf)
+		return r.capacity
 	}
 	return r.next
 }
@@ -65,13 +82,17 @@ func (r *RingSink) Total() uint64 {
 func (r *RingSink) Snapshot() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Span
-	if !r.wrapped {
-		out = append([]Span(nil), r.buf[:r.next]...)
-	} else {
-		out = make([]Span, 0, len(r.buf))
-		out = append(out, r.buf[r.next:]...)
-		out = append(out, r.buf[:r.next]...)
+	n, first := r.next, 0
+	if r.wrapped {
+		n, first = r.capacity, r.next
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Span, n)
+	for k := range out {
+		i := (first + k) % r.capacity
+		out[k] = r.pages[i/ringPage][i%ringPage]
 	}
 	return out
 }

@@ -36,14 +36,24 @@ func BenchmarkSharedCounterGrab(b *testing.B) {
 	})
 }
 
+// BenchmarkParallelForThroughput measures one loop on a warmed pool at
+// the size of one serve-workload operation (4096 items) and at a large
+// size; allocs/op is the per-loop cost, zero once the loop state is
+// recycled.
 func BenchmarkParallelForThroughput(b *testing.B) {
-	p := NewPool(0)
-	var sink atomic.Int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ParallelFor(100000, 256, func(j int) {
-			if j == 0 {
-				sink.Add(1)
+	for _, n := range []int{4096, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			p := NewPool(0)
+			var sink atomic.Int64
+			body := func(j int) {
+				if j == 0 {
+					sink.Add(1)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.ParallelFor(n, 256, body)
 			}
 		})
 	}

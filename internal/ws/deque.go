@@ -71,6 +71,17 @@ func NewDeque() *Deque {
 	return d
 }
 
+// reset empties the deque for a new loop, keeping its ring (or giving
+// a zero Deque its first one). Only a deque no thread is using may be
+// reset.
+func (d *Deque) reset() {
+	d.top.Store(0)
+	d.bottom.Store(0)
+	if d.array.Load() == nil {
+		d.array.Store(newRing(64))
+	}
+}
+
 // PushBottom adds v at the owner's end.
 func (d *Deque) PushBottom(v Range) {
 	b := d.bottom.Load()

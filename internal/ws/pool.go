@@ -30,9 +30,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("ws: kernel body panicked at index %d: %v", e.Index, e.Value)
 }
 
-// Pool executes data-parallel loops over n worker goroutines per loop
+// Pool executes data-parallel loops over a fixed number of worker slots
 // using work stealing. A Pool is safe for concurrent use: any number
-// of loops may run on it at once (each loop gets its own deques and
+// of loops may run on it at once (each loop has its own deques and
 // workers; the pool-level parker is shared). Workers that run out of
 // stealable work spin briefly and then park on the pool's semaphore,
 // so idle workers — whether waiting out a long straggler chunk in
@@ -41,6 +41,12 @@ func (e *PanicError) Error() string {
 // both a throughput fix (spinners steal cycles from workers with real
 // work) and an energy-accounting one: an energy-aware runtime must not
 // itself convert idleness into full-core activity.
+//
+// A loop's state (deques with their rings, counters, wake channels)
+// comes from a pool-owned free list and goes back to it once the last
+// worker that ran on it has exited, so a warmed loop allocates nothing.
+// An uncancellable loop runs on the caller as worker 0 plus
+// workers−1 helper goroutines.
 type Pool struct {
 	workers int
 	idle    parker
@@ -60,6 +66,11 @@ type Pool struct {
 	// idle episode is noise, so they stay unsharded.
 	parks atomic.Uint64 // times a worker blocked on the idle semaphore
 	wakes atomic.Uint64 // wakeups delivered to parked workers
+
+	// free holds the states of finished loops, as many as the peak
+	// number of loops that ran at once.
+	freeMu sync.Mutex
+	free   []*loop
 }
 
 // paddedUint64 is an atomic counter padded out to a cache line so
@@ -106,9 +117,13 @@ func NewPool(n int) *Pool {
 }
 
 // parker is the pool's idle-worker semaphore. A worker that finds no
-// work registers a wake channel with prepare, rechecks its loop's
+// work registers its wake channel with prepare, rechecks its loop's
 // state (mandatory — skipping the recheck loses wakeups), and then
-// blocks on the channel; wakers close channels via wakeOne/wakeAll.
+// blocks on the channel; wakers send one token via wakeOne/wakeAll.
+// Wake channels have capacity 1 and belong to a loop's worker slot, so
+// parking allocates nothing: a token is sent only when a waker removes
+// the channel's registration, and every registration ends with one
+// receive, so the channel is empty whenever it is registered.
 // The parker is shared by all loops running on the pool: a wakeup may
 // reach a worker of a different loop, which simply rechecks its own
 // state and re-parks, so cross-loop wakeups are harmless and every
@@ -118,27 +133,32 @@ type parker struct {
 	waiters []chan struct{}
 }
 
-// prepare registers the caller for wakeup. The caller must either
-// block on the returned channel or call cancel on it.
-func (p *parker) prepare() chan struct{} {
-	ch := make(chan struct{})
+// prepare registers the empty wake channel ch. The caller must either
+// receive from ch or call cancel on it.
+func (p *parker) prepare(ch chan struct{}) {
 	p.mu.Lock()
 	p.waiters = append(p.waiters, ch)
 	p.mu.Unlock()
-	return ch
 }
 
-// cancel deregisters a prepared channel after the recheck found work.
-// If a waker already consumed the registration the signal is simply
-// dropped — the caller is awake by definition.
+// cancel deregisters ch after the recheck found work. If a waker
+// already removed the registration, its token is in ch (wakers send
+// under mu) and is drained, so ch is empty for the next park.
 func (p *parker) cancel(ch chan struct{}) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	found := false
 	for i, c := range p.waiters {
 		if c == ch {
-			p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
-			return
+			n := copy(p.waiters[i:], p.waiters[i+1:])
+			p.waiters[i+n] = nil
+			p.waiters = p.waiters[:i+n]
+			found = true
+			break
 		}
+	}
+	p.mu.Unlock()
+	if !found {
+		<-ch
 	}
 }
 
@@ -147,12 +167,14 @@ func (p *parker) cancel(ch chan struct{}) {
 func (p *parker) wakeOne() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.waiters) > 0 {
-		close(p.waiters[0])
-		p.waiters = p.waiters[1:]
-		return true
+	if len(p.waiters) == 0 {
+		return false
 	}
-	return false
+	p.waiters[0] <- struct{}{}
+	n := copy(p.waiters, p.waiters[1:])
+	p.waiters[n] = nil
+	p.waiters = p.waiters[:n]
+	return true
 }
 
 // wakeAll unparks every parked worker, returning how many there were.
@@ -160,10 +182,11 @@ func (p *parker) wakeAll() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := len(p.waiters)
-	for _, c := range p.waiters {
-		close(c)
+	for i, c := range p.waiters {
+		c <- struct{}{}
+		p.waiters[i] = nil
 	}
-	p.waiters = nil
+	p.waiters = p.waiters[:0]
 	return n
 }
 
@@ -189,7 +212,7 @@ func (p *Pool) Workers() int { return p.workers }
 // DefaultGrain. A panicking body is recovered and returned as a
 // *PanicError after the other workers drain.
 func (p *Pool) ParallelFor(n int, grain int, body func(i int)) error {
-	return p.ParallelForCtx(context.Background(), n, grain, body)
+	return p.parallel(context.Background(), 0, n, grain, body, nil)
 }
 
 // ParallelForCtx is ParallelFor with cancellation: when ctx is
@@ -200,50 +223,49 @@ func (p *Pool) ParallelFor(n int, grain int, body func(i int)) error {
 // already executed all n iterations when the cancellation lands
 // returns nil (or the body's error), never a spurious ctx.Err().
 func (p *Pool) ParallelForCtx(ctx context.Context, n int, grain int, body func(i int)) error {
-	return p.run(ctx, n, grain, func(r Range) error {
-		return runIndexed(body, r)
-	})
+	return p.parallel(ctx, 0, n, grain, body, nil)
+}
+
+// ParallelForIn is ParallelForCtx over the index interval [lo, hi):
+// body receives absolute indices, so a caller running the tail of a
+// larger iteration space passes its body unwrapped. A *PanicError
+// carries the absolute index too.
+func (p *Pool) ParallelForIn(ctx context.Context, lo, hi int, grain int, body func(i int)) error {
+	return p.parallel(ctx, lo, hi, grain, body, nil)
 }
 
 // ParallelRange is ParallelFor at chunk granularity: body receives
 // whole ranges, which lets callers amortize per-chunk setup.
 func (p *Pool) ParallelRange(n int, grain int, body func(r Range)) error {
-	return p.ParallelRangeCtx(context.Background(), n, grain, body)
+	return p.parallel(context.Background(), 0, n, grain, nil, body)
 }
 
 // ParallelRangeCtx is ParallelRange with cancellation (see
 // ParallelForCtx for the semantics).
 func (p *Pool) ParallelRangeCtx(ctx context.Context, n int, grain int, body func(r Range)) error {
-	return p.run(ctx, n, grain, func(r Range) error {
-		return runRange(body, r)
-	})
+	return p.parallel(ctx, 0, n, grain, nil, body)
 }
 
-// runIndexed executes body over r item-by-item, converting a panic to
-// a *PanicError carrying the exact iteration index. One deferred
-// recover per chunk keeps the hot loop free of per-item overhead.
-func runIndexed(body func(int), r Range) (err error) {
+// runChunk executes one chunk, item by item through body or whole
+// through rbody, converting a panic to a *PanicError. An item body's
+// panic carries the exact iteration index, a range body's the chunk's
+// first index (the pool cannot see inside the caller's chunk loop).
+// One deferred recover per chunk keeps the hot loop free of per-item
+// overhead.
+func runChunk(body func(int), rbody func(Range), r Range) (err error) {
 	i := r.Start
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
 		}
 	}()
+	if rbody != nil {
+		rbody(r)
+		return nil
+	}
 	for ; i < r.End; i++ {
 		body(i)
 	}
-	return nil
-}
-
-// runRange executes a chunk body, attributing a panic to the chunk's
-// first index (the pool cannot see inside the caller's chunk loop).
-func runRange(body func(Range), r Range) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Index: r.Start, Value: v, Stack: debug.Stack()}
-		}
-	}()
-	body(r)
 	return nil
 }
 
@@ -253,20 +275,98 @@ func runRange(body func(Range), r Range) (err error) {
 // microseconds — without letting idle workers own a core.
 const spinSweeps = 4
 
-// run is the shared work-stealing loop. exec runs one chunk and
-// reports a recovered panic as an error; the first error stops all
-// workers (they finish their current chunk, then exit without taking
-// more work) and is returned after the pool drains.
+// callerRef is the caller's share of loop.refs; the bits below it
+// count the worker goroutines that have not yet exited.
+const callerRef = 1 << 30
+
+// loop is the recycled state of one parallel loop.
+type loop struct {
+	p      *Pool
+	deques []Deque
+	wake   []chan struct{} // one per worker slot, capacity 1
+	// done (capacity 1) receives one token from the last worker to
+	// exit while the caller still holds its reference.
+	done chan struct{}
+	// spawn is the bound helper method, built once so that starting a
+	// helper goroutine allocates nothing.
+	spawn func()
+
+	body  func(int)
+	rbody func(Range)
+
+	remaining atomic.Int64 // iterations not yet executed
+	stop      atomic.Bool  // body error or cancellation: take no more chunks
+	failed    atomic.Bool  // err has been claimed
+	err       error        // first body error, written once by the claimer
+	refs      atomic.Int32 // callerRef (while the caller holds it) + live workers
+	slot      atomic.Int32 // last worker slot handed to a helper
+}
+
+// acquire takes a loop state from the free list (or builds one) and
+// seeds its deques with [lo, hi): each worker slot gets an equal
+// slice, split into grain-sized chunks.
+func (p *Pool) acquire(lo, hi, grain int, body func(int), rbody func(Range)) *loop {
+	var l *loop
+	p.freeMu.Lock()
+	if k := len(p.free); k > 0 {
+		l = p.free[k-1]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
+	}
+	p.freeMu.Unlock()
+	if l == nil {
+		l = &loop{
+			p:      p,
+			deques: make([]Deque, p.workers),
+			wake:   make([]chan struct{}, p.workers),
+			done:   make(chan struct{}, 1),
+		}
+		for w := range l.wake {
+			l.wake[w] = make(chan struct{}, 1)
+		}
+		l.spawn = l.helper
+	} else if l.refs.Load() != 0 {
+		panic("ws: loop state recycled while a worker still holds it")
+	}
+	l.body, l.rbody = body, rbody
+	l.remaining.Store(int64(hi - lo))
+	l.stop.Store(false)
+	l.failed.Store(false)
+	per := (hi - lo + p.workers - 1) / p.workers
+	for w := range l.deques {
+		d := &l.deques[w]
+		d.reset()
+		wlo := min(lo+w*per, hi)
+		whi := min(wlo+per, hi)
+		for s := wlo; s < whi; s += grain {
+			d.PushBottom(Range{Start: s, End: min(s+grain, whi)})
+		}
+	}
+	return l
+}
+
+// release returns a loop state nobody references to the free list.
+func (p *Pool) release(l *loop) {
+	l.body, l.rbody, l.err = nil, nil, nil
+	p.freeMu.Lock()
+	p.free = append(p.free, l)
+	p.freeMu.Unlock()
+}
+
+// parallel runs one loop over [lo, hi) on the pool. The first body
+// error stops all workers (they finish their current chunk, then exit
+// without taking more work) and is returned after the loop drains.
 //
-// Idle workers do not busy-wait: after a bounded spin of steal sweeps
-// they park on the pool's semaphore and are woken when a peer claims a
-// chunk whose deque still holds more (work propagation), or when the
-// loop terminates (drained, body error, or cancellation). All chunks
-// are seeded by PushBottom before the workers start, so a parked
-// worker that observed every deque empty only ever needs the
-// termination wakeup.
-func (p *Pool) run(ctx context.Context, n int, grain int, exec func(r Range) error) error {
-	if n <= 0 {
+// An uncancellable loop runs on the caller as worker 0 plus
+// workers−1 helpers; the caller returns once every helper has exited.
+// (Returning before late helpers exit would leave their states
+// unrecyclable for a while, and back-to-back loops would then keep
+// building new ones.) A cancellable loop starts all workers and the
+// caller waits for either their exit or ctx, so a blocked body cannot
+// delay a cancellation. A cancelled caller returns at once and the
+// last straggler to exit recycles the state.
+func (p *Pool) parallel(ctx context.Context, lo, hi, grain int, body func(int), rbody func(Range)) error {
+	if hi <= lo {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -276,168 +376,180 @@ func (p *Pool) run(ctx context.Context, n int, grain int, exec func(r Range) err
 		grain = DefaultGrain
 	}
 	cancelled := ctx.Done()
-	if cancelled == nil && (n <= grain || p.workers == 1) {
-		// Uncancellable small or single-worker loop: run inline. A
-		// cancellable loop always takes the goroutine path below, so
-		// the caller gets a prompt return even if a body blocks.
-		return exec(Range{Start: 0, End: n})
+	if cancelled == nil && (hi-lo <= grain || p.workers == 1) {
+		// Uncancellable small or single-worker loop: run inline.
+		return runChunk(body, rbody, Range{Start: lo, End: hi})
 	}
 
-	// Seed each worker's deque with an equal slice of the iteration
-	// space, itself split into grain-sized chunks.
-	deques := make([]*Deque, p.workers)
-	per := (n + p.workers - 1) / p.workers
+	l := p.acquire(lo, hi, grain, body, rbody)
+	if cancelled == nil {
+		l.refs.Store(callerRef + int32(p.workers-1))
+		l.slot.Store(0)
+		for w := 1; w < p.workers; w++ {
+			go l.spawn()
+		}
+		l.work(0)
+		<-l.done
+		return p.finish(l, ctx)
+	}
+
+	l.refs.Store(callerRef + int32(p.workers))
+	l.slot.Store(-1)
 	for w := 0; w < p.workers; w++ {
-		deques[w] = NewDeque()
-		lo := w * per
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		for s := lo; s < hi; s += grain {
-			e := s + grain
-			if e > hi {
-				e = hi
-			}
-			deques[w].PushBottom(Range{Start: s, End: e})
-		}
+		go l.spawn()
 	}
-
-	var (
-		wg        sync.WaitGroup
-		remaining atomic.Int64
-		stop      atomic.Bool
-		errOnce   sync.Once
-		firstErr  error
-	)
-	remaining.Store(int64(n))
-	anyQueued := func() bool {
-		for _, d := range deques {
-			if d.Size() > 0 {
-				return true
-			}
-		}
-		return false
-	}
-	for w := 0; w < p.workers; w++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			rng := uint64(self)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
-			idle := 0
-			for remaining.Load() > 0 && !stop.Load() {
-				r, ok := deques[self].PopBottom()
-				src := self
-				extra := 0
-				if !ok {
-					// Steal sweep: start at a pseudo-random victim and walk
-					// the workers with a per-sweep stride coprime to the
-					// worker count, so concurrent thieves fan out across
-					// distinct victims instead of converging on the same
-					// deque in the same order. A hit batch-steals half the
-					// victim's queue: the first chunk runs immediately and
-					// the extras land in this worker's own deque, where
-					// further thieves can redistribute them.
-					rng ^= rng << 13
-					rng ^= rng >> 7
-					rng ^= rng << 17
-					victim := int(rng % uint64(p.workers))
-					stride := coprimeStride(rng>>32, p.workers)
-					for i := 0; i < p.workers && !ok; i++ {
-						if victim != self {
-							r, extra, ok = deques[victim].StealHalf(deques[self])
-							src = victim
-						}
-						if !ok {
-							victim += stride
-							if victim >= p.workers {
-								victim -= p.workers
-							}
-						}
-					}
-				}
-				if !ok {
-					idle++
-					if idle < spinSweeps {
-						runtime.Gosched()
-						continue
-					}
-					// Out of spin budget: park until terminated or new
-					// stealable work is signalled. The recheck between
-					// prepare and the blocking receive closes the race
-					// with a concurrent waker.
-					wake := p.idle.prepare()
-					if stop.Load() || remaining.Load() <= 0 || anyQueued() {
-						p.idle.cancel(wake)
-					} else {
-						p.parks.Add(1)
-						<-wake
-					}
-					idle = 0
-					continue
-				}
-				idle = 0
-				if src != self {
-					p.stealsBy[self].n.Add(uint64(1 + extra))
-				}
-				// Work propagation: the batch left stealable chunks in
-				// this worker's deque, or the victim still has more —
-				// either way a parked peer could be helping.
-				if extra > 0 || deques[src].Size() > 0 {
-					p.wakeOne()
-				}
-				if err := exec(r); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					stop.Store(true)
-					p.wakeAll()
-					return
-				}
-				if remaining.Add(int64(-r.Len())) <= 0 {
-					p.wakeAll()
-					return
-				}
-			}
-		}(w)
-	}
-
-	finished := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(finished)
-	}()
 	select {
-	case <-finished:
+	case <-l.done:
+		return p.finish(l, ctx)
 	case <-cancelled:
-		// Return promptly; workers observe stop at their next chunk
-		// boundary and drain in the background.
-		stop.Store(true)
-		p.wakeAll()
-		select {
-		case <-finished:
-			// Workers happened to finish anyway; fall through to report
-			// the loop's true outcome.
-		default:
-			if remaining.Load() <= 0 {
-				// Completion won the race: every iteration executed, so
-				// the caller gets the drained loop's nil, not a spurious
-				// ctx.Err(). (A body error is impossible here — an
-				// erroring chunk never decrements remaining.)
-				return nil
-			}
-			return ctx.Err()
-		}
 	}
-	// firstErr is safely published: the writing worker set it before
-	// wg.Done, and finished closing orders that before this read.
-	if firstErr != nil {
-		return firstErr
+	// Return promptly; workers observe stop at their next chunk
+	// boundary and drain in the background.
+	l.stop.Store(true)
+	p.wakeAll()
+	drained := l.remaining.Load() <= 0
+	if l.refs.Add(-callerRef) == 0 {
+		// Every worker exited in the meantime and the last one sent
+		// done: the caller still owns the state, so report the loop's
+		// true outcome.
+		<-l.done
+		return p.finish(l, ctx)
 	}
-	if remaining.Load() <= 0 {
-		// Fully drained: success even if ctx was cancelled in the same
-		// instant — a completed loop never reports cancellation.
+	if drained {
+		// Completion won the race: every iteration executed, so the
+		// caller gets the drained loop's nil, not a spurious
+		// ctx.Err(). (A body error is impossible here — an erroring
+		// chunk never decrements remaining.)
 		return nil
 	}
 	return ctx.Err()
+}
+
+// finish reports the outcome of a loop whose workers have all exited
+// and recycles its state.
+func (p *Pool) finish(l *loop, ctx context.Context) error {
+	err := l.err
+	if err == nil && l.remaining.Load() > 0 {
+		err = ctx.Err()
+	}
+	// A fully drained loop succeeds even if ctx was cancelled in the
+	// same instant — a completed loop never reports cancellation.
+	l.refs.Store(0)
+	p.release(l)
+	return err
+}
+
+// helper is a worker goroutine's body: it takes the next slot, works,
+// and drops its reference. The last worker out either signals the
+// waiting caller or, when the caller has already returned, recycles
+// the state.
+func (l *loop) helper() {
+	l.work(int(l.slot.Add(1)))
+	switch l.refs.Add(-1) {
+	case callerRef:
+		l.done <- struct{}{}
+	case 0:
+		l.p.release(l)
+	}
+}
+
+// anyQueued reports whether any deque of the loop holds a chunk.
+func (l *loop) anyQueued() bool {
+	for w := range l.deques {
+		if l.deques[w].Size() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// work is the worker loop for slot self. Idle workers do not
+// busy-wait: after a bounded spin of steal sweeps they park on the
+// pool's semaphore and are woken when a peer claims a chunk whose
+// deque still holds more (work propagation), or when the loop
+// terminates (drained, body error, or cancellation). All chunks are
+// seeded before the workers start, so a parked worker that observed
+// every deque empty only ever needs the termination wakeup.
+func (l *loop) work(self int) {
+	p := l.p
+	own := &l.deques[self]
+	rng := uint64(self)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d
+	idle := 0
+	for l.remaining.Load() > 0 && !l.stop.Load() {
+		r, ok := own.PopBottom()
+		src := self
+		extra := 0
+		if !ok {
+			// Steal sweep: start at a pseudo-random victim and walk
+			// the workers with a per-sweep stride coprime to the
+			// worker count, so concurrent thieves fan out across
+			// distinct victims instead of converging on the same
+			// deque in the same order. A hit batch-steals half the
+			// victim's queue: the first chunk runs immediately and
+			// the extras land in this worker's own deque, where
+			// further thieves can redistribute them.
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			victim := int(rng % uint64(p.workers))
+			stride := coprimeStride(rng>>32, p.workers)
+			for i := 0; i < p.workers && !ok; i++ {
+				if victim != self {
+					r, extra, ok = l.deques[victim].StealHalf(own)
+					src = victim
+				}
+				if !ok {
+					victim += stride
+					if victim >= p.workers {
+						victim -= p.workers
+					}
+				}
+			}
+		}
+		if !ok {
+			idle++
+			if idle < spinSweeps {
+				runtime.Gosched()
+				continue
+			}
+			// Out of spin budget: park until terminated or new
+			// stealable work is signalled. The recheck between
+			// prepare and the blocking receive closes the race
+			// with a concurrent waker.
+			wake := l.wake[self]
+			p.idle.prepare(wake)
+			if l.stop.Load() || l.remaining.Load() <= 0 || l.anyQueued() {
+				p.idle.cancel(wake)
+			} else {
+				p.parks.Add(1)
+				<-wake
+			}
+			idle = 0
+			continue
+		}
+		idle = 0
+		if src != self {
+			p.stealsBy[self].n.Add(uint64(1 + extra))
+		}
+		// Work propagation: the batch left stealable chunks in
+		// this worker's deque, or the victim still has more —
+		// either way a parked peer could be helping.
+		if extra > 0 || l.deques[src].Size() > 0 {
+			p.wakeOne()
+		}
+		if err := runChunk(l.body, l.rbody, r); err != nil {
+			if l.failed.CompareAndSwap(false, true) {
+				l.err = err
+			}
+			l.stop.Store(true)
+			p.wakeAll()
+			return
+		}
+		if l.remaining.Add(int64(-r.Len())) <= 0 {
+			p.wakeAll()
+			return
+		}
+	}
 }
 
 // coprimeStride derives a victim-sweep stride in [1, n) coprime to n

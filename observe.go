@@ -298,16 +298,18 @@ func (o *Observer) admissionCollector(adm *core.Admission) func() {
 
 // invocationAttrs builds the root-span closing attributes for a
 // completed invocation (only called on enabled scopes).
-func invocationAttrs(out *Report) []obs.Attr {
-	attrs := []obs.Attr{
+func invocationAttrs(out *Report) obs.Attrs {
+	attrs := [obs.MaxAttrs]obs.Attr{
 		obs.Num("alpha", out.Alpha),
 		obs.Num("energy_j", out.EnergyJ),
 		obs.Num("duration_us", float64(out.Duration.Microseconds())),
 	}
+	n := 3
 	if out.FallbackReason != FallbackNone {
-		attrs = append(attrs, obs.Str("fallback", string(out.FallbackReason)))
+		attrs[n] = obs.Str("fallback", string(out.FallbackReason))
+		n++
 	}
-	return attrs
+	return obs.AttrsOf(attrs[:n]...)
 }
 
 // finishScope closes an invocation's root span and records its metric
@@ -325,5 +327,6 @@ func (r *Runtime) finishScope(ctx context.Context, sc obs.Scope, rep core.Report
 	if out.FallbackReason != FallbackNone {
 		st.Fallback = string(out.FallbackReason)
 	}
-	core.FinishInvocation(ctx, r.obsv, sc, kernel, st, invocationAttrs(out)...)
+	attrs := invocationAttrs(out)
+	core.FinishInvocation(ctx, r.obsv, sc, kernel, st, attrs.List()...)
 }
