@@ -282,9 +282,10 @@ type Report struct {
 // the virtual clock, PCU state and energy MSRs are a shared physical
 // resource, so exactly one invocation drives them at a time — while
 // the functional execution of kernel bodies from different callers
-// runs genuinely in parallel on the shared work-stealing pool and GPU
-// command queue. Do not share one Platform between multiple Runtimes
-// that run concurrently.
+// runs genuinely in parallel: CPU shares on the shared work-stealing
+// pool, GPU shares each on an in-order command queue the invocation
+// borrows from the runtime's context. Do not share one Platform
+// between multiple Runtimes that run concurrently.
 type Runtime struct {
 	platform  *Platform
 	eng       *engine.Engine
@@ -292,7 +293,6 @@ type Runtime struct {
 	metric    Metric
 	pool      *ws.Pool
 	ctx       *cl.Context
-	queue     *cl.CommandQueue
 	timeout   time.Duration
 	retry     core.Retry
 	robustOn  bool // any Robustness knob active → report telemetry
@@ -442,7 +442,6 @@ func NewRuntime(p *Platform, cfg Config) (*Runtime, error) {
 		metric:    metric,
 		pool:      ws.NewPool(cfg.Workers),
 		ctx:       ctx,
-		queue:     cl.NewCommandQueue(ctx),
 		timeout:   cfg.GPUDispatchTimeout,
 		retry:     sched.Retry(),
 		robustOn:  cfg.Robustness.Meter || cfg.Robustness.ValidateProfiles,
@@ -588,7 +587,10 @@ func (r *Runtime) ParallelForCtx(ctx context.Context, k Kernel, n int) (*Report,
 // with the degradation policy: transient enqueue failures are retried
 // with capped exponential backoff, a dispatch that exceeds the GPU
 // timeout is abandoned and its share re-executed on the CPU pool, and
-// body panics on either device surface as *KernelPanicError.
+// body panics on either device surface as *KernelPanicError. The GPU
+// share goes through a command queue borrowed for this invocation
+// alone and returned when the functional execution ends, so the GPU
+// shares of concurrent invocations overlap.
 func (r *Runtime) executeCtx(ctx context.Context, k Kernel, n int, alpha float64, out *Report, sc obs.Scope) error {
 	var fn obs.Timed
 	if sc.Enabled() {
@@ -603,8 +605,10 @@ func (r *Runtime) executeCtx(ctx context.Context, k Kernel, n int, alpha float64
 	}
 	var ev *cl.Event
 	if gpuItems > 0 {
+		q := r.ctx.AcquireQueue()
+		defer r.ctx.ReleaseQueue(q)
 		var err error
-		ev, err = r.enqueueWithRetry(ctx, k, gpuItems, out, fn)
+		ev, err = r.enqueueWithRetry(ctx, q, k, gpuItems, out, fn)
 		switch {
 		case err == nil:
 		case errors.Is(err, cl.ErrDeviceBusy):
@@ -673,10 +677,10 @@ func (r *Runtime) executeCtx(ctx context.Context, k Kernel, n int, alpha float64
 // this is the host-side driver path). Every busy rejection counts
 // toward out.Retries, including the final attempt that exhausts the
 // budget, matching the scheduling layer's accounting.
-func (r *Runtime) enqueueWithRetry(ctx context.Context, k Kernel, gpuItems int, out *Report, fn obs.Timed) (*cl.Event, error) {
+func (r *Runtime) enqueueWithRetry(ctx context.Context, q *cl.CommandQueue, k Kernel, gpuItems int, out *Report, fn obs.Timed) (*cl.Event, error) {
 	backoff := r.retry.BaseBackoff
 	for attempt := 1; ; attempt++ {
-		ev, err := r.queue.EnqueueNDRange(cl.Kernel{Name: k.Name, Body: k.Body}, 0, gpuItems)
+		ev, err := q.EnqueueNDRange(cl.Kernel{Name: k.Name, Body: k.Body}, 0, gpuItems)
 		if err == nil || !errors.Is(err, cl.ErrDeviceBusy) {
 			return ev, err
 		}
@@ -736,10 +740,10 @@ func (r *Runtime) CreateBuffer(name string, bytes int64) (*cl.Buffer, error) {
 // Close gracefully shuts the runtime down: it stops admitting new
 // invocations (concurrent and later ParallelFor calls return
 // ErrClosed), waits — bounded by Config.State.DrainTimeout, default
-// 5s — for in-flight invocations to finish, then drains the GPU
-// queue, releases the shared-memory context, and flushes + fsyncs the
-// durable state store if one is configured. Close is idempotent;
-// repeat calls return nil immediately.
+// 5s — for in-flight invocations to finish, then drains every GPU
+// command queue, releases the shared-memory context, and flushes +
+// fsyncs the durable state store if one is configured. Close is
+// idempotent; repeat calls return nil immediately.
 //
 // A non-nil error means the drain timed out (the runtime closed
 // anyway — stragglers may observe a released context) or the final
@@ -763,7 +767,7 @@ func (r *Runtime) Close() error {
 		case <-timer.C:
 			err = fmt.Errorf("eas: close: drain timed out after %v with invocations still in flight", r.drainTimeout)
 		}
-		r.queue.Finish()
+		r.ctx.Finish()
 		r.ctx.Release()
 		if cerr := r.sched.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("eas: close: flushing state: %w", cerr)

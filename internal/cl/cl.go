@@ -2,6 +2,14 @@
 // integrated GPU: contexts with shared CPU-GPU buffer accounting,
 // in-order command queues, NDRange kernel dispatch, and events.
 //
+// As in OpenCL, one context may carry many in-order queues. Commands
+// on one queue run in enqueue order; commands on different queues are
+// independent and overlap. A context lends queues to concurrent
+// callers from a free list (AcquireQueue / ReleaseQueue), so each
+// in-flight caller enqueues onto a queue of its own, and it keeps the
+// enqueue counters (Stats) and a drain (Finish) across every queue it
+// created.
+//
 // Go has no serviceable OpenCL bindings, so this package substitutes
 // for the vendor driver the paper's runtime sits on. Two things matter
 // for the reproduction and both are modeled faithfully:
@@ -66,8 +74,8 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("cl: kernel %q panicked at gid %d: %v", e.Kernel, e.GID, e.Value)
 }
 
-// Context owns shared CPU-GPU memory accounting for one platform.
-// It is safe for concurrent use.
+// Context owns shared CPU-GPU memory accounting for one platform and
+// the command queues created on it. It is safe for concurrent use.
 type Context struct {
 	platform *platform.Platform
 
@@ -76,6 +84,17 @@ type Context struct {
 	buffers   map[*Buffer]struct{}
 	released  bool
 	faults    *faultinject.Plan
+
+	// qmu guards the queue registry: every queue created on the context
+	// (drained by Finish) and the subset free to lend (AcquireQueue).
+	qmu    sync.Mutex
+	queues []*CommandQueue
+	free   []*CommandQueue
+
+	// Lifetime activity counters summed over every queue (always-on:
+	// one atomic add per enqueue, off the per-item dispatch path).
+	enqueues atomic.Uint64
+	busy     atomic.Uint64
 }
 
 // NewContext creates a context on the given platform.
@@ -296,14 +315,10 @@ type CommandQueue struct {
 
 	mu   sync.Mutex
 	tail chan struct{} // completion of the most recently enqueued command
-
-	// Lifetime activity counters (always-on: one uncontended atomic add
-	// per enqueue, off the per-item dispatch path).
-	enqueues atomic.Uint64
-	busy     atomic.Uint64
 }
 
-// QueueStats is a snapshot of a queue's lifetime enqueue activity.
+// QueueStats is a snapshot of a context's lifetime enqueue activity,
+// summed over every queue created on it.
 type QueueStats struct {
 	// Enqueues counts EnqueueNDRange calls that passed argument
 	// validation, including those rejected as busy.
@@ -312,20 +327,65 @@ type QueueStats struct {
 	Busy uint64
 }
 
-// Stats returns a snapshot of the queue's activity counters; safe from
-// any goroutine.
-func (q *CommandQueue) Stats() QueueStats {
-	return QueueStats{Enqueues: q.enqueues.Load(), Busy: q.busy.Load()}
+// Stats returns a snapshot of the context's enqueue counters across
+// all of its queues; safe from any goroutine.
+func (c *Context) Stats() QueueStats {
+	return QueueStats{Enqueues: c.enqueues.Load(), Busy: c.busy.Load()}
 }
 
-// NewCommandQueue creates an in-order queue on the context.
+// NewCommandQueue creates an in-order queue on the context. The
+// context counts its enqueues and drains it in Finish.
 func NewCommandQueue(ctx *Context) *CommandQueue {
 	if ctx == nil {
 		panic("cl: nil context")
 	}
 	closed := make(chan struct{})
 	close(closed)
-	return &CommandQueue{ctx: ctx, tail: closed}
+	q := &CommandQueue{ctx: ctx, tail: closed}
+	ctx.qmu.Lock()
+	ctx.queues = append(ctx.queues, q)
+	ctx.qmu.Unlock()
+	return q
+}
+
+// AcquireQueue lends the caller an in-order queue of its own: one a
+// caller returned earlier, or a new one when none is free. Commands
+// on different lent queues overlap, so concurrent callers do not wait
+// on each other's NDRanges. A returned queue keeps its in-order rule:
+// a command still unresolved on it (say, a hung dispatch its last
+// borrower abandoned) holds the next borrower's first command until it
+// resolves. The free list grows to the peak number of queues lent at
+// once and never shrinks.
+func (c *Context) AcquireQueue() *CommandQueue {
+	c.qmu.Lock()
+	if n := len(c.free); n > 0 {
+		q := c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		c.qmu.Unlock()
+		return q
+	}
+	c.qmu.Unlock()
+	return NewCommandQueue(c)
+}
+
+// ReleaseQueue returns a queue lent by AcquireQueue. Commands already
+// enqueued on it keep running; the caller must not enqueue on it again.
+func (c *Context) ReleaseQueue(q *CommandQueue) {
+	c.qmu.Lock()
+	c.free = append(c.free, q)
+	c.qmu.Unlock()
+}
+
+// Finish blocks until every command enqueued so far on any queue of the
+// context has completed.
+func (c *Context) Finish() {
+	c.qmu.Lock()
+	queues := append([]*CommandQueue(nil), c.queues...)
+	c.qmu.Unlock()
+	for _, q := range queues {
+		q.Finish()
+	}
 }
 
 // EnqueueNDRange schedules kernel k over global work items
@@ -343,9 +403,9 @@ func (q *CommandQueue) EnqueueNDRange(k Kernel, offset, global int) (*Event, err
 	if released {
 		return nil, fmt.Errorf("%w: enqueue %q on released context", ErrReleased, k.Name)
 	}
-	q.enqueues.Add(1)
+	q.ctx.enqueues.Add(1)
 	if faults.TakeEnqueueError() {
-		q.busy.Add(1)
+		q.ctx.busy.Add(1)
 		return nil, fmt.Errorf("%w: NDRange %q rejected", ErrDeviceBusy, k.Name)
 	}
 	ev := newEvent(global)

@@ -596,14 +596,6 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 		}
 	}
 
-	runCtx := ctx
-	var cancel context.CancelFunc
-	if s.adm.WatchdogEnabled() {
-		// The watchdog revokes by cancelling this derived context; the
-		// deferred cancel releases its resources on normal return.
-		runCtx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
 	// Admission: the gate reads the invocation's attributes (tenant,
 	// class, deadline budget) from the context and may shed it with
 	// ErrOverloaded before it touches anything.
@@ -611,7 +603,7 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 	if sc.Enabled() {
 		wait = sc.Span("admission-wait")
 	}
-	ticket, err := s.adm.Acquire(ctx, RequestFromContext(ctx), cancel)
+	ticket, err := s.adm.Acquire(ctx, RequestFromContext(ctx), nil)
 	if err != nil {
 		s.recordAdmitFailure(wait, err)
 		return Report{}, err
@@ -621,7 +613,7 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 	}
 	defer s.adm.Release(ticket)
 	if d := s.eng.FaultPlan().TakeAdmissionHold(); d > 0 {
-		s.holdAdmission(runCtx, sc, d)
+		s.holdAdmission(ctx, s.adm.Revocation(ticket), sc, d)
 	}
 	return s.runAdmitted(k, n, sc, plan, ent, ticket)
 }
@@ -629,16 +621,18 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 // holdAdmission is the scripted slow-tenant fault: it wedges the
 // invocation, wall-clock, while it owns the gate — exactly the failure
 // the watchdog exists for. The stall is interruptible by watchdog
-// revocation (runCtx cancellation) or the caller's own cancel.
-func (s *Scheduler) holdAdmission(runCtx context.Context, sc obs.Scope, d time.Duration) {
+// revocation (the grant's revocation signal) or the caller's own
+// cancel.
+func (s *Scheduler) holdAdmission(ctx context.Context, revoke <-chan struct{}, sc obs.Scope, d time.Duration) {
 	if sc.Enabled() {
 		sc.Event("admission-hold", obs.Num("hold_ms", float64(d.Milliseconds())))
 	}
 	timer := time.NewTimer(d)
+	defer timer.Stop()
 	select {
 	case <-timer.C:
-	case <-runCtx.Done():
-		timer.Stop()
+	case <-revoke:
+	case <-ctx.Done():
 	}
 }
 

@@ -228,9 +228,14 @@ func (b *bucket) timeToToken() time.Duration {
 type tenantQuota struct{ rate, burst float64 }
 
 // waiter is one parked request in a class queue. The granting side
-// fills ticket (or shed) under Admission.mu before closing grant.
+// fills ticket (or shed) under Admission.mu and then sends one token
+// on grant. Records are recycled through the gate's free list: the
+// Acquire that parked a record consumes its token (or leaves the queue
+// without one) and returns it to the list under Admission.mu as its
+// last touch, so a record is never handed to a new Acquire while the
+// old one can still read it.
 type waiter struct {
-	grant  chan struct{}
+	grant  chan struct{} // capacity 1: one token per grant or shed
 	ticket uint64
 	shed   *ErrOverloaded
 	class  Class
@@ -246,7 +251,11 @@ type holder struct {
 	start  time.Time
 	tenant string
 	cancel context.CancelFunc
-	timer  *time.Timer
+	// revoke is this grant's revocation signal (capacity 1; nil when
+	// the watchdog is off): the watchdog sends one token on it when it
+	// force-releases the holder. Signals are recycled once the holder's
+	// Release arrives.
+	revoke chan struct{}
 }
 
 // Admission is the scheduler's admission gate: it serializes whole
@@ -278,9 +287,9 @@ type holder struct {
 //     gate's measured backlog, so an invocation that cannot possibly
 //     meet its deadline is shed before it wastes a profiling slot;
 //   - a watchdog force-releases the gate when a holder stalls past a
-//     bound: the holder's context is cancelled, the stall is surfaced
-//     to the observer as a degradation instant, and the next waiter is
-//     admitted, so one hung tenant cannot deadlock the node.
+//     bound: the holder's revocation signal fires, the stall is
+//     surfaced to the observer as a degradation instant, and the next
+//     waiter is admitted, so one hung tenant cannot deadlock the node.
 //
 // Waiting is context-aware: a caller whose context is cancelled while
 // queued leaves the queue and returns ctx.Err() without ever touching
@@ -296,8 +305,18 @@ type Admission struct {
 	ticketSeq uint64
 	busy      bool   // a holder owns the gate; holder is valid
 	holder    holder // meaningful only while busy
-	revoked   map[uint64]struct{}
+	// revoked maps each force-released ticket whose Release has not yet
+	// arrived to its (signalled) revocation channel.
+	revoked   map[uint64]chan struct{}
 	avgHoldNs float64
+
+	// Recycled per-wait state, so a contended wait allocates nothing
+	// once the lists have grown to the peak concurrency: parked-waiter
+	// records, revocation signals, and the one watchdog timer that
+	// every grant re-arms (created on the first armed grant).
+	freeWaiters []*waiter
+	freeSignals []chan struct{}
+	watchdog    *time.Timer
 
 	admitted                               [NumClasses]uint64
 	shedQuota, shedQueueFull, shedDeadline uint64
@@ -439,17 +458,61 @@ func (a *Admission) floorRetry(d time.Duration) time.Duration {
 	return d
 }
 
-// grantLocked installs a new holder and arms the watchdog. Caller
-// holds a.mu.
+// grantLocked installs a new holder and arms the watchdog: the
+// gate's one timer is reset to the new holder's bound, and the holder
+// takes a recycled revocation signal. Caller holds a.mu.
 func (a *Admission) grantLocked(tenant string, cancel context.CancelFunc, now time.Time) uint64 {
 	a.ticketSeq++
 	tk := a.ticketSeq
 	a.busy = true
 	a.holder = holder{ticket: tk, start: now, tenant: tenant, cancel: cancel}
 	if a.opts.Watchdog > 0 {
-		a.holder.timer = time.AfterFunc(a.opts.Watchdog, func() { a.watchdogFire(tk) })
+		if n := len(a.freeSignals); n > 0 {
+			a.holder.revoke = a.freeSignals[n-1]
+			a.freeSignals[n-1] = nil
+			a.freeSignals = a.freeSignals[:n-1]
+		} else {
+			a.holder.revoke = make(chan struct{}, 1)
+		}
+		if a.watchdog == nil {
+			a.watchdog = time.AfterFunc(a.opts.Watchdog, a.watchdogFire)
+		} else {
+			a.watchdog.Reset(a.opts.Watchdog)
+		}
 	}
 	return tk
+}
+
+// newWaiterLocked takes a waiter record from the free list, or makes
+// one. Caller holds a.mu.
+func (a *Admission) newWaiterLocked() *waiter {
+	if n := len(a.freeWaiters); n > 0 {
+		w := a.freeWaiters[n-1]
+		a.freeWaiters[n-1] = nil
+		a.freeWaiters = a.freeWaiters[:n-1]
+		return w
+	}
+	return &waiter{grant: make(chan struct{}, 1)}
+}
+
+// freeWaiterLocked returns a record whose Acquire is done with it: its
+// grant token, if any, was consumed. Caller holds a.mu.
+func (a *Admission) freeWaiterLocked(w *waiter) {
+	*w = waiter{grant: w.grant}
+	a.freeWaiters = append(a.freeWaiters, w)
+}
+
+// Revocation returns the ticket's revocation signal: it receives one
+// token when the watchdog force-releases the holder. It is nil — never
+// ready — when the watchdog is off or the ticket does not hold the
+// gate, so a holder can select on it next to its own work.
+func (a *Admission) Revocation(ticket uint64) <-chan struct{} {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.busy && a.holder.ticket == ticket {
+		return a.holder.revoke
+	}
+	return a.revoked[ticket]
 }
 
 // Acquire admits the caller: quota, deadline-feasibility and
@@ -457,9 +520,9 @@ func (a *Admission) grantLocked(tenant string, cancel context.CancelFunc, now ti
 // *ErrOverloaded and touches nothing else); otherwise the caller parks
 // in its class queue until granted by effective priority (class minus
 // aging credit, FIFO within a class) or its context is cancelled.
-// cancel, when non-nil, is the revocation hook the watchdog uses to
-// cancel the holder's context on force-release; pass the CancelFunc of
-// the ctx the holder will watch.
+// cancel, when non-nil, is called when the watchdog force-releases the
+// holder, next to the grant's Revocation signal; pass the CancelFunc of
+// a ctx the holder watches, or nil to watch Revocation alone.
 //
 // On success the caller owns the gate and must pass the returned
 // ticket to Release.
@@ -508,52 +571,63 @@ func (a *Admission) Acquire(ctx context.Context, req AdmitRequest, cancel contex
 		return 0, &ErrOverloaded{Tenant: req.Tenant, Class: req.Class, Reason: ShedQueueFull, RetryAfter: retry}
 	}
 
-	w := &waiter{
-		grant:  make(chan struct{}),
-		class:  req.Class,
-		tenant: req.Tenant,
-		enq:    now,
-		budget: req.DeadlineBudget,
-		cancel: cancel,
-	}
+	w := a.newWaiterLocked()
+	w.class = req.Class
+	w.tenant = req.Tenant
+	w.enq = now
+	w.budget = req.DeadlineBudget
+	w.cancel = cancel
 	a.queues[req.Class] = append(a.queues[req.Class], w)
 	a.mu.Unlock()
 
 	select {
 	case <-w.grant:
-		if w.shed != nil {
-			return 0, w.shed
+		a.mu.Lock()
+		tk, shed := w.ticket, w.shed
+		a.freeWaiterLocked(w)
+		a.mu.Unlock()
+		if shed != nil {
+			return 0, shed
 		}
-		return w.ticket, nil
+		return tk, nil
 	case <-ctx.Done():
 		a.mu.Lock()
-		// The grant is filled and closed under a.mu, so holding it makes
-		// the race determinate: either we were already granted (or shed)
+		// The grant token is sent under a.mu, so holding it makes the
+		// race determinate: either we were already granted (or shed)
 		// and must act on it, or we are still queued and can leave.
+		var shed *ErrOverloaded
 		select {
 		case <-w.grant:
-			if w.shed != nil {
-				a.mu.Unlock()
-				return 0, w.shed
+			if shed = w.shed; shed == nil {
+				// Granted while cancelling: pass the gate straight on.
+				// The ~0ns pass-on is not a real hold — recording it
+				// would drag the EWMA toward zero and understate the
+				// backlog.
+				a.releaseLocked(w.ticket, false)
 			}
-			// Granted while cancelling: pass the gate straight on. The
-			// ~0ns pass-on is not a real hold — recording it would drag
-			// the EWMA toward zero and understate the backlog.
-			a.releaseLocked(w.ticket, false)
-			a.mu.Unlock()
 		default:
-			q := a.queues[w.class]
-			for i, c := range q {
-				if c == w {
-					copy(q[i:], q[i+1:])
-					q[len(q)-1] = nil
-					a.queues[w.class] = q[:len(q)-1]
-					break
-				}
-			}
-			a.mu.Unlock()
+			removeWaiter(&a.queues[w.class], w)
+		}
+		a.freeWaiterLocked(w)
+		a.mu.Unlock()
+		if shed != nil {
+			return 0, shed
 		}
 		return 0, ctx.Err()
+	}
+}
+
+// removeWaiter deletes w from a class queue, keeping the order and the
+// backing array (so later appends reuse it).
+func removeWaiter(q *[]*waiter, w *waiter) {
+	s := *q
+	for i, c := range s {
+		if c == w {
+			copy(s[i:], s[i+1:])
+			s[len(s)-1] = nil
+			*q = s[:len(s)-1]
+			return
+		}
 	}
 }
 
@@ -571,16 +645,22 @@ func (a *Admission) Release(ticket uint64) {
 // update for releases that are not representative holds (a grant
 // passed straight on by a cancelling waiter).
 func (a *Admission) releaseLocked(ticket uint64, record bool) {
-	if _, ok := a.revoked[ticket]; ok {
+	if sig, ok := a.revoked[ticket]; ok {
 		delete(a.revoked, ticket)
 		a.lateReleases++
+		select {
+		case <-sig: // the holder did not consume its revocation token
+		default:
+		}
+		a.freeSignals = append(a.freeSignals, sig)
 		return
 	}
 	if !a.busy || a.holder.ticket != ticket {
 		panic("core: Admission.Release without holding the gate")
 	}
-	if a.holder.timer != nil {
-		a.holder.timer.Stop()
+	if a.holder.revoke != nil {
+		a.watchdog.Stop()
+		a.freeSignals = append(a.freeSignals, a.holder.revoke)
 	}
 	if record {
 		a.recordHoldLocked(time.Since(a.holder.start))
@@ -625,10 +705,8 @@ func (a *Admission) handoffLocked() {
 		if best == -1 {
 			return
 		}
-		q := a.queues[best]
-		w := q[0]
-		q[0] = nil
-		a.queues[best] = q[1:]
+		w := a.queues[best][0]
+		removeWaiter(&a.queues[best], w)
 
 		if w.budget > 0 && now.Sub(w.enq) > w.budget {
 			// The budget burned away in the queue: shed at grant time
@@ -636,7 +714,7 @@ func (a *Admission) handoffLocked() {
 			a.shedDeadline++
 			w.shed = &ErrOverloaded{Tenant: w.tenant, Class: w.class, Reason: ShedDeadline,
 				RetryAfter: a.floorRetry(a.estimatedWaitLocked())}
-			close(w.grant)
+			w.grant <- struct{}{}
 			continue
 		}
 		if w.class > ClassInteractive {
@@ -651,38 +729,52 @@ func (a *Admission) handoffLocked() {
 		}
 		a.admitted[w.class]++
 		w.ticket = a.grantLocked(w.tenant, w.cancel, now)
-		close(w.grant)
+		w.grant <- struct{}{}
 		return
 	}
 }
 
-// watchdogFire runs when a holder's watchdog timer expires: if the
-// same ticket still holds the gate, the holder is presumed wedged —
-// its context is cancelled, the ticket is marked revoked (so its
-// eventual Release is a recorded no-op), and the gate is handed to the
-// next waiter so the node keeps serving.
+// watchdogFire is the gate's watchdog timer callback. Every grant
+// resets the one timer, so a fire can be stale: armed for an earlier
+// ticket whose holder has since released, racing the Reset for the
+// current one. The callback therefore checks the current ticket's hold
+// against the bound and does nothing unless that holder really has
+// held the gate for the full Watchdog bound. A holder that has is
+// presumed wedged: its revocation signal fires (and its cancel hook,
+// if Acquire was given one, is called), the ticket is marked revoked
+// (so its eventual Release is a recorded no-op), and the gate is
+// handed to the next waiter so the node keeps serving.
 //
-// Force-release assumes a cancelled holder stops driving the engine;
+// Force-release assumes a revoked holder stops driving the engine;
 // the scheduler checks for revocation at its interruption points and
 // returns ErrAdmissionRevoked. Size the Watchdog bound well above any
 // legitimate hold time.
-func (a *Admission) watchdogFire(ticket uint64) {
+func (a *Admission) watchdogFire() {
 	a.mu.Lock()
-	if !a.busy || a.holder.ticket != ticket {
+	if !a.busy {
 		a.mu.Unlock()
 		return
 	}
 	held := time.Since(a.holder.start)
+	if held < a.opts.Watchdog {
+		// Stale. The holder's grant read its start time before it reset
+		// the timer, so the fire armed by that Reset always finds the
+		// bound passed; this one was armed for an earlier ticket.
+		a.mu.Unlock()
+		return
+	}
+	ticket := a.holder.ticket
 	tenant := a.holder.tenant
 	onStall := a.onStall
 	a.watchdogStalls++
 	if a.revoked == nil {
-		a.revoked = map[uint64]struct{}{}
+		a.revoked = map[uint64]chan struct{}{}
 	}
-	a.revoked[ticket] = struct{}{}
+	a.revoked[ticket] = a.holder.revoke
+	// Signal before handing the gate on, so a holder parked on its
+	// revocation wakes, observes it, and stands down.
+	a.holder.revoke <- struct{}{}
 	if a.holder.cancel != nil {
-		// Cancel before handing the gate on, so a holder parked on its
-		// context wakes, observes the revocation, and stands down.
 		a.holder.cancel()
 	}
 	a.recordRevokedHoldLocked(held)

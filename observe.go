@@ -208,7 +208,7 @@ func (s *ObserverServer) Close() error {
 }
 
 // registerRuntimeCollectors wires a runtime's always-on component
-// counters (work-stealing pool, GPU command queue, admission gate) into
+// counters (work-stealing pool, GPU command queues, admission gate) into
 // the observer's registry as pull-style metrics: a collector snapshots
 // the component stats at scrape time and folds the delta since the
 // previous scrape into shared counters, so several runtimes on one
@@ -232,9 +232,9 @@ func (o *Observer) registerRuntimeCollectors(r *Runtime) (remove func()) {
 	// Capture the components, not r: the runtime keeps the returned
 	// remove function, and a path from it back to r would form a cycle
 	// through the runtime that keeps a finalizer on it from running.
-	pool, queue := r.pool, r.queue
+	pool, clctx := r.pool, r.ctx
 	lastPool := pool.Stats()
-	lastQ := queue.Stats()
+	lastQ := clctx.Stats()
 	admission := o.admissionCollector(r.sched.Admission())
 	return o.reg.RegisterCollector(func() {
 		p := pool.Stats()
@@ -242,7 +242,7 @@ func (o *Observer) registerRuntimeCollectors(r *Runtime) (remove func()) {
 		parks.Add(p.Parks - lastPool.Parks)
 		wakes.Add(p.Wakes - lastPool.Wakes)
 		lastPool = p
-		q := queue.Stats()
+		q := clctx.Stats()
 		enqueues.Add(q.Enqueues - lastQ.Enqueues)
 		busy.Add(q.Busy - lastQ.Busy)
 		lastQ = q
