@@ -211,24 +211,6 @@ func BenchmarkAlphaSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkBestAlphaRefined measures the refined per-decision search
-// (coarse 0.1 grid + golden-section polish of the winning cell) that
-// Options.RefineAlpha enables. It must stay allocation-free: the
-// objective closure and the search state live on the stack.
-func BenchmarkBestAlphaRefined(b *testing.B) {
-	model, err := powerchar.Cached(context.Background(), platform.DesktopSpec(), powerchar.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	curve, _ := model.Curve(wclass.Category{Memory: true})
-	tm := core.TimeModel{RC: 7.5e6, RG: 1.4e7}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.BestAlphaRefined(curve, tm, 1e6, metrics.EDP, 0.1, 0)
-	}
-}
-
 // BenchmarkOnlineProfilingStep measures one online profiling step on
 // the simulated desktop (GPU chunk + concurrent CPU draining).
 func BenchmarkOnlineProfilingStep(b *testing.B) {
@@ -394,7 +376,9 @@ func BenchmarkRuntimeMultiTenant(b *testing.B) {
 // classes, quotas unlimited, queues unbounded and the watchdog armed —
 // the number BENCH_admission.json baselines.
 // The α table is pre-warmed so the gate itself is the hot path, not
-// first-touch profiling.
+// first-touch profiling, and the benchmark adds no allocations of its
+// own: the twelve tenant × class request contexts are built once and
+// every Report goes back to the runtime's pool.
 func BenchmarkAdmissionContended(b *testing.B) {
 	model, err := eas.Characterize(eas.DesktopPlatform())
 	if err != nil {
@@ -417,16 +401,23 @@ func BenchmarkAdmissionContended(b *testing.B) {
 		if _, err := rt.ParallelFor(kernel, n); err != nil {
 			b.Fatal(err)
 		}
+		// Four tenants and three classes: op g runs as tenant g%4 in
+		// class g%3, which repeats every twelve operations.
+		var ctxs [12]context.Context
+		for g := range ctxs {
+			ctxs[g] = eas.WithClass(eas.WithTenant(context.Background(),
+				fmt.Sprintf("tenant-%d", g%4)), eas.Class(g%3))
+		}
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			g := 0
 			for pb.Next() {
-				ctx := eas.WithClass(eas.WithTenant(context.Background(),
-					fmt.Sprintf("tenant-%d", g%4)), eas.Class(g%3))
-				if _, err := rt.ParallelForCtx(ctx, kernel, n); err != nil {
+				rep, err := rt.ParallelForCtx(ctxs[g%len(ctxs)], kernel, n)
+				if err != nil {
 					b.Error(err)
 					return
 				}
+				rt.ReleaseReport(rep)
 				g++
 			}
 		})
@@ -435,73 +426,14 @@ func BenchmarkAdmissionContended(b *testing.B) {
 	})
 }
 
-// BenchmarkDecisionPath measures the batched decision path at the core
-// layer: same-kernel tenants hammering one scheduler whose records are
-// forced to re-profile every invocation (ReprofileEvery=1) on a fine α
-// grid, so the decision itself — profile + α search — dominates the
-// invocation. "solo" pays one full decision per invocation;
-// "coalesced" deduplicates concurrent decisions into one leader
-// flight; "fastpath" skips the periodic re-profile entirely while the
-// record is fresh and confident. The numbers baseline
-// BENCH_decision.json.
-func BenchmarkDecisionPath(b *testing.B) {
-	model, err := powerchar.Cached(context.Background(), platform.DesktopSpec(), powerchar.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	kernel := engine.Kernel{
-		Name: "decision-bench",
-		Cost: device.CostProfile{FLOPs: 20000, MemOps: 20, L3MissRatio: 0.02, Instructions: 3000},
-	}
-	const (
-		n     = 5000   // just past the profile threshold: decision-heavy
-		aStep = 0.0005 // fine grid, the regime where decision cost hurts
-	)
-	for _, mode := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"solo", core.Options{ReprofileEvery: 1, AlphaStep: aStep}},
-		{"coalesced", core.Options{ReprofileEvery: 1, AlphaStep: aStep, Decision: core.DecisionPolicy{Coalesce: true}}},
-		{"fastpath", core.Options{ReprofileEvery: 1, AlphaStep: aStep, Decision: core.DecisionPolicy{TableTTL: time.Hour, MinConfidence: 1}}},
-	} {
-		for _, tenants := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("%s/tenants=%d", mode.name, tenants), func(b *testing.B) {
-				s, err := core.New(engine.New(platform.Desktop()), model, metrics.EDP, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Warm the table so fastpath measures replay, not first touch.
-				if _, err := s.ParallelFor(kernel, n); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					for g := 0; g < tenants; g++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							if _, err := s.ParallelFor(kernel, n); err != nil {
-								b.Error(err)
-							}
-						}()
-					}
-					wg.Wait()
-				}
-				b.StopTimer()
-				decisions := float64(tenants) * float64(b.N)
-				b.ReportMetric(decisions/b.Elapsed().Seconds(), "decisions/s")
-			})
-		}
-	}
-}
-
-// BenchmarkHotPath measures the steady-state invocation hot path: the
-// same decision-heavy regime as BenchmarkDecisionPath — ReprofileEvery=1,
-// fine α grid — with interned table entries and the hoisted α search
-// carrying the load. Each mode runs observer-off ("solo") and with a
-// ring-sink observer attached ("solo-obs"), whose decision-audit
+// BenchmarkHotPath measures the steady-state invocation hot path in a
+// decision-heavy regime: same-kernel tenants hammering one scheduler
+// whose records are due for a re-profile every invocation
+// (ReprofileEvery=1) on a fine α grid, with interned table entries and
+// the hoisted α search carrying the load. "solo" pays one full profile
+// + α search per invocation; "fastpath" skips the periodic re-profile
+// while the record is fresh and confident. Each mode runs observer-off
+// and with a ring-sink observer attached ("-obs"), whose decision-audit
 // records store the search inputs and rebuild the grid only on
 // export. The numbers baseline BENCH_hotpath.json;
 // ci/check-bench-regression.sh fails the build on a >20% decisions/sec
@@ -524,7 +456,6 @@ func BenchmarkHotPath(b *testing.B) {
 		opts core.Options
 	}{
 		{"solo", core.Options{ReprofileEvery: 1, AlphaStep: aStep}},
-		{"coalesced", core.Options{ReprofileEvery: 1, AlphaStep: aStep, Decision: core.DecisionPolicy{Coalesce: true}}},
 		{"fastpath", core.Options{ReprofileEvery: 1, AlphaStep: aStep, Decision: core.DecisionPolicy{TableTTL: time.Hour, MinConfidence: 1}}},
 	}
 	for _, withObs := range []bool{false, true} {

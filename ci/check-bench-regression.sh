@@ -10,8 +10,7 @@
 #                       file CI already tees to an artifact)
 #   <baseline.json>     committed baseline with a "results" map keyed by
 #                       sub-benchmark name, each entry carrying
-#                       decisions_per_sec (BENCH_decision.json,
-#                       BENCH_hotpath.json)
+#                       decisions_per_sec (BENCH_hotpath.json)
 #   [prefix]            benchmark name prefix to strip, e.g.
 #                       "BenchmarkHotPath/" (default: strip up to the
 #                       first "/")

@@ -2,20 +2,18 @@ package eas
 
 import "time"
 
-// DecisionPolicy tunes the batched decision path (Config.Decision):
-// how aggressively the runtime amortizes and skips the
-// admission-serialized scheduling decision — online profiling plus the
-// α search — that every invocation otherwise pays individually. The
-// zero value decides every invocation on its own. Its fields match
-// core.DecisionPolicy, which NewRuntime converts it to.
+// DecisionPolicy tunes the fresh-entry fast path (Config.Decision):
+// when the runtime may skip the admission-serialized scheduling
+// decision — online profiling plus the α search — that a periodic
+// re-profile would otherwise pay. The zero value decides every
+// invocation on its own. NewRuntime copies TableTTL and MinConfidence
+// into core.DecisionPolicy.
 type DecisionPolicy struct {
-	// Coalesce deduplicates concurrent scheduling decisions: when N
-	// goroutines invoke the same kernel and it needs profiling, one
-	// leader runs the single profile + α search and the other N-1
-	// execute their full iteration counts at the published α
-	// (Report.Coalesced) instead of queueing for their own profiles. A
-	// leader that fails mid-flight sends its followers back to solo
-	// decisions — coalescing never loses work, only overhead.
+	// Coalesce has no effect: every invocation makes its own decision,
+	// and Report.Coalesced is always false. The fast path below is the
+	// one mechanism that lowers the cost of a decision.
+	//
+	// Deprecated: decisions are no longer coalesced.
 	Coalesce bool
 	// TableTTL bounds the age of an α-table record the runtime will
 	// replay: a record older than the TTL is re-profiled. Together with

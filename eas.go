@@ -102,11 +102,6 @@ type Config struct {
 	Model *PowerModel
 	// AlphaStep is the offload-ratio search granularity (default 0.1).
 	AlphaStep float64
-	// RefineAlpha polishes each α decision with a golden-section pass
-	// over the winning grid cell. The refined objective is never worse
-	// than the plain grid's; the cost is a few extra model evaluations
-	// per scheduling decision (still allocation-free).
-	RefineAlpha bool
 	// ReprofileEvery re-profiles a known kernel every k-th invocation
 	// (for workloads whose behaviour drifts); 0 profiles only once.
 	ReprofileEvery int
@@ -149,8 +144,7 @@ type Config struct {
 	// WithDeadlineBudget always apply. The zero value sets no bound: the
 	// gate is a single-class, unlimited, unbounded fair FIFO.
 	Admission AdmissionPolicy
-	// Decision tunes the batched decision path: coalesced concurrent
-	// decisions and the fresh-entry fast path. The zero value decides
+	// Decision tunes the fresh-entry fast path. The zero value decides
 	// every invocation on its own.
 	Decision DecisionPolicy
 	// State configures durable scheduler state: the α-table WAL +
@@ -266,12 +260,15 @@ type Report struct {
 	// invocation ("closed", "open", "half-open"); empty when the
 	// breaker is disabled.
 	BreakerState string
-	// Coalesced is true when this invocation executed another
-	// invocation's published decision instead of deciding itself
-	// (Config.Decision.Coalesce); FastPath when a fresh,
-	// high-confidence table record let it skip a periodic re-profile
+	// FastPath is true when a fresh, high-confidence table record let
+	// this invocation skip a periodic re-profile
 	// (Config.Decision.TableTTL / MinConfidence).
-	Coalesced, FastPath bool
+	FastPath bool
+	// Coalesced is always false: every invocation makes its own
+	// decision (see DecisionPolicy.Coalesce).
+	//
+	// Deprecated: decisions are no longer coalesced.
+	Coalesced bool
 }
 
 // Runtime is the energy-aware scheduling runtime bound to one platform.
@@ -401,7 +398,6 @@ func NewRuntime(p *Platform, cfg Config) (*Runtime, error) {
 	}
 	sched, err := core.New(eng, model.inner, metric.inner, core.Options{
 		AlphaStep:         cfg.AlphaStep,
-		RefineAlpha:       cfg.RefineAlpha,
 		ReprofileEvery:    cfg.ReprofileEvery,
 		GrowProfileChunk:  true,
 		ConvergeTol:       0.08,
@@ -417,7 +413,10 @@ func NewRuntime(p *Platform, cfg Config) (*Runtime, error) {
 			Watchdog:        cfg.Admission.Watchdog,
 			RetryAfterFloor: cfg.Admission.RetryAfterFloor,
 		},
-		Decision: core.DecisionPolicy(cfg.Decision),
+		Decision: core.DecisionPolicy{
+			TableTTL:      cfg.Decision.TableTTL,
+			MinConfidence: cfg.Decision.MinConfidence,
+		},
 		State: core.StatePolicy{
 			Path:         cfg.State.Path,
 			Sync:         statestore.SyncMode(cfg.State.Sync),
@@ -547,7 +546,6 @@ func (r *Runtime) ParallelForCtx(ctx context.Context, k Kernel, n int) (*Report,
 		MetricValue:     r.metric.inner.EvalEnergy(rep.EnergyJ, rep.Duration.Seconds()),
 		CPUItems:        rep.CPUItems,
 		GPUItems:        rep.GPUItems,
-		Coalesced:       rep.Coalesced,
 		FastPath:        rep.FastPath,
 	}
 	if rep.Profiled {

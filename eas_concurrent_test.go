@@ -141,14 +141,35 @@ func TestConcurrentEnergyAccountingIsPerTenant(t *testing.T) {
 // tenants' reports add up to exactly what the PP0/PP1/DRAM MSRs
 // advanced over the run — nothing double-billed, nothing lost — and the
 // per-tenant eas_tenant_energy_joules_total{domain} families sum to the
-// same totals.
+// same totals. The fast-path row re-profiles every second invocation
+// unless the record is confident, so its skipped decisions are held to
+// the same books.
 func TestEnergyConservationMultiTenant(t *testing.T) {
+	for _, row := range []struct {
+		name     string
+		cfg      Config
+		fastPath bool
+	}{
+		{"replay", Config{}, false},
+		{"fast-path", Config{ReprofileEvery: 2, Decision: DecisionPolicy{MinConfidence: 1}}, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			assertEnergyConserved(t, row.cfg, row.fastPath)
+		})
+	}
+}
+
+// assertEnergyConserved is TestEnergyConservationMultiTenant's body
+// over one config; wantFastPath additionally requires at least one
+// report to have taken the fast path.
+func assertEnergyConserved(t *testing.T, cfg Config, wantFastPath bool) {
 	const (
 		tenants  = 8
 		runsEach = 4
 	)
 	observer := NewObserver(ObserverOptions{})
-	rt, err := NewRuntime(DesktopPlatform(), Config{Metric: EDP, Model: sharedModel(t), Observer: observer})
+	cfg.Metric, cfg.Model, cfg.Observer = EDP, sharedModel(t), observer
+	rt, err := NewRuntime(DesktopPlatform(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +179,7 @@ func TestEnergyConservationMultiTenant(t *testing.T) {
 	pp0, pp1, dram := msr.NewMeter(p.MSRPP0), msr.NewMeter(p.MSRPP1), msr.NewMeter(p.MSRDRAM)
 	var mu sync.Mutex
 	var cpuJ, gpuJ, dramJ float64
+	fastPaths := 0
 	var wg sync.WaitGroup
 	for g := 0; g < tenants; g++ {
 		wg.Add(1)
@@ -179,12 +201,17 @@ func TestEnergyConservationMultiTenant(t *testing.T) {
 				cpuJ += rep.CPUEnergyJ
 				gpuJ += rep.GPUEnergyJ
 				dramJ += rep.DRAMEnergyJ
+				if rep.FastPath {
+					fastPaths++
+				}
 				mu.Unlock()
 			}
 		}(g)
 	}
 	wg.Wait()
-
+	if wantFastPath && fastPaths == 0 {
+		t.Error("no invocation took the fast path; the row does not exercise it")
+	}
 	tenantJ := map[string]float64{}
 	for _, acct := range observer.inner.TenantAccounting() {
 		for domain, j := range acct.EnergyJ {

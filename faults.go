@@ -141,12 +141,6 @@ func (f *FaultPlan) ReleaseHangs() { f.inner.ReleaseHangs() }
 // d before running.
 func (f *FaultPlan) HoldAdmission(d time.Duration, k int) { f.inner.HoldAdmissionFor(d, k) }
 
-// FailCoalesceLeader scripts the next k coalesced decision flights
-// (Config.Decision.Coalesce) to lose their leader at the publish
-// point: the leader's invocation completes normally but never
-// publishes, and the flight's followers fall back to solo decisions.
-func (f *FaultPlan) FailCoalesceLeader(k int) { f.inner.FailCoalesceLeaders(k) }
-
 // FailWALWrites scripts the next k durable-state WAL appends
 // (Config.State) to fail with an I/O error before writing anything.
 // The first delivered persistence fault permanently disables the
@@ -211,8 +205,7 @@ type FaultStats struct {
 	StuckMSRReads, NoisyMSRReads, WrapGaps int
 	HWCDrops, HWCCorruptions, ProfileLies  int
 	// Scheduling faults.
-	AdmissionHolds      int
-	CoalesceLeaderFails int
+	AdmissionHolds int
 	// Persistence faults (Config.State).
 	WALWriteErrors, WALShortWrites, WALNoSpaceWrites int
 }
@@ -221,21 +214,20 @@ type FaultStats struct {
 func (f *FaultPlan) Stats() FaultStats {
 	s := f.inner.Stats()
 	return FaultStats{
-		GPUBusy:             s.GPUBusy,
-		KernelHangs:         s.KernelHangs,
-		EnqueueErrors:       s.EnqueueErrors,
-		SlowDispatches:      s.SlowDispatches,
-		StuckMSRReads:       s.StuckMSRReads,
-		NoisyMSRReads:       s.NoisyMSRReads,
-		WrapGaps:            s.WrapGaps,
-		HWCDrops:            s.HWCDrops,
-		HWCCorruptions:      s.HWCCorruptions,
-		ProfileLies:         s.ProfileLies,
-		AdmissionHolds:      s.AdmissionHolds,
-		CoalesceLeaderFails: s.CoalesceLeaderFails,
-		WALWriteErrors:      s.WALWriteErrors,
-		WALShortWrites:      s.WALShortWrites,
-		WALNoSpaceWrites:    s.WALNoSpaceWrites,
+		GPUBusy:          s.GPUBusy,
+		KernelHangs:      s.KernelHangs,
+		EnqueueErrors:    s.EnqueueErrors,
+		SlowDispatches:   s.SlowDispatches,
+		StuckMSRReads:    s.StuckMSRReads,
+		NoisyMSRReads:    s.NoisyMSRReads,
+		WrapGaps:         s.WrapGaps,
+		HWCDrops:         s.HWCDrops,
+		HWCCorruptions:   s.HWCCorruptions,
+		ProfileLies:      s.ProfileLies,
+		AdmissionHolds:   s.AdmissionHolds,
+		WALWriteErrors:   s.WALWriteErrors,
+		WALShortWrites:   s.WALShortWrites,
+		WALNoSpaceWrites: s.WALNoSpaceWrites,
 	}
 }
 
@@ -254,8 +246,6 @@ func (f *FaultPlan) Stats() FaultStats {
 //	lie=FxK       next K profiles report F× GPU throughput
 //	hold=MSxK     next K admitted invocations wedge MS milliseconds
 //	              holding the admission gate (e.g. hold=250x3)
-//	leaderfail=K  next K coalesced decision flights lose their leader
-//	              before publishing (followers decide solo)
 //	walerr=K      next K durable-state WAL appends fail outright
 //	walshort=K    next K WAL appends tear mid-record, then fail
 //	walfull=K     next K WAL appends fail as if the disk were full
@@ -377,12 +367,6 @@ func (f *FaultPlan) Script(spec string) error {
 				return err
 			}
 			plan.HoldAdmission(time.Duration(ms*float64(time.Millisecond)), k)
-		case "leaderfail":
-			k, err := parseCount()
-			if err != nil {
-				return err
-			}
-			plan.FailCoalesceLeader(k)
 		case "walerr":
 			k, err := parseCount()
 			if err != nil {

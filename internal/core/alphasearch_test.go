@@ -11,11 +11,12 @@ import (
 	"github.com/hetsched/eas/internal/wclass"
 )
 
-// TestRefinedNeverWorse checks the hard guarantee behind
-// Options.RefineAlpha: on every fitted desktop curve, metric, and a
-// range of device-throughput ratios, the refined search returns an
+// TestFineGridNeverWorse checks the hard guarantee behind a fine
+// AlphaStep: every point of the paper's 0.1 grid is also a point of the
+// 0.0005 grid, so on every fitted desktop curve, metric, and a range of
+// device-throughput ratios the block-pruned fine search returns an
 // objective no worse than the plain 0.1 grid.
-func TestRefinedNeverWorse(t *testing.T) {
+func TestFineGridNeverWorse(t *testing.T) {
 	model, err := powerchar.Cached(context.Background(), platform.DesktopSpec(), powerchar.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -35,35 +36,35 @@ func TestRefinedNeverWorse(t *testing.T) {
 		for _, metric := range []metrics.Metric{metrics.Energy, metrics.EDP, metrics.ED2P} {
 			for _, tm := range tms {
 				_, coarse := BestAlpha(curve, tm, 1e6, metric, 0.1)
-				_, refined := BestAlphaRefined(curve, tm, 1e6, metric, 0.1, 0)
-				if refined > coarse {
-					t.Errorf("%s/%s RC=%g RG=%g: refined %v worse than coarse %v",
-						cat, metric, tm.RC, tm.RG, refined, coarse)
+				_, fine := BestAlpha(curve, tm, 1e6, metric, 0.0005)
+				if fine > coarse {
+					t.Errorf("%s/%s RC=%g RG=%g: fine grid %v worse than coarse %v",
+						cat, metric, tm.RC, tm.RG, fine, coarse)
 				}
 			}
 		}
 	}
 }
 
-// TestBestAlphaRefinedOnGridWhenFlat keeps the refined search honest on
-// degenerate objectives: with flat power and symmetric throughputs the
-// coarse winner already sits at the optimum, and refinement must not
-// wander off it.
-func TestBestAlphaRefinedOnGridWhenFlat(t *testing.T) {
+// TestBestAlphaFineGridOnOptimumWhenFlat keeps the block-pruned fine
+// search honest on degenerate objectives: with flat power and symmetric
+// throughputs the optimum αPERF = 0.5 lies on both grids, and the fine
+// search must land on it exactly rather than on a neighbour its block
+// bounds could not separate.
+func TestBestAlphaFineGridOnOptimumWhenFlat(t *testing.T) {
 	m := TimeModel{RC: 1e6, RG: 1e6}
 	aCoarse, vCoarse := BestAlpha(flatCurve(40), m, 1e5, metrics.EDP, 0.1)
-	aRef, vRef := BestAlphaRefined(flatCurve(40), m, 1e5, metrics.EDP, 0.1, 0)
-	if vRef > vCoarse {
-		t.Errorf("refined objective %v worse than coarse %v", vRef, vCoarse)
+	aFine, vFine := BestAlpha(flatCurve(40), m, 1e5, metrics.EDP, 0.0005)
+	if aCoarse != 0.5 || aFine != 0.5 {
+		t.Errorf("α = %v on the 0.1 grid, %v on the 0.0005 grid, want 0.5 on both", aCoarse, aFine)
 	}
-	// The optimum is αPERF = 0.5, which the 0.1 grid hits exactly.
-	if diff := aRef - aCoarse; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("refined α = %v moved off the already-optimal grid point %v", aRef, aCoarse)
+	if vFine != vCoarse {
+		t.Errorf("fine objective %v, coarse %v, want equal at the shared optimum", vFine, vCoarse)
 	}
 }
 
 // TestAlphaSearchNoAllocs pins the hot path's allocation budget to
-// zero: the objective closure and both searches must stay on the stack,
+// zero: the objective closure and the search must stay on the stack,
 // on the paper's 0.1 grid and on the 0.0005 grid, whose block-pruned
 // search keeps its block bounds in a fixed stack array. One α decision
 // runs per scheduled invocation, so a single heap allocation here would
@@ -83,19 +84,13 @@ func TestAlphaSearchNoAllocs(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("BestAlpha(step %v) allocates %.0f objects/op, want 0", step, n)
 		}
-		if n := testing.AllocsPerRun(100, func() {
-			a, _ := BestAlphaRefined(curve, tm, 1e6, metrics.EDP, step, 0)
-			sink += a
-		}); n != 0 {
-			t.Errorf("BestAlphaRefined(step %v) allocates %.0f objects/op, want 0", step, n)
-		}
 	}
 	_ = sink
 }
 
 // TestBestAlphaInvalidStep checks that every step outside (0, 1] —
 // NaN included, which fails both halves of a "step <= 0 || step > 1"
-// test — searches the paper's 0.1 grid, in both searches.
+// test — searches the paper's 0.1 grid.
 func TestBestAlphaInvalidStep(t *testing.T) {
 	// αPERF = 0.6 is on the 0.1 grid and far from the endpoints a
 	// 2-point grid would pick from.
@@ -103,13 +98,9 @@ func TestBestAlphaInvalidStep(t *testing.T) {
 	tm := TimeModel{RC: 100, RG: 150}
 	const n = 1e6
 	wantA, wantV := BestAlpha(curve, tm, n, metrics.EDP, 0.1)
-	wantRA, wantRV := BestAlphaRefined(curve, tm, n, metrics.EDP, 0.1, 0)
 	for _, step := range []float64{0, -0.5, 1.5, math.Inf(1), math.Inf(-1), math.NaN()} {
 		if a, v := BestAlpha(curve, tm, n, metrics.EDP, step); a != wantA || v != wantV {
 			t.Errorf("BestAlpha(step %v) = (%v, %v), want the 0.1 grid's (%v, %v)", step, a, v, wantA, wantV)
-		}
-		if a, v := BestAlphaRefined(curve, tm, n, metrics.EDP, step, 0); a != wantRA || v != wantRV {
-			t.Errorf("BestAlphaRefined(step %v) = (%v, %v), want the 0.1 grid's (%v, %v)", step, a, v, wantRA, wantRV)
 		}
 	}
 }

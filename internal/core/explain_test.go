@@ -18,8 +18,7 @@ import (
 // grid to the eager one the scheduler used to store with every
 // decision: the same abscissas i/steps and the same Objective closure,
 // compared bit for bit across the standard metrics and a custom one,
-// a coarse and a fine grid, golden-section refinement on and off, and
-// a time model with no GPU throughput whose +Inf objectives must
+// a coarse and a fine grid, and a time model with no GPU throughput whose +Inf objectives must
 // survive the round trip.
 func TestExplainGridBitIdentical(t *testing.T) {
 	custom := metrics.New("p2t", func(powerW, timeS float64) float64 { return powerW * powerW * timeS })
@@ -30,65 +29,56 @@ func TestExplainGridBitIdentical(t *testing.T) {
 	}
 	for _, metric := range []metrics.Metric{metrics.Energy, metrics.EDP, metrics.ED2P, custom} {
 		for _, step := range []float64{0.1, 0.0005} {
-			for _, refine := range []bool{false, true} {
-				s := newEAS(t, metric, Options{AlphaStep: step, RefineAlpha: refine})
-				for _, cat := range wclass.All() {
-					curve, ok := s.curve(cat)
-					if !ok {
-						continue
+			s := newEAS(t, metric, Options{AlphaStep: step})
+			for _, cat := range wclass.All() {
+				curve, ok := s.curve(cat)
+				if !ok {
+					continue
+				}
+				for _, tm := range models {
+					alpha, _ := BestAlpha(curve, tm, n, metric, step)
+					ex := s.explain(tm, n, alpha, cat)
+
+					// The eager reference: the loop explain used to run.
+					obj := Objective(curve, tm, n, metric)
+					steps := int(math.Round(1 / step))
+					want := make([]obs.GridPoint, 0, steps+1)
+					for i := 0; i <= steps; i++ {
+						a := float64(i) / float64(steps)
+						want = append(want, obs.GridPoint{Alpha: a, Objective: obj(a)})
 					}
-					for _, tm := range models {
-						var alpha float64
-						if refine {
-							alpha, _ = BestAlphaRefined(curve, tm, n, metric, step, 0)
-						} else {
-							alpha, _ = BestAlpha(curve, tm, n, metric, step)
-						}
-						ex := s.explain(tm, n, alpha, cat)
 
-						// The eager reference: the loop explain used to run.
-						obj := Objective(curve, tm, n, metric)
-						steps := int(math.Round(1 / step))
-						want := make([]obs.GridPoint, 0, steps+1)
-						for i := 0; i <= steps; i++ {
-							a := float64(i) / float64(steps)
-							want = append(want, obs.GridPoint{Alpha: a, Objective: obj(a)})
+					name := metric.Name() + "/" + cat.Key()
+					got := ex.Grid()
+					if len(got) != len(want) {
+						t.Fatalf("%s step=%v: grid has %d points, want %d", name, step, len(got), len(want))
+					}
+					infs := 0
+					for i := range want {
+						if math.Float64bits(got[i].Alpha) != math.Float64bits(want[i].Alpha) ||
+							math.Float64bits(got[i].Objective) != math.Float64bits(want[i].Objective) {
+							t.Fatalf("%s step=%v tm=%+v: point %d = %+v, want %+v",
+								name, step, tm, i, got[i], want[i])
 						}
-
-						name := metric.Name() + "/" + cat.Key()
-						got := ex.Grid()
-						if len(got) != len(want) {
-							t.Fatalf("%s step=%v: grid has %d points, want %d", name, step, len(got), len(want))
+						if math.IsInf(got[i].Objective, 1) {
+							infs++
 						}
-						infs := 0
-						for i := range want {
-							if math.Float64bits(got[i].Alpha) != math.Float64bits(want[i].Alpha) ||
-								math.Float64bits(got[i].Objective) != math.Float64bits(want[i].Objective) {
-								t.Fatalf("%s step=%v refine=%v tm=%+v: point %d = %+v, want %+v",
-									name, step, refine, tm, i, got[i], want[i])
-							}
-							if math.IsInf(got[i].Objective, 1) {
-								infs++
-							}
+					}
+					if tm.RG == 0 && infs == 0 {
+						t.Errorf("%s: RG=0 grid has no +Inf objective", name)
+					}
+					if math.Float64bits(ex.Objective) != math.Float64bits(obj(alpha)) {
+						t.Errorf("%s: recorded objective %v, want %v", name, ex.Objective, obj(alpha))
+					}
+					argmin := 0
+					for i, g := range got {
+						if g.Objective < got[argmin].Objective {
+							argmin = i
 						}
-						if tm.RG == 0 && infs == 0 {
-							t.Errorf("%s: RG=0 grid has no +Inf objective", name)
-						}
-						if math.Float64bits(ex.Objective) != math.Float64bits(obj(alpha)) {
-							t.Errorf("%s: recorded objective %v, want %v", name, ex.Objective, obj(alpha))
-						}
-						if !refine {
-							argmin := 0
-							for i, g := range got {
-								if g.Objective < got[argmin].Objective {
-									argmin = i
-								}
-							}
-							if got[argmin].Alpha != ex.Alpha {
-								t.Errorf("%s step=%v tm=%+v: grid argmin α=%v, decision α=%v",
-									name, step, tm, got[argmin].Alpha, ex.Alpha)
-							}
-						}
+					}
+					if got[argmin].Alpha != ex.Alpha {
+						t.Errorf("%s step=%v tm=%+v: grid argmin α=%v, decision α=%v",
+							name, step, tm, got[argmin].Alpha, ex.Alpha)
 					}
 				}
 			}

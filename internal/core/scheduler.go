@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -55,11 +54,6 @@ type Options struct {
 	// AlphaStep is the α grid granularity (paper: 0.1). Steps outside
 	// (0, 1] select the paper's value, the same rule BestAlpha applies.
 	AlphaStep float64
-	// RefineAlpha refines each grid search's winner with a golden-section
-	// pass over the winning cell (BestAlphaRefined). The result is never
-	// worse than the plain grid; the cost is a handful of extra objective
-	// evaluations per decision.
-	RefineAlpha bool
 	// ReprofileEvery re-runs profiling on every k-th invocation of a
 	// known kernel, for workloads whose behaviour drifts over time:
 	// counting the initial profiled invocation as 1, every invocation
@@ -112,7 +106,7 @@ type Options struct {
 	// quota overrides are a map and so live outside Options
 	// (Scheduler.SetTenantQuota).
 	Admission AdmissionOptions
-	// Decision tunes the batched decision path (coalesce.go).
+	// Decision tunes the fresh-entry fast path (profileDue).
 	Decision DecisionPolicy
 	// State configures the durable α table (state.go); an empty Path
 	// keeps state in memory only.
@@ -122,13 +116,9 @@ type Options struct {
 	Robustness Robustness
 }
 
-// DecisionPolicy tunes the batched decision path (coalesce.go). Its
+// DecisionPolicy tunes the fresh-entry fast path (profileDue). Its
 // fields match eas.DecisionPolicy, which documents them in full.
 type DecisionPolicy struct {
-	// Coalesce runs one profile + α search per flight of concurrent
-	// invocations of a kernel; followers execute at the published α
-	// (Report.Coalesced).
-	Coalesce bool
 	// TableTTL re-profiles a record older than the TTL; with
 	// MinConfidence it also enables the fast path that skips a periodic
 	// re-profile of a fresh, confident record (Report.FastPath).
@@ -241,10 +231,10 @@ type Report struct {
 	// (meaningful only when Profiled).
 	Category wclass.Category
 	// CatKnown is true when Category was actually resolved this
-	// invocation — profiled, replayed from the table, or inherited from
-	// a coalesced leader. Small-N, GPU-busy, and breaker-suppressed
-	// runs decide nothing and leave it false, so per-category metrics
-	// never count the zero category as a decision.
+	// invocation — profiled or replayed from the table. Small-N,
+	// GPU-busy, and breaker-suppressed runs decide nothing and leave it
+	// false, so per-category metrics never count the zero category as a
+	// decision.
 	CatKnown bool
 	// GPUBusyFallback is true when the invocation ran CPU-only because
 	// another application owned the GPU — either observed upfront (the
@@ -289,12 +279,10 @@ type Report struct {
 	// position after the invocation (BreakerClosed when disabled).
 	BreakerOpen  bool
 	BreakerState robust.BreakerState
-	// Coalesced is true when this invocation executed another
-	// invocation's published decision instead of deciding itself
-	// (Options.Decision.Coalesce); FastPath when a fresh,
-	// high-confidence table record let it skip a periodic re-profile
+	// FastPath is true when a fresh, high-confidence table record let
+	// this invocation skip a periodic re-profile
 	// (Options.Decision.TableTTL / MinConfidence).
-	Coalesced, FastPath bool
+	FastPath bool
 }
 
 // MetricValue evaluates a metric over the invocation's measurements.
@@ -335,9 +323,6 @@ type Scheduler struct {
 	// rejected. Invocation-scoped: the admission gate serializes
 	// access, so no lock is needed.
 	invPredW float64
-
-	// Batched decision-path state (nil when the knob is off).
-	coal *coalescer // decision singleflight (Decision.Coalesce)
 
 	// Durable-state layer (nil when Options.State.Path is empty).
 	// stateMu serializes {table mutation + WAL append} against
@@ -412,9 +397,6 @@ func New(eng *engine.Engine, model *powerchar.Model, metric metrics.Metric, opts
 		s.breaker.SetOnTransition(func(from, to robust.BreakerState) {
 			o.RecordBreakerTransition(int(to))
 		})
-	}
-	if s.opts.Decision.Coalesce {
-		s.coal = newCoalescer()
 	}
 	s.adm.Configure(s.opts.Admission)
 	if o := s.opts.Observer; o.Enabled() {
@@ -535,7 +517,6 @@ func StatsFor(rep Report) obs.InvocationStats {
 		Quarantined:    rep.ProfileQuarantined,
 		Sanitized:      rep.ProfileSanitized,
 		BreakerState:   int(rep.BreakerState),
-		Coalesced:      rep.Coalesced,
 		FastPath:       rep.FastPath,
 		CPUEnergyJ:     rep.CPUEnergyJ,
 		GPUEnergyJ:     rep.GPUEnergyJ,
@@ -568,33 +549,6 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 	// Resolve the kernel's interned table entry once; every table touch
 	// on the invocation's hot path is a pointer dereference from here on.
 	ent := s.table.intern(k.Name)
-	var plan invPlan
-	if s.coal != nil {
-		var err error
-		if plan, err = s.joinCoalesce(ctx, k, n, sc, ent); err != nil {
-			return Report{}, err
-		}
-		if plan.flight != nil {
-			// This invocation leads a coalesced flight and must resolve
-			// it exactly once, on every exit — including a cancelled
-			// admission Acquire or a load shed that never reaches
-			// the decision body. parallelFor publishes from its one site
-			// after decide; any other exit reaches this deferred abort,
-			// which sends the flight's followers to solo decisions. The
-			// flight only leaves the map here, after the table is
-			// updated, so a late same-kernel arrival shares the decision
-			// instead of profiling again.
-			defer func() {
-				if plan.flight.abort() {
-					s.coal.recordAbort()
-					if o := s.opts.Observer; o.Enabled() {
-						o.RecordCoalesceAbort()
-					}
-				}
-				s.coal.finish(k.Name, plan.flight)
-			}()
-		}
-	}
 
 	// Admission: the gate reads the invocation's attributes (tenant,
 	// class, deadline budget) from the context and may shed it with
@@ -615,7 +569,7 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 	if d := s.eng.FaultPlan().TakeAdmissionHold(); d > 0 {
 		s.holdAdmission(ctx, s.adm.Revocation(ticket), sc, d)
 	}
-	return s.runAdmitted(k, n, sc, plan, ent, ticket)
+	return s.runAdmitted(k, n, sc, ent, ticket)
 }
 
 // holdAdmission is the scripted slow-tenant fault: it wedges the
@@ -634,64 +588,6 @@ func (s *Scheduler) holdAdmission(ctx context.Context, revoke <-chan struct{}, s
 	case <-revoke:
 	case <-ctx.Done():
 	}
-}
-
-// joinCoalesce decides this invocation's role in the decision
-// singleflight. An invocation that would not profile (replay, small-N)
-// stays solo; the check is decide's own profileDue read outside the
-// gate, where it may race with a concurrent accumulate — a stale answer
-// only costs a redundant flight, never correctness. Otherwise it joins
-// the kernel's flight: the creator leads — it proceeds to the gate and
-// runs the one profile + α search, resolving the flight on the way out
-// — and everyone else parks here, *before* queueing at the admission
-// gate (the leader holds the gate for its whole invocation, so waiting
-// after Acquire would deadlock), until the leader publishes or aborts.
-func (s *Scheduler) joinCoalesce(ctx context.Context, k engine.Kernel, n int, sc obs.Scope, ent *kernelEntry) (invPlan, error) {
-	if float64(n) < float64(s.eng.Platform().GPUProfileSize()) {
-		return invPlan{}, nil
-	}
-	var rec record
-	ok := ent.snapshot(&rec)
-	if due, _ := s.profileDue(rec, ok); !due {
-		return invPlan{}, nil
-	}
-	f, leader := s.coal.join(k.Name)
-	if leader {
-		// The join window: yield once so concurrently-arriving
-		// same-kernel invocations get scheduled, join the flight and
-		// park before the leader claims the gate. On a saturated (or
-		// single-P) runtime the arrivals are runnable but would
-		// otherwise only run after the leader's entire decision, and
-		// every invocation would lead its own flight; on an idle
-		// multi-core runtime the yield is a few nanoseconds.
-		runtime.Gosched()
-		return invPlan{flight: f}, nil
-	}
-	var wait obs.Timed
-	if sc.Enabled() {
-		wait = sc.Span("coalesce-wait")
-	}
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		if wait.Enabled() {
-			wait.End(obs.Str("error", ctx.Err().Error()))
-		}
-		return invPlan{}, ctx.Err()
-	}
-	if dec, ok := f.result(); ok {
-		if wait.Enabled() {
-			wait.End(obs.Num("alpha", dec.Alpha))
-		}
-		return invPlan{forced: &dec}, nil
-	}
-	// The leader exited without a decision: fall back to a fully solo
-	// invocation rather than re-joining — re-joins behind a persistently
-	// failing leader would livelock the population.
-	if wait.Enabled() {
-		wait.End(obs.Str("outcome", "aborted"))
-	}
-	return invPlan{}, nil
 }
 
 // recordAdmitFailure closes a failed admission wait's span and
@@ -718,7 +614,7 @@ func (s *Scheduler) recordAdmitFailure(wait obs.Timed, err error) {
 // deltas belong to this tenant alone. A force-released invocation
 // returns ErrAdmissionRevoked instead of its report: a revoked gate
 // means another tenant may have driven the engine concurrently.
-func (s *Scheduler) runAdmitted(k engine.Kernel, n int, sc obs.Scope, plan invPlan, ent *kernelEntry, ticket uint64) (Report, error) {
+func (s *Scheduler) runAdmitted(k engine.Kernel, n int, sc obs.Scope, ent *kernelEntry, ticket uint64) (Report, error) {
 	if s.adm.Revoked(ticket) {
 		return Report{}, ErrAdmissionRevoked
 	}
@@ -737,7 +633,7 @@ func (s *Scheduler) runAdmitted(k engine.Kernel, n int, sc obs.Scope, plan invPl
 		pre = s.rmeter.Stats()
 		s.invPredW = 0
 	}
-	rep, err := s.parallelFor(k, n, sc, plan, ent)
+	rep, err := s.parallelFor(k, n, sc, ent)
 	if err != nil {
 		return Report{}, err
 	}
@@ -768,10 +664,8 @@ func (s *Scheduler) runAdmitted(k engine.Kernel, n int, sc obs.Scope, plan invPl
 
 // parallelFor is the EAS algorithm proper (Fig. 7); the caller holds
 // the admission gate. Three CPU-only exits decide nothing; every other
-// invocation runs decide → execute → account over one Decision. A
-// flight-leading plan is resolved by ParallelForScoped's deferred
-// abort/finish, which also covers exits that never publish.
-func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, plan invPlan, ent *kernelEntry) (Report, error) {
+// invocation runs decide → execute → account over one Decision.
+func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, ent *kernelEntry) (Report, error) {
 	items := float64(n)
 	// GPU owned by another application (the A26 check): CPU-only run,
 	// nothing recorded. The breaker counts it like any other
@@ -795,29 +689,17 @@ func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, plan invPl
 	}
 
 	var rep Report
-	dec, src, nrem, err := s.decide(k, items, sc, plan, ent, &rep)
+	dec, src, nrem, err := s.decide(k, items, sc, ent, &rep)
 	if err == nil {
-		// Every source's Decision reaches the report, the robust meter's
-		// substitute power and the flight's followers here, and only here.
+		// Every source's Decision reaches the report and the robust
+		// meter's substitute power here, and only here.
 		rep.Alpha = dec.Alpha
 		rep.Category = dec.Category
 		rep.CatKnown = src != fromNone
 		rep.PredictedPower, rep.PredictedTime = dec.PredictedPower, dec.PredictedTime
-		rep.Coalesced = src == fromLeader
 		if s.rmeter != nil && rep.CatKnown {
 			if curve, ok := s.curve(dec.Category); ok {
 				s.invPredW = curve.Power(dec.Alpha)
-			}
-		}
-		if plan.flight != nil && (src == fromProfile || src == fromTable) {
-			if src == fromProfile && s.eng.FaultPlan().TakeCoalesceLeaderFail() {
-				// Injected leader failure: the decision is ready but never
-				// published — the deferred abort wakes the followers into
-				// their solo fallback. The leader's own invocation
-				// continues unharmed.
-				sc.Event("coalesce-leader-fail")
-			} else {
-				plan.flight.publish(dec)
 			}
 		}
 		err = s.execute(k, dec.Alpha, nrem, sc, &rep)
@@ -843,7 +725,6 @@ type source uint8
 const (
 	fromProfile  source = iota // online profiling + α search (Fig. 7 steps 11-22)
 	fromTable                  // the accumulated α (steps 2-4), fast path included
-	fromLeader                 // a coalesced flight leader's published Decision
 	fromLastGood               // a quarantined profile, replaying the last known-good α
 	fromNone                   // a quarantined profile of a kernel with no known-good α
 )
@@ -854,8 +735,8 @@ const (
 // rec.invocations counts completed recorded invocations, so this one's
 // ordinal is rec.invocations+1: k=1 profiles every invocation and k=2
 // fires first on the 2nd. A periodic re-profile of a fresh, confident
-// record is skipped instead (fastPath). decide applies it under the
-// gate; joinCoalesce reads it outside to pick flight leaders.
+// record is skipped instead (fastPath). decide, its only caller,
+// applies it under the admission gate.
 func (s *Scheduler) profileDue(rec record, ok bool) (profile, fastPath bool) {
 	switch {
 	case !ok || !rec.profiled || rec.reprofile:
@@ -873,22 +754,29 @@ func (s *Scheduler) profileDue(rec record, ok bool) (profile, fastPath bool) {
 	return false, false
 }
 
+// Decision is the outcome of one scheduling decision, whatever its
+// source — profile + α search or table replay.
+type Decision struct {
+	// Alpha is the chosen GPU offload ratio.
+	Alpha float64
+	// Category is the workload class whose power curve won the search.
+	Category wclass.Category
+	// PredictedPower and PredictedTime are the model's estimates at
+	// Alpha (diagnostics; zero when the α was replayed rather than
+	// searched).
+	PredictedPower, PredictedTime float64
+}
+
 // decide resolves the invocation's Decision and names its source: the
-// leader's published decision for a coalesced follower, the table's
-// accumulated α, or online profiling plus the α search — which a
-// quarantined profile turns back into the last known-good α. nrem is
+// table's accumulated α, or online profiling plus the α search — which
+// a quarantined profile turns back into the last known-good α. nrem is
 // what profiling left for execute.
-func (s *Scheduler) decide(k engine.Kernel, n float64, sc obs.Scope, plan invPlan, ent *kernelEntry, rep *Report) (dec Decision, src source, nrem float64, err error) {
+func (s *Scheduler) decide(k engine.Kernel, n float64, sc obs.Scope, ent *kernelEntry, rep *Report) (dec Decision, src source, nrem float64, err error) {
 	var rec record
 	present := ent.snapshot(&rec)
 	due, fast := s.profileDue(rec, present)
 	rep.FastPath = fast
-	switch {
-	case plan.forced != nil:
-		// The full iteration count at the leader's α: no profiling, no
-		// search.
-		return *plan.forced, fromLeader, n, nil
-	case !due:
+	if !due {
 		return Decision{Alpha: rec.alpha, Category: rec.category}, fromTable, n, nil
 	}
 
@@ -937,12 +825,7 @@ func (s *Scheduler) decide(k engine.Kernel, n float64, sc obs.Scope, plan invPla
 	if sc.Enabled() {
 		search = sc.Span("alpha-search")
 	}
-	var alpha float64
-	if s.opts.RefineAlpha {
-		alpha, _ = BestAlphaRefined(curve, tm, searchN, s.metric, s.opts.AlphaStep, 0)
-	} else {
-		alpha, _ = BestAlpha(curve, tm, searchN, s.metric, s.opts.AlphaStep)
-	}
+	alpha, _ := BestAlpha(curve, tm, searchN, s.metric, s.opts.AlphaStep)
 	if search.Enabled() {
 		search.EndExplain(s.explain(tm, searchN, alpha, cat))
 	}
@@ -1160,7 +1043,6 @@ func (s *Scheduler) explain(tm TimeModel, searchN, alpha float64, cat wclass.Cat
 		Curve:     i,
 		AlphaStep: s.opts.AlphaStep,
 		Alpha:     alpha,
-		Refined:   s.opts.RefineAlpha,
 		Source:    m,
 	}
 	ex.Objective = m.Objective(ex, alpha)

@@ -244,10 +244,10 @@ func TestReprofileSchedule(t *testing.T) {
 	}
 }
 
-// TestProfileDue pins the one profile-due rule decide and joinCoalesce
-// share, row by row, as the exact (profile, fastPath) pair. The
-// scheduler re-profiles every 2nd invocation; the fast path needs a
-// record younger than an hour with at least 3 recorded invocations.
+// TestProfileDue pins the one profile-due rule decide applies, row by
+// row, as the exact (profile, fastPath) pair. The scheduler re-profiles
+// every 2nd invocation; the fast path needs a record younger than an
+// hour with at least 3 recorded invocations.
 func TestProfileDue(t *testing.T) {
 	s := &Scheduler{opts: Options{
 		ReprofileEvery: 2,

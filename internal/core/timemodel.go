@@ -416,29 +416,3 @@ func (bb *blockBounder) timeLowerBound(a, b float64) float64 {
 	}
 	return t * (1 - pruneTimeMargin)
 }
-
-// BestAlphaRefined is BestAlpha followed by a golden-section refinement
-// of the winning grid cell (±step around the coarse minimizer). It
-// costs a handful of extra objective evaluations — far cheaper than
-// shrinking the whole grid — and is guaranteed never to return a worse
-// objective than the coarse search (vmath.GridMinRefined keeps the grid
-// winner as a floor). tol is the final bracket width; ≤0 selects 1e-3.
-// Enabled in the scheduler via Options.RefineAlpha.
-func BestAlphaRefined(curve powerchar.Curve, tm TimeModel, n float64, metric metrics.Metric, step, tol float64) (alpha, objective float64) {
-	if tol <= 0 {
-		tol = 1e-3
-	}
-	steps := gridSteps(step)
-	// vmath.GridMinRefined, with the coarse stage routed through the
-	// hoisted grid loop; the golden-section refinement is a handful of
-	// evaluations and keeps the closure.
-	coarse, cval := gridMinAlpha(curve, tm, n, metric, steps)
-	h := 1.0 / float64(steps)
-	a := math.Max(0, coarse-h)
-	b := math.Min(1, coarse+h)
-	rx, rv := vmath.GoldenMin(Objective(curve, tm, n, metric), a, b, tol)
-	if rv < cval {
-		return rx, rv
-	}
-	return coarse, cval
-}

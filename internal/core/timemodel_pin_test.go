@@ -61,29 +61,3 @@ func TestGridMinAlphaMatchesObjective(t *testing.T) {
 		}
 	}
 }
-
-// TestBestAlphaRefinedMatchesGridMinRefined pins the refined search the
-// same way against vmath.GridMinRefined.
-func TestBestAlphaRefinedMatchesGridMinRefined(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		deg := rng.Intn(5)
-		coeffs := make([]float64, deg+1)
-		for i := range coeffs {
-			coeffs[i] = (rng.Float64() - 0.3) * 20
-		}
-		curve := powerchar.Curve{Coeffs: coeffs}
-		tm := TimeModel{RC: rng.Float64() * 1e6, RG: rng.Float64() * 1e6}
-		n := rng.Float64() * 1e6
-		step := []float64{0.1, 0.05, 0.01}[rng.Intn(3)]
-		tol := 1e-3
-
-		gotA, gotV := BestAlphaRefined(curve, tm, n, metrics.Energy, step, tol)
-		steps := int(math.Round(1 / step))
-		wantA, wantV := vmath.GridMinRefined(Objective(curve, tm, n, metrics.Energy), 0, 1, steps, tol)
-		if math.Float64bits(gotA) != math.Float64bits(wantA) || math.Float64bits(gotV) != math.Float64bits(wantV) {
-			t.Fatalf("trial %d: BestAlphaRefined = (%v, %v), GridMinRefined = (%v, %v)",
-				trial, gotA, gotV, wantA, wantV)
-		}
-	}
-}

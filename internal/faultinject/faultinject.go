@@ -82,10 +82,6 @@ type Stats struct {
 	// (wall-clock) while holding the admission gate — the slow-tenant
 	// fault the runtime watchdog exists to break.
 	AdmissionHolds int
-	// CoalesceLeaderFails is the number of coalesced decision flights
-	// whose leader was scripted to fail before publishing, sending its
-	// followers to solo decisions.
-	CoalesceLeaderFails int
 	// WALWriteErrors is the number of state-store appends that failed
 	// outright with an injected I/O error.
 	WALWriteErrors int
@@ -124,9 +120,8 @@ type Plan struct {
 	profileLieFactor float64
 
 	// Scheduling faults.
-	admissionHold      knob
-	admissionHoldDur   time.Duration
-	coalesceLeaderFail knob
+	admissionHold    knob
+	admissionHoldDur time.Duration
 
 	// Persistence faults.
 	walErr   knob
@@ -464,39 +459,6 @@ func (p *Plan) TakeAdmissionHold() time.Duration {
 		return p.admissionHoldDur
 	}
 	return 0
-}
-
-// FailCoalesceLeaders scripts the next k coalesced decision flights to
-// lose their leader at the publish point: the leader's own invocation
-// completes normally, but the decision is never published and the
-// flight's followers fall back to solo decisions.
-func (p *Plan) FailCoalesceLeaders(k int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.coalesceLeaderFail.remaining += k
-}
-
-// CoalesceLeaderFailProb sets a per-flight probability of the leader
-// failing before publish.
-func (p *Plan) CoalesceLeaderFailProb(prob float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.coalesceLeaderFail.prob = prob
-}
-
-// TakeCoalesceLeaderFail reports whether the current flight's leader
-// should fail before publishing its decision.
-func (p *Plan) TakeCoalesceLeaderFail() bool {
-	if p == nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.coalesceLeaderFail.take(p.rng) {
-		p.stats.CoalesceLeaderFails++
-		return true
-	}
-	return false
 }
 
 // WALFault classifies an injected state-store write failure.

@@ -120,7 +120,6 @@ func explainArgs(ex *Explain) map[string]any {
 		"grid":       grid,
 		"alpha":      jsonSafe(ex.Alpha),
 		"objective":  jsonSafe(ex.Objective),
-		"refined":    ex.Refined,
 	}
 }
 

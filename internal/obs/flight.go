@@ -77,23 +77,21 @@ type FlightEvent struct {
 	// Value is the kind's scalar payload: latency seconds for
 	// decisions, held milliseconds for watchdog stalls.
 	Value float64
-	// FastPath / Coalesced mirror the decision flags.
-	FastPath  bool
-	Coalesced bool
+	// FastPath mirrors the decision flag.
+	FastPath bool
 }
 
 // flightEventJSON is the incident-artifact shape of one event.
 type flightEventJSON struct {
-	Seq       uint64  `json:"seq"`
-	Time      string  `json:"time"`
-	Kind      string  `json:"kind"`
-	Kernel    string  `json:"kernel,omitempty"`
-	Tenant    string  `json:"tenant,omitempty"`
-	Detail    string  `json:"detail,omitempty"`
-	Alpha     float64 `json:"alpha,omitempty"`
-	Value     float64 `json:"value,omitempty"`
-	FastPath  bool    `json:"fast_path,omitempty"`
-	Coalesced bool    `json:"coalesced,omitempty"`
+	Seq      uint64  `json:"seq"`
+	Time     string  `json:"time"`
+	Kind     string  `json:"kind"`
+	Kernel   string  `json:"kernel,omitempty"`
+	Tenant   string  `json:"tenant,omitempty"`
+	Detail   string  `json:"detail,omitempty"`
+	Alpha    float64 `json:"alpha,omitempty"`
+	Value    float64 `json:"value,omitempty"`
+	FastPath bool    `json:"fast_path,omitempty"`
 }
 
 // FlightDump is the JSON incident artifact: the trigger that froze the
@@ -260,13 +258,13 @@ func (f *FlightRecorder) Record(ev FlightEvent) {
 
 // RecordDecision appends a decision summary and feeds the p99 latency
 // trigger.
-func (f *FlightRecorder) RecordDecision(kernel, tenant, category string, alpha, seconds float64, fastPath, coalesced bool) {
+func (f *FlightRecorder) RecordDecision(kernel, tenant, category string, alpha, seconds float64, fastPath bool) {
 	if f == nil {
 		return
 	}
 	f.Record(FlightEvent{
 		Kind: FlightDecision, Kernel: kernel, Tenant: tenant, Detail: category,
-		Alpha: alpha, Value: seconds, FastPath: fastPath, Coalesced: coalesced,
+		Alpha: alpha, Value: seconds, FastPath: fastPath,
 	})
 	f.observeLatency(seconds)
 }
@@ -446,16 +444,15 @@ func (f *FlightRecorder) buildDumpLocked(trigger, reason string, now time.Time) 
 	for i := start; i < n; i++ {
 		ev := f.ring[i%cap64]
 		events = append(events, flightEventJSON{
-			Seq:       ev.Seq,
-			Time:      time.Unix(0, ev.UnixNano).UTC().Format(time.RFC3339Nano),
-			Kind:      ev.Kind.String(),
-			Kernel:    ev.Kernel,
-			Tenant:    ev.Tenant,
-			Detail:    ev.Detail,
-			Alpha:     ev.Alpha,
-			Value:     ev.Value,
-			FastPath:  ev.FastPath,
-			Coalesced: ev.Coalesced,
+			Seq:      ev.Seq,
+			Time:     time.Unix(0, ev.UnixNano).UTC().Format(time.RFC3339Nano),
+			Kind:     ev.Kind.String(),
+			Kernel:   ev.Kernel,
+			Tenant:   ev.Tenant,
+			Detail:   ev.Detail,
+			Alpha:    ev.Alpha,
+			Value:    ev.Value,
+			FastPath: ev.FastPath,
 		})
 	}
 	return FlightDump{

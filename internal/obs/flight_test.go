@@ -152,7 +152,7 @@ func TestFlightP99Trigger(t *testing.T) {
 	}, nil)
 	f.setNow(clock.now)
 	for i := 0; i < 64 && f.Dumps() == 0; i++ {
-		f.RecordDecision("k", "a", "", 0.5, 0.5, false, false) // 500ms ≫ bound
+		f.RecordDecision("k", "a", "", 0.5, 0.5, false) // 500ms ≫ bound
 	}
 	if f.Dumps() != 1 {
 		t.Fatalf("p99 trigger never fired; Dumps() = %d", f.Dumps())
@@ -192,7 +192,7 @@ func TestFlightDumpGolden(t *testing.T) {
 	f := NewFlightRecorder(FlightPolicy{Events: 8}, nil)
 	f.setNow(clock.now)
 
-	f.RecordDecision("saxpy", "tenant-a", "com-cpuS-gpuS", 0.6, 0.0125, true, false)
+	f.RecordDecision("saxpy", "tenant-a", "com-cpuS-gpuS", 0.6, 0.0125, true)
 	clock.advance(50 * time.Millisecond)
 	f.RecordShed("tenant-b", "batch", "tenant-quota")
 	clock.advance(50 * time.Millisecond)
@@ -233,7 +233,7 @@ func BenchmarkFlightRecord(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.RecordDecision("kernel", "tenant", "com-cpuS-gpuS", 0.5, 0.001, true, false)
+		f.RecordDecision("kernel", "tenant", "com-cpuS-gpuS", 0.5, 0.001, true)
 	}
 }
 
@@ -242,7 +242,7 @@ func TestFlightRecordAllocBudget(t *testing.T) {
 		Events: 4096, ShedSpike: 1 << 10, P99Latency: time.Hour,
 	}, nil)
 	allocs := testing.AllocsPerRun(1000, func() {
-		f.RecordDecision("kernel", "tenant", "com-cpuS-gpuS", 0.5, 0.001, true, false)
+		f.RecordDecision("kernel", "tenant", "com-cpuS-gpuS", 0.5, 0.001, true)
 		f.RecordShed("tenant", "batch", "queue-full")
 	})
 	if allocs > 2 { // two events recorded per run: ≤1 alloc per event
@@ -253,7 +253,7 @@ func TestFlightRecordAllocBudget(t *testing.T) {
 func TestFlightNilSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.Record(FlightEvent{})
-	f.RecordDecision("", "", "", 0, 0, false, false)
+	f.RecordDecision("", "", "", 0, 0, false)
 	f.RecordShed("", "", "")
 	f.RecordBreaker(1, "open")
 	f.RecordWatchdogStall("", 0)

@@ -124,12 +124,8 @@ type Explain struct {
 	Curve   int
 	// AlphaStep is the grid granularity searched.
 	AlphaStep float64
-	// Alpha and Objective are the winning ratio and its objective value
-	// (after refinement when Refined).
+	// Alpha and Objective are the winning ratio and its objective value.
 	Alpha, Objective float64
-	// Refined is true when a golden-section pass polished the grid
-	// winner.
-	Refined bool
 	// Source evaluates the objective for Grid. Nil leaves the grid
 	// empty.
 	Source GridSource
@@ -212,9 +208,7 @@ type Observer struct {
 	breakerState  *Gauge
 	breakerTrans  *Counter
 	watchdogStall *Counter
-	coalesced     *Counter
 	fastPath      *Counter
-	coalesceAbort *Counter
 	poolReuse     *Counter
 
 	// Durable-state instruments (internal/statestore).
@@ -230,13 +224,12 @@ type Observer struct {
 	// Per-tenant attribution families (labels.go): interned label
 	// tuples behind a hard cardinality cap, so user-supplied tenant ids
 	// cannot blow up the exposition.
-	tenantInv       *CounterVec      // {tenant,class}
-	tenantLatency   *HistogramVec    // {tenant}
-	tenantShed      *CounterVec      // {tenant,reason}
-	tenantCoalesced *CounterVec      // {tenant}
-	tenantFastPath  *CounterVec      // {tenant}
-	tenantEnergy    *FloatCounterVec // {tenant,domain}
-	catDecisions    *CounterVec      // {category}
+	tenantInv      *CounterVec      // {tenant,class}
+	tenantLatency  *HistogramVec    // {tenant}
+	tenantShed     *CounterVec      // {tenant,reason}
+	tenantFastPath *CounterVec      // {tenant}
+	tenantEnergy   *FloatCounterVec // {tenant,domain}
+	catDecisions   *CounterVec      // {category}
 
 	// flight is the black-box incident recorder (nil unless attached).
 	flight *FlightRecorder
@@ -302,12 +295,8 @@ func New(sink Sink, reg *Registry) *Observer {
 			"GPU circuit breaker state transitions."),
 		watchdogStall: reg.Counter("eas_watchdog_stalls_total",
 			"Admission holds force-released by the runtime watchdog."),
-		coalesced: reg.Counter("eas_decisions_coalesced_total",
-			"Invocations that executed a leader's coalesced α decision."),
 		fastPath: reg.Counter("eas_decisions_fastpath_total",
 			"Invocations whose fresh, high-confidence α skipped a periodic re-profile."),
-		coalesceAbort: reg.Counter("eas_coalesce_aborts_total",
-			"Coalesced decision flights aborted by their leader (followers fell back to solo)."),
 		poolReuse: reg.Counter("eas_pool_reuse_total",
 			"Reports served from the pool of released Reports instead of the heap."),
 		stateRecords: reg.Counter("eas_state_wal_records_total",
@@ -335,9 +324,6 @@ func New(sink Sink, reg *Registry) *Observer {
 		tenantShed: reg.CounterVec("eas_tenant_shed_total",
 			"Invocations shed at the admission gate, by tenant and reason.",
 			[]string{"tenant", "reason"}, 3*DefaultTenantCardinality),
-		tenantCoalesced: reg.CounterVec("eas_tenant_coalesced_total",
-			"Invocations that executed a leader's coalesced decision, by tenant.",
-			[]string{"tenant"}, DefaultTenantCardinality),
 		tenantFastPath: reg.CounterVec("eas_tenant_fastpath_total",
 			"Invocations whose fresh table record skipped a re-profile, by tenant.",
 			[]string{"tenant"}, DefaultTenantCardinality),
@@ -463,10 +449,9 @@ type InvocationStats struct {
 	// BreakerState is the breaker position after the invocation
 	// (0=closed, 1=open, 2=half-open); negative skips the gauge.
 	BreakerState int
-	// Coalesced marks an invocation that executed another invocation's
-	// published decision; FastPath one whose fresh table record skipped
-	// a periodic re-profile.
-	Coalesced, FastPath bool
+	// FastPath marks an invocation whose fresh table record skipped a
+	// periodic re-profile.
+	FastPath bool
 }
 
 // RecordInvocation folds one completed invocation into the registry.
@@ -501,9 +486,6 @@ func (o *Observer) RecordInvocation(st InvocationStats) {
 	if st.BreakerState >= 0 {
 		o.breakerState.Set(float64(st.BreakerState))
 	}
-	if st.Coalesced {
-		o.coalesced.Inc()
-	}
 	if st.FastPath {
 		o.fastPath.Inc()
 	}
@@ -521,9 +503,6 @@ func (o *Observer) RecordInvocation(st InvocationStats) {
 	}
 	o.tenantInv.With2(tenant, class).Inc()
 	o.tenantLatency.With1(tenant).Observe(st.Seconds)
-	if st.Coalesced {
-		o.tenantCoalesced.With1(tenant).Inc()
-	}
 	if st.FastPath {
 		o.tenantFastPath.With1(tenant).Inc()
 	}
@@ -541,7 +520,7 @@ func (o *Observer) RecordInvocation(st InvocationStats) {
 	}
 	if o.flight != nil {
 		o.flight.RecordDecision(st.Kernel, tenant, st.Category,
-			st.Alpha, st.Seconds, st.FastPath, st.Coalesced)
+			st.Alpha, st.Seconds, st.FastPath)
 		if st.Fallback != "" {
 			o.flight.RecordDegradation(st.Kernel, tenant, st.Fallback)
 		}
@@ -642,16 +621,6 @@ func (o *Observer) RecordDrain(seconds float64) {
 	o.drainSeconds.Observe(seconds)
 }
 
-// RecordCoalesceAbort notes one coalesced decision flight whose leader
-// exited without publishing: its followers fell back to solo
-// decisions.
-func (o *Observer) RecordCoalesceAbort() {
-	if o == nil {
-		return
-	}
-	o.coalesceAbort.Inc()
-}
-
 // RecordWatchdogStall notes one watchdog force-release of the
 // admission gate: the stall counter increments and a degradation
 // instant (Name "watchdog-stall", Kernel = the wedged tenant) lands in
@@ -706,7 +675,6 @@ type TenantAccount struct {
 	Tenant            string             `json:"tenant"`
 	Invocations       map[string]uint64  `json:"invocations_by_class,omitempty"`
 	Shed              map[string]uint64  `json:"shed_by_reason,omitempty"`
-	Coalesced         uint64             `json:"coalesced,omitempty"`
 	FastPath          uint64             `json:"fastpath,omitempty"`
 	LatencyCount      uint64             `json:"latency_count,omitempty"`
 	LatencySumSeconds float64            `json:"latency_sum_seconds,omitempty"`
@@ -744,10 +712,6 @@ func (o *Observer) TenantAccounting() []TenantAccount {
 			a.Shed = make(map[string]uint64)
 		}
 		a.Shed[k[1]] += sheds[i].Value()
-	}
-	keys, coal := o.tenantCoalesced.snapshot()
-	for i, k := range keys {
-		acct(k[0]).Coalesced += coal[i].Value()
 	}
 	keys, fast := o.tenantFastPath.snapshot()
 	for i, k := range keys {

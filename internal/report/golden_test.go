@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/hetsched/eas/internal/core"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from current output")
@@ -36,6 +38,11 @@ func fullOutput(t *testing.T) string {
 // `go test ./internal/report -run Golden -update` after an intentional
 // model change and review the diff in EXPERIMENTS.md terms.
 func TestGoldenEvaluationOutput(t *testing.T) {
+	// The figures reproduce the paper's one decision per invocation: no
+	// fast path or other decision accelerator may shape them.
+	if d := (Options{}).withDefaults().EAS.Decision; d != (core.DecisionPolicy{}) {
+		t.Fatalf("Fig. 9-12 EAS options set Decision %+v, want the zero policy", d)
+	}
 	got := fullOutput(t)
 	path := filepath.Join("testdata", "easbench.golden")
 	if *updateGolden {

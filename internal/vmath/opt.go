@@ -24,54 +24,6 @@ func GridMin(f func(float64) float64, lo, hi float64, steps int) (argmin, minval
 	return argmin, minval
 }
 
-// GridMinRefined runs GridMin and then refines the winner with a golden
-// section search on the bracketing interval, returning whichever of the
-// two results is better. Golden section assumes unimodality inside the
-// bracket; keeping the coarse winner as a floor guarantees the refined
-// answer is never worse than the plain grid even when that assumption
-// breaks. Used by the scheduler's RefineAlpha mode and the ablation
-// benches.
-func GridMinRefined(f func(float64) float64, lo, hi float64, steps int, tol float64) (argmin, minval float64) {
-	coarse, cval := GridMin(f, lo, hi, steps)
-	h := (hi - lo) / float64(steps)
-	a := math.Max(lo, coarse-h)
-	b := math.Min(hi, coarse+h)
-	rx, rv := GoldenMin(f, a, b, tol)
-	if rv < cval {
-		return rx, rv
-	}
-	return coarse, cval
-}
-
-// GoldenMin minimizes a unimodal f on [a, b] via golden-section search
-// down to interval width tol. For non-unimodal f it still converges to a
-// local minimum inside the bracket.
-func GoldenMin(f func(float64) float64, a, b float64, tol float64) (argmin, minval float64) {
-	if b < a {
-		a, b = b, a
-	}
-	if tol <= 0 {
-		tol = 1e-6
-	}
-	const invPhi = 0.6180339887498949
-	c := b - (b-a)*invPhi
-	d := a + (b-a)*invPhi
-	fc, fd := f(c), f(d)
-	for b-a > tol {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - (b-a)*invPhi
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + (b-a)*invPhi
-			fd = f(d)
-		}
-	}
-	x := (a + b) / 2
-	return x, f(x)
-}
-
 // Clamp limits v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {

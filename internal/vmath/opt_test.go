@@ -45,50 +45,6 @@ func TestGridMinDegenerateSteps(t *testing.T) {
 	}
 }
 
-func TestGoldenMin(t *testing.T) {
-	f := func(x float64) float64 { return math.Cosh(x - 0.7317) }
-	arg, val := GoldenMin(f, 0, 2, 1e-9)
-	if !AlmostEqual(arg, 0.7317, 1e-6) {
-		t.Errorf("argmin = %v, want 0.7317", arg)
-	}
-	if !AlmostEqual(val, 1, 1e-9) {
-		t.Errorf("minval = %v, want 1", val)
-	}
-	// Reversed bracket is tolerated.
-	arg, _ = GoldenMin(f, 2, 0, 1e-9)
-	if !AlmostEqual(arg, 0.7317, 1e-6) {
-		t.Errorf("reversed bracket argmin = %v", arg)
-	}
-}
-
-func TestGridMinRefined(t *testing.T) {
-	f := func(x float64) float64 { return (x - 0.234) * (x - 0.234) }
-	arg, _ := GridMinRefined(f, 0, 1, 10, 1e-9)
-	if !AlmostEqual(arg, 0.234, 1e-6) {
-		t.Errorf("refined argmin = %v, want 0.234", arg)
-	}
-}
-
-// Property: GridMinRefined never returns a worse value than GridMin,
-// even on multimodal functions where golden section's unimodality
-// assumption breaks inside the bracket.
-func TestGridMinRefinedNeverWorseProperty(t *testing.T) {
-	f := func(a, b, c, freq float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(c) || math.IsNaN(freq) {
-			return true
-		}
-		a, b, c = math.Mod(a, 10), math.Mod(b, 10), math.Mod(c, 10)
-		freq = math.Mod(freq, 40)
-		fn := func(x float64) float64 { return a*x*x + b*x + c + math.Sin(freq*x) }
-		_, coarse := GridMin(fn, 0, 1, 10)
-		_, refined := GridMinRefined(fn, 0, 1, 10, 1e-6)
-		return refined <= coarse
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: GridMin's result is never worse than any grid point.
 func TestGridMinIsGridOptimalProperty(t *testing.T) {
 	f := func(a, b, c float64) bool {

@@ -24,8 +24,8 @@ import (
 // Config.Decision.TableTTL re-profile exactly as they would have
 // without the restart.
 //
-// Deliberately NOT persisted: coalescer flights, admission queues and
-// quotas, breaker state, and meter history — all of it describes
+// Deliberately NOT persisted: admission queues and quotas, breaker
+// state, and meter history — all of it describes
 // in-flight or sensor-local conditions that do not outlive a process
 // meaningfully.
 //
