@@ -12,7 +12,9 @@ package eas_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -424,6 +426,79 @@ func BenchmarkAdmissionContended(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
 	})
+}
+
+// BenchmarkFunctionalInvocation measures a warm invocation that runs a
+// saxpy body split between the CPU pool and a GPU queue the invocation
+// borrows, with one caller and with GOMAXPROCS callers. Every caller
+// releases its Reports, so the allocations reported are the runtime's
+// own; a warm invocation takes none.
+func BenchmarkFunctionalInvocation(b *testing.B) {
+	model, err := eas.Characterize(eas.DesktopPlatform())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 50000
+	x := make([]float32, n)
+	for i := range x {
+		x[i] = float32(i)
+	}
+	// saxpy gives each caller a kernel over a y vector of its own.
+	saxpy := func() eas.Kernel {
+		y := make([]float32, n)
+		return eas.Kernel{
+			Name:         "functional-saxpy",
+			FLOPsPerItem: 20000, MemOpsPerItem: 20, L3MissRatio: 0.02, InstructionsPerItem: 3000,
+			Body: func(i int) { y[i] += 2 * x[i] },
+		}
+	}
+	callers := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		callers = append(callers, p)
+	}
+	for _, c := range callers {
+		b.Run(fmt.Sprintf("callers=%d", c), func(b *testing.B) {
+			rt, err := eas.NewRuntime(eas.DesktopPlatform(), eas.Config{Metric: eas.EDP, Model: model})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer rt.Close()
+			kernels := make([]eas.Kernel, c)
+			for i := range kernels {
+				kernels[i] = saxpy()
+			}
+			invoke := func(k eas.Kernel) bool {
+				rep, err := rt.ParallelFor(k, n)
+				if err != nil {
+					b.Error(err)
+					return false
+				}
+				if rep.GPUItems == 0 {
+					b.Error("the benchmark kernel ran no GPU share")
+					return false
+				}
+				rt.ReleaseReport(rep)
+				return true
+			}
+			if !invoke(kernels[0]) { // decide α
+				return
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if c == 1 {
+				for i := 0; i < b.N && invoke(kernels[0]); i++ {
+				}
+				return
+			}
+			// RunParallel starts GOMAXPROCS goroutines, one per kernel.
+			var next atomic.Int32
+			b.RunParallel(func(pb *testing.PB) {
+				k := kernels[next.Add(1)-1]
+				for pb.Next() && invoke(k) {
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkHotPath measures the steady-state invocation hot path in a

@@ -12,6 +12,10 @@
 #      record every invocation) to 2 allocations beyond the unobserved
 #      run, and under 2 KiB. Spans carry their attributes by value, so
 #      the one allocation the path takes is the Explain record.
+#      TestFunctionalInvocationZeroAlloc pins a warm public-API
+#      invocation with a body and a GPU share to zero allocations,
+#      plain, with GPUDispatchTimeout set and with an observer: the GPU
+#      queue recycles its events and owns the dispatch-timeout timer.
 #   2. BenchmarkParallelForObserverNil's allocs/op is compared against
 #      the committed baseline (ci/obs-overhead-baseline.txt); any
 #      regression past the baseline fails. Allocation counts are exact
@@ -41,6 +45,7 @@ fi
 
 echo "== pinned allocation tests =="
 go test ./internal/core -run '^(TestNilObserverZeroAlloc|TestProfilingObserverAllocBudget)$' -count=1 -v
+go test . -run '^TestFunctionalInvocationZeroAlloc$' -count=1 -v
 
 echo "== observer overhead benchmarks =="
 out=$(go test ./internal/core -run '^$' -bench 'BenchmarkParallelForObserver' \

@@ -588,7 +588,10 @@ func (r *Runtime) ParallelForCtx(ctx context.Context, k Kernel, n int) (*Report,
 // body panics on either device surface as *KernelPanicError. The GPU
 // share goes through a command queue borrowed for this invocation
 // alone and returned when the functional execution ends, so the GPU
-// shares of concurrent invocations overlap.
+// shares of concurrent invocations overlap. The dispatch timeout runs
+// on the borrowed queue's timer, and the event goes back to the queue
+// when the execution is done with it, so a warm invocation allocates
+// nothing here.
 func (r *Runtime) executeCtx(ctx context.Context, k Kernel, n int, alpha float64, out *Report, sc obs.Scope) error {
 	var fn obs.Timed
 	if sc.Enabled() {
@@ -609,6 +612,7 @@ func (r *Runtime) executeCtx(ctx context.Context, k Kernel, n int, alpha float64
 		ev, err = r.enqueueWithRetry(ctx, q, k, gpuItems, out, fn)
 		switch {
 		case err == nil:
+			defer ev.Release()
 		case errors.Is(err, cl.ErrDeviceBusy):
 			// Retry budget exhausted: degrade the GPU share to the CPU.
 			r.sched.Breaker().RecordFallback()
@@ -633,13 +637,7 @@ func (r *Runtime) executeCtx(ctx context.Context, k Kernel, n int, alpha float64
 		}
 	}
 	if ev != nil {
-		wctx := ctx
-		if r.timeout > 0 {
-			var cancel context.CancelFunc
-			wctx, cancel = context.WithTimeout(ctx, r.timeout)
-			defer cancel()
-		}
-		err := ev.WaitCtx(wctx)
+		err := ev.WaitTimeout(ctx, r.timeout)
 		switch {
 		case err == nil:
 			r.sched.Breaker().RecordSuccess()
@@ -740,8 +738,12 @@ func (r *Runtime) CreateBuffer(name string, bytes int64) (*cl.Buffer, error) {
 // ErrClosed), waits — bounded by Config.State.DrainTimeout, default
 // 5s — for in-flight invocations to finish, then drains every GPU
 // command queue, releases the shared-memory context, and flushes +
-// fsyncs the durable state store if one is configured. Close is
-// idempotent; repeat calls return nil immediately.
+// fsyncs the durable state store if one is configured. Once the drain
+// budget has expired, every GPU command that has not started its body
+// — queued, or hung in dispatch — is abandoned without running any
+// item, so a hung dispatch cannot hold Close even with
+// GPUDispatchTimeout off; GPU bodies already running are still waited
+// for. Close is idempotent; repeat calls return nil immediately.
 //
 // A non-nil error means the drain timed out (the runtime closed
 // anyway — stragglers may observe a released context) or the final
@@ -764,6 +766,7 @@ func (r *Runtime) Close() error {
 			timer.Stop()
 		case <-timer.C:
 			err = fmt.Errorf("eas: close: drain timed out after %v with invocations still in flight", r.drainTimeout)
+			r.ctx.Abandon()
 		}
 		r.ctx.Finish()
 		r.ctx.Release()

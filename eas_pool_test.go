@@ -2,7 +2,9 @@ package eas
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestReleasedReportIsReused checks the pool round trip: a released
@@ -103,4 +105,57 @@ func TestPoolNeverHandsOutHeldReport(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestFunctionalInvocationZeroAlloc pins a warm invocation that runs a
+// body with a GPU share and releases its Report to zero allocations:
+// the queue recycles the GPU event, starts its dispatcher through a
+// bound method value, and bounds the dispatch wait with a timer of its
+// own. The rows cover the dispatch timeout and an attached observer.
+func TestFunctionalInvocationZeroAlloc(t *testing.T) {
+	rows := []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{}},
+		{"dispatch-timeout", Config{GPUDispatchTimeout: time.Second}},
+		{"observer", Config{Observer: NewObserver(ObserverOptions{})}},
+	}
+	const n = 200000
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := row.cfg
+			cfg.Model = sharedModel(t)
+			rt, err := NewRuntime(DesktopPlatform(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			var ran atomic.Int64
+			k := computeKernel("zero-alloc", func(i int) {
+				if i == 0 {
+					ran.Add(1)
+				}
+			})
+			run := func() {
+				rep, err := rt.ParallelFor(k, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.GPUItems == 0 {
+					t.Fatal("invocation ran no GPU share")
+				}
+				rt.ReleaseReport(rep)
+			}
+			for i := 0; i < 8; i++ {
+				run() // decide α, warm the queue's free list and the report pool
+			}
+			if got := testing.AllocsPerRun(100, run); got != 0 {
+				t.Errorf("warm functional invocation allocates %.1f objects/op, want 0", got)
+			}
+			if ran.Load() == 0 {
+				t.Error("the kernel body never ran")
+			}
+		})
+	}
 }

@@ -1,12 +1,15 @@
 package eas
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/hetsched/eas/internal/cl"
 )
 
 // gpuShareRun is one invocation launched in the background: its
@@ -228,4 +231,84 @@ func TestCloseDrainsEveryBorrowedQueue(t *testing.T) {
 	}
 	waitClosed(t, b.done, "the second invocation")
 	b.check(t, "second invocation")
+}
+
+// Close is bounded even when a GPU dispatch hangs with no dispatch
+// timeout configured: once the drain budget expires, Close abandons
+// the hung command, so the invocation waiting on it returns and Close
+// completes. The abandoned share never runs, so no index runs twice.
+func TestCloseBoundedWithHungDispatch(t *testing.T) {
+	plan := NewFaultPlan(7)
+	// Deferred first, so it runs last: if Close is stuck, releasing the
+	// hang lets the test's goroutines exit.
+	defer plan.ReleaseHangs()
+	rt, err := NewRuntime(DesktopPlatform(), Config{
+		Model:  sharedModel(t),
+		Faults: plan,
+		State:  StatePolicy{DrainTimeout: 50 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A memory-bound kernel splits the range: the GPU share is
+	// enqueued before the CPU share starts, so the CPU share's last
+	// index running proves the hung command is on its queue.
+	const n = 200000
+	split := func(body func(int)) Kernel {
+		return Kernel{
+			Name:         "close-hang",
+			FLOPsPerItem: 20, MemOpsPerItem: 20, L3MissRatio: 0.6, InstructionsPerItem: 3000,
+			Body: body,
+		}
+	}
+	rep, err := rt.ParallelFor(split(nil), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GPUItems == 0 || rep.CPUItems == 0 {
+		t.Fatalf("split kernel ran GPU=%v CPU=%v items, want both shares", rep.GPUItems, rep.CPUItems)
+	}
+
+	plan.HangKernels(1)
+	enqueued := make(chan struct{})
+	var once sync.Once
+	hits := make([]int32, n)
+	var inv struct {
+		err  error
+		done chan struct{}
+	}
+	inv.done = make(chan struct{})
+	go func() {
+		defer close(inv.done)
+		_, inv.err = rt.ParallelFor(split(func(i int) {
+			if i == n-1 {
+				once.Do(func() { close(enqueued) })
+			}
+			atomic.AddInt32(&hits[i], 1)
+		}), n)
+	}()
+	waitClosed(t, enqueued, "the invocation's CPU share to start")
+
+	closed := make(chan error, 1)
+	go func() { closed <- rt.Close() }()
+	select {
+	case err := <-closed:
+		if err == nil || !strings.Contains(err.Error(), "drain timed out") {
+			t.Errorf("Close = %v, want the drain-timeout error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still blocked 5s after it started, behind a hung GPU dispatch")
+	}
+	waitClosed(t, inv.done, "the invocation behind the abandoned dispatch")
+	if !errors.Is(inv.err, cl.ErrAborted) {
+		t.Errorf("invocation err = %v, want the abandoned dispatch's ErrAborted", inv.err)
+	}
+	for i, h := range hits {
+		if h > 1 {
+			t.Fatalf("index %d executed %d times, want at most once", i, h)
+		}
+	}
+	if plan.Stats().KernelHangs > 1 {
+		t.Errorf("KernelHangs = %d, want at most the one scripted hang", plan.Stats().KernelHangs)
+	}
 }
