@@ -9,9 +9,14 @@
 #      to zero heap allocations per invocation, and
 #      TestProfilingObserverAllocBudget pins the enabled observer's
 #      profiling path (fresh profile + 0.0005-step α search + Explain
-#      record every invocation) to 2 allocations beyond the unobserved
-#      run, and under 2 KiB. Spans carry their attributes by value, so
-#      the one allocation the path takes is the Explain record.
+#      every invocation) to no allocation beyond the unobserved run, and
+#      under 2 KiB: the invocation record, its Explain included, lives
+#      on the invocation's stack and the ring copies it.
+#      TestInvocationRecordPaths checks the trace every record path
+#      exports (one root slice per track, children within it, the
+#      decision audit iff the invocation searched, the path's
+#      instants), and TestObserverLeavesReportsUnchanged that observing
+#      an invocation does not change its Report.
 #      TestFunctionalInvocationZeroAlloc pins a warm public-API
 #      invocation with a body and a GPU share to zero allocations,
 #      plain, with GPUDispatchTimeout set and with an observer: the GPU
@@ -45,7 +50,7 @@ fi
 
 echo "== pinned allocation tests =="
 go test ./internal/core -run '^(TestNilObserverZeroAlloc|TestProfilingObserverAllocBudget)$' -count=1 -v
-go test . -run '^TestFunctionalInvocationZeroAlloc$' -count=1 -v
+go test . -run '^(TestFunctionalInvocationZeroAlloc|TestInvocationRecordPaths|TestObserverLeavesReportsUnchanged)$' -count=1 -v
 
 echo "== observer overhead benchmarks =="
 out=$(go test ./internal/core -run '^$' -bench 'BenchmarkParallelForObserver' \

@@ -152,10 +152,11 @@ type Config struct {
 	// crash or restart instead of forcing full re-profiling. The zero
 	// value (no path) keeps state purely in memory.
 	State StatePolicy
-	// Observer, when non-nil, receives a span trace, a decision-audit
-	// record, and runtime metrics for every invocation (see NewObserver).
-	// One Observer may be shared by several Runtimes. Nil — the default —
-	// disables all instrumentation at zero cost on the scheduling path.
+	// Observer, when non-nil, receives one record (phase timings, the
+	// decision audit, rare-path outcomes) and runtime metrics for every
+	// invocation (see NewObserver). One Observer may be shared by
+	// several Runtimes. Nil — the default — disables all
+	// instrumentation at zero cost on the scheduling path.
 	Observer *Observer
 	// Reuse has no effect: every Runtime pools Reports, and
 	// Runtime.ReleaseReport always recycles. See DESIGN.md §14 for the
@@ -173,18 +174,11 @@ type Robustness struct {
 	// Meter routes invocation energy through a robust meter that
 	// rejects implausible package-energy samples (wrap-horizon
 	// violations, power outliers, stuck counters) and substitutes the
-	// characterized model's predicted P(α).
+	// characterized model's predicted P(α). Package power above 4×TDP
+	// is implausible; the outlier filter is a Hampel filter (K=8 scaled
+	// MADs over a 5-sample window); 4 identical raw reads while time
+	// advances declare the sensor stuck.
 	Meter bool
-	// MaxPlausiblePowerW bounds believable package power (default
-	// 4×TDP). Samples implying more are rejected.
-	MaxPlausiblePowerW float64
-	// MeterWindow is the outlier filter's median window (default 5).
-	MeterWindow int
-	// HampelK is the outlier threshold in scaled-MAD units (default 8).
-	HampelK float64
-	// StuckReads declares the sensor stuck after this many identical
-	// raw reads while time advances (default 4).
-	StuckReads int
 	// ValidateProfiles quarantines physically impossible online-profile
 	// observations (NaN/Inf, negative work, no throughput) before they
 	// reach the α table and clamps implausible throughput ratios to the
@@ -505,13 +499,15 @@ func (r *Runtime) ParallelForCtx(ctx context.Context, k Kernel, n int) (*Report,
 	}
 	defer r.endInvocation()
 	started := time.Now()
-	inv := r.nextInvocation()
-	var sc obs.Scope
-	if r.obsv.Enabled() {
-		sc = r.obsv.BeginInvocation(inv, k.Name)
+	id := r.nextInvocation()
+	// The invocation's record lives on this stack; inv stays nil when
+	// no observer is attached.
+	rec := obs.Invocation{ID: id, Kernel: k.Name, Start: started}
+	var inv *obs.Invocation
+	if r.obsv != nil {
+		inv = &rec
 	}
-	ek := k.toEngine()
-	rep, err := r.sched.ParallelForScoped(ctx, ek, n, sc)
+	rep, err := r.sched.ParallelForScoped(ctx, k.toEngine(), n, inv)
 	if err != nil {
 		// Surface core's load-shedding rejection as the public typed
 		// error so callers can errors.As for the RetryAfter hint.
@@ -524,14 +520,12 @@ func (r *Runtime) ParallelForCtx(ctx context.Context, k Kernel, n int) (*Report,
 				RetryAfter: ov.RetryAfter,
 			}
 		}
-		if sc.Enabled() {
-			sc.End(obs.Str("error", err.Error()))
-		}
+		r.finish(inv, nil, err)
 		return nil, err
 	}
 	out := r.getReport()
 	*out = Report{
-		InvocationID:    inv,
+		InvocationID:    id,
 		Started:         started,
 		CPUEnergyJ:      rep.CPUEnergyJ,
 		GPUEnergyJ:      rep.GPUEnergyJ,
@@ -569,16 +563,34 @@ func (r *Runtime) ParallelForCtx(ctx context.Context, k Kernel, n int) (*Report,
 		out.FallbackError = fmt.Errorf("eas: kernel %q ran CPU-only: %w", k.Name, ErrGPUBusy)
 	}
 	if k.Body != nil {
-		if err := r.executeCtx(ctx, k, n, rep.Alpha, out, sc); err != nil {
-			if sc.Enabled() {
-				sc.End(obs.Str("error", err.Error()))
-			}
+		if err := r.executeCtx(ctx, k, n, rep.Alpha, out, inv); err != nil {
+			r.finish(inv, nil, err)
 			return nil, err
 		}
 	}
 	out.Finished = time.Now()
-	r.finishScope(ctx, sc, rep, k.Name, out)
+	r.finish(inv, out, nil)
 	return out, nil
+}
+
+// finish hands an observed invocation's record to the observer, once:
+// with the error that failed it, or amended with the functional
+// layer's outcome — its busy enqueues and the fallback (enqueue-error,
+// gpu-timeout) that moved the GPU share to the CPU.
+func (r *Runtime) finish(inv *obs.Invocation, out *Report, err error) {
+	if inv == nil {
+		return
+	}
+	inv.Fail(err)
+	if out != nil {
+		inv.EnqueueRetries = out.Retries - inv.Retries
+		switch out.FallbackReason {
+		case FallbackEnqueueError, FallbackGPUTimeout:
+			inv.Fallback = string(out.FallbackReason)
+			inv.FallbackItems = float64(out.ReexecutedItems)
+		}
+	}
+	r.obsv.Finish(inv)
 }
 
 // executeCtx runs the loop body for real, split at the chosen ratio,
@@ -592,14 +604,9 @@ func (r *Runtime) ParallelForCtx(ctx context.Context, k Kernel, n int) (*Report,
 // on the borrowed queue's timer, and the event goes back to the queue
 // when the execution is done with it, so a warm invocation allocates
 // nothing here.
-func (r *Runtime) executeCtx(ctx context.Context, k Kernel, n int, alpha float64, out *Report, sc obs.Scope) error {
-	var fn obs.Timed
-	if sc.Enabled() {
-		fn = sc.Span("functional")
-		defer func() {
-			fn.End(obs.Num("reexecuted_items", float64(out.ReexecutedItems)))
-		}()
-	}
+func (r *Runtime) executeCtx(ctx context.Context, k Kernel, n int, alpha float64, out *Report, inv *obs.Invocation) error {
+	inv.Begin(obs.PhaseFunctional)
+	defer inv.End(obs.PhaseFunctional)
 	gpuItems := int(alpha * float64(n))
 	if gpuItems > n {
 		gpuItems = n
@@ -609,17 +616,13 @@ func (r *Runtime) executeCtx(ctx context.Context, k Kernel, n int, alpha float64
 		q := r.ctx.AcquireQueue()
 		defer r.ctx.ReleaseQueue(q)
 		var err error
-		ev, err = r.enqueueWithRetry(ctx, q, k, gpuItems, out, fn)
+		ev, err = r.enqueueWithRetry(ctx, q, k, gpuItems, out)
 		switch {
 		case err == nil:
 			defer ev.Release()
 		case errors.Is(err, cl.ErrDeviceBusy):
 			// Retry budget exhausted: degrade the GPU share to the CPU.
 			r.sched.Breaker().RecordFallback()
-			if fn.Enabled() {
-				fn.Event("functional-fallback", obs.Str("reason", "enqueue-error"),
-					obs.Num("items", float64(gpuItems)))
-			}
 			out.FallbackReason = FallbackEnqueueError
 			out.FallbackError = fmt.Errorf("eas: kernel %q enqueue kept failing (%v): %w", k.Name, err, ErrGPUBusy)
 			out.ReexecutedItems += gpuItems
@@ -651,10 +654,6 @@ func (r *Runtime) executeCtx(ctx context.Context, k Kernel, n int, alpha float64
 			// GPU's share on the CPU pool.
 			ev.Abandon()
 			r.sched.Breaker().RecordFallback()
-			if fn.Enabled() {
-				fn.Event("functional-fallback", obs.Str("reason", "gpu-timeout"),
-					obs.Num("items", float64(gpuItems)))
-			}
 			out.FallbackReason = FallbackGPUTimeout
 			out.FallbackError = fmt.Errorf("eas: kernel %q: %w after %v", k.Name, ErrGPUTimeout, r.timeout)
 			out.ReexecutedItems += gpuItems
@@ -673,7 +672,7 @@ func (r *Runtime) executeCtx(ctx context.Context, k Kernel, n int, alpha float64
 // this is the host-side driver path). Every busy rejection counts
 // toward out.Retries, including the final attempt that exhausts the
 // budget, matching the scheduling layer's accounting.
-func (r *Runtime) enqueueWithRetry(ctx context.Context, q *cl.CommandQueue, k Kernel, gpuItems int, out *Report, fn obs.Timed) (*cl.Event, error) {
+func (r *Runtime) enqueueWithRetry(ctx context.Context, q *cl.CommandQueue, k Kernel, gpuItems int, out *Report) (*cl.Event, error) {
 	backoff := r.retry.BaseBackoff
 	for attempt := 1; ; attempt++ {
 		ev, err := q.EnqueueNDRange(cl.Kernel{Name: k.Name, Body: k.Body}, 0, gpuItems)
@@ -681,10 +680,6 @@ func (r *Runtime) enqueueWithRetry(ctx context.Context, q *cl.CommandQueue, k Ke
 			return ev, err
 		}
 		out.Retries++
-		if fn.Enabled() {
-			fn.Event("enqueue-retry", obs.Num("attempt", float64(attempt)),
-				obs.Num("backoff_us", float64(backoff.Microseconds())))
-		}
 		if attempt >= r.retry.MaxAttempts {
 			return ev, err
 		}

@@ -37,7 +37,8 @@ func TestExplainGridBitIdentical(t *testing.T) {
 				}
 				for _, tm := range models {
 					alpha, _ := BestAlpha(curve, tm, n, metric, step)
-					ex := s.explain(tm, n, alpha, cat)
+					var ex obs.Explain
+					s.explain(&ex, tm, n, alpha, cat)
 
 					// The eager reference: the loop explain used to run.
 					obj := Objective(curve, tm, n, metric)
@@ -88,8 +89,8 @@ func TestExplainGridBitIdentical(t *testing.T) {
 
 // TestRetainedExplainDoesNotPinScheduler checks that a decision-audit
 // record outlives the scheduler that produced it without keeping it
-// reachable: a shared Observer's ring retains spans after their
-// Runtime closes, and those spans must not hold the scheduler's
+// reachable: a shared Observer's ring retains records after their
+// Runtime closes, and those records must not hold the scheduler's
 // engine, α table or WAL alive, yet must still export the full grid.
 func TestRetainedExplainDoesNotPinScheduler(t *testing.T) {
 	ring := obs.NewRingSink(64)
@@ -109,13 +110,14 @@ func TestRetainedExplainDoesNotPinScheduler(t *testing.T) {
 	}()
 
 	var ex *obs.Explain
-	for _, sp := range ring.Snapshot() {
-		if sp.Explain != nil {
-			ex = sp.Explain
+	recs := ring.Snapshot()
+	for i := range recs {
+		if recs[i].Ran(obs.PhaseSearch) {
+			ex = &recs[i].Explain
 		}
 	}
 	if ex == nil {
-		t.Fatal("no retained span carries an Explain")
+		t.Fatal("no retained record carries an Explain")
 	}
 	// *Scheduler does not implement obs.GridSource, so the record's
 	// source must be the scheduler-independent audit model.
@@ -129,7 +131,7 @@ func TestRetainedExplainDoesNotPinScheduler(t *testing.T) {
 		case <-collected:
 			done = true
 		case <-deadline:
-			t.Fatal("scheduler still reachable after GC while its spans are retained")
+			t.Fatal("scheduler still reachable after GC while its records are retained")
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
@@ -162,13 +164,14 @@ func TestAuditRecordsSearchedAlphaStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ex *obs.Explain
-	for _, sp := range ring.Snapshot() {
-		if sp.Explain != nil {
-			ex = sp.Explain
+	recs := ring.Snapshot()
+	for i := range recs {
+		if recs[i].Ran(obs.PhaseSearch) {
+			ex = &recs[i].Explain
 		}
 	}
 	if ex == nil {
-		t.Fatal("no span carries an Explain")
+		t.Fatal("no record carries an Explain")
 	}
 	if ex.AlphaStep != 0.1 {
 		t.Errorf("audit recorded AlphaStep %v, want the searched 0.1", ex.AlphaStep)
@@ -199,7 +202,6 @@ func TestNewRejectsUnrepairableOptions(t *testing.T) {
 		{"AlphaStep", Options{AlphaStep: math.NaN()}},
 		{"ConvergeTol", Options{ConvergeTol: math.Inf(1)}},
 		{"Admission.TenantRate", Options{Admission: AdmissionOptions{TenantRate: math.Inf(-1)}}},
-		{"Robustness.HampelK", Options{Robustness: Robustness{HampelK: math.NaN()}}},
 		{"State.Sync", Options{State: StatePolicy{Sync: 2}}},
 	} {
 		_, err := New(engine.New(platform.Desktop()), desktopModel(t), metrics.EDP, c.opts)

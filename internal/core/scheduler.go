@@ -133,13 +133,9 @@ type DecisionPolicy struct {
 type Robustness struct {
 	// Meter routes invocation energy through a robust.EnergyMeter that
 	// rejects implausible MSR samples and substitutes the model's
-	// predicted power; the next four fields tune it, zero picking
-	// defaults (4×TDP, window 5, Hampel K=8, 4 stuck reads).
-	Meter              bool
-	MaxPlausiblePowerW float64
-	MeterWindow        int
-	HampelK            float64
-	StuckReads         int
+	// predicted power (plausible up to 4×TDP, window 5, Hampel K=8,
+	// 4 stuck reads).
+	Meter bool
 	// ValidateProfiles quarantines impossible online profiles before
 	// they reach the α table and clamps implausible throughput ratios.
 	ValidateProfiles bool
@@ -166,8 +162,6 @@ func (o Options) validate() error {
 		{"MemoryBoundThreshold", o.MemoryBoundThreshold},
 		{"Admission.TenantRate", o.Admission.TenantRate},
 		{"Admission.TenantBurst", o.Admission.TenantBurst},
-		{"Robustness.MaxPlausiblePowerW", o.Robustness.MaxPlausiblePowerW},
-		{"Robustness.HampelK", o.Robustness.HampelK},
 	}
 	for _, f := range floats {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
@@ -290,6 +284,38 @@ func (r Report) MetricValue(m metrics.Metric) float64 {
 	return m.EvalEnergy(r.EnergyJ, r.Duration.Seconds())
 }
 
+// fillRecord copies a completed invocation's outcome into its observer
+// record.
+func (r *Report) fillRecord(inv *obs.Invocation) {
+	inv.Alpha = r.Alpha
+	if r.CatKnown {
+		// Category.Key() is interned — no allocation on the hot path.
+		inv.Category = r.Category.Key()
+	}
+	inv.Profiled, inv.FastPath = r.Profiled, r.FastPath
+	inv.ProfileSteps = r.ProfileSteps
+	inv.Duration, inv.ProfileDuration = r.Duration, r.ProfileDuration
+	inv.EnergyJ = r.EnergyJ
+	inv.CPUEnergyJ, inv.GPUEnergyJ, inv.DRAMEnergyJ = r.CPUEnergyJ, r.GPUEnergyJ, r.DRAMEnergyJ
+	inv.Retries = r.Retries
+	inv.MeterRejected = r.MeterSamplesRejected
+	inv.Quarantined, inv.Sanitized = r.ProfileQuarantined, r.ProfileSanitized
+	switch {
+	case r.BreakerOpen:
+		inv.Fallback = "breaker-open"
+	case r.GPUBusyFallback:
+		inv.Fallback = "gpu-busy"
+	}
+}
+
+// exit notes in inv which CPU-only exit an invocation took before
+// deciding anything.
+func exit(inv *obs.Invocation, reason string) {
+	if inv != nil {
+		inv.Exit = reason
+	}
+}
+
 // Scheduler is the energy-aware scheduling runtime. It is safe for
 // concurrent use: it drives one engine/platform, and an admission gate
 // serializes whole invocations onto it (by priority class, FIFO within
@@ -364,31 +390,16 @@ func New(eng *engine.Engine, model *powerchar.Model, metric metrics.Metric, opts
 	}
 	s.breaker = robust.NewBreaker(s.opts.BreakerThreshold, s.opts.BreakerProbeAfter)
 	spec := eng.Platform().Spec()
-	if rb := s.opts.Robustness; rb.Meter {
-		cfg := robust.MeterConfig{
-			MaxPlausiblePowerW: rb.MaxPlausiblePowerW,
-			Window:             rb.MeterWindow,
-			HampelK:            rb.HampelK,
-			StuckReads:         rb.StuckReads,
+	if s.opts.Robustness.Meter {
+		// Package power physically cannot sustain far beyond TDP; 4×
+		// leaves room for short turbo excursions.
+		maxW := 4 * spec.Policy.TDPW
+		if maxW <= 0 {
+			maxW = 400
 		}
-		if cfg.MaxPlausiblePowerW <= 0 {
-			// Package power physically cannot sustain far beyond TDP;
-			// 4× leaves room for short turbo excursions.
-			cfg.MaxPlausiblePowerW = 4 * spec.Policy.TDPW
-			if cfg.MaxPlausiblePowerW <= 0 {
-				cfg.MaxPlausiblePowerW = 400
-			}
-		}
-		if cfg.Window <= 0 {
-			cfg.Window = 5
-		}
-		if cfg.HampelK <= 0 {
-			cfg.HampelK = 8
-		}
-		if cfg.StuckReads <= 0 {
-			cfg.StuckReads = 4
-		}
-		s.rmeter = robust.NewEnergyMeter(eng.Platform().MSR, cfg)
+		s.rmeter = robust.NewEnergyMeter(eng.Platform().MSR, robust.MeterConfig{
+			MaxPlausiblePowerW: maxW, Window: 5, HampelK: 8, StuckReads: 4,
+		})
 	}
 	if s.opts.Robustness.ValidateProfiles {
 		s.env = profile.EnvelopeFor(spec)
@@ -471,78 +482,29 @@ func (s *Scheduler) ParallelFor(k engine.Kernel, n int) (Report, error) {
 // returns quickly, and an admitted tenant must not leave the simulated
 // clock mid-phase.
 func (s *Scheduler) ParallelForCtx(ctx context.Context, k engine.Kernel, n int) (Report, error) {
-	if o := s.opts.Observer; o.Enabled() {
-		sc := o.BeginInvocation(o.NextInvocationID(), k.Name)
-		rep, err := s.ParallelForScoped(ctx, k, n, sc)
-		if err != nil {
-			sc.End(obs.Str("error", err.Error()))
-		} else {
-			FinishInvocation(ctx, o, sc, k.Name, StatsFor(rep),
-				obs.Num("alpha", rep.Alpha), obs.Num("energy_j", rep.EnergyJ))
-		}
-		return rep, err
+	if o := s.opts.Observer; o != nil {
+		return s.parallelForObserved(ctx, o, k, n)
 	}
-	return s.ParallelForScoped(ctx, k, n, obs.Scope{})
+	return s.ParallelForScoped(ctx, k, n, nil)
 }
 
-// FinishInvocation closes a completed invocation's root scope with
-// attrs and records its metric deltas in o, once. st gains the kernel
-// name, the tenant and class the caller was admitted under, and the
-// scope's wall-clock latency; a caller that knows a more specific
-// fallback reason, α or retry count amends st before calling.
-func FinishInvocation(ctx context.Context, o *obs.Observer, sc obs.Scope, kernel string, st obs.InvocationStats, attrs ...obs.Attr) {
-	st.Kernel = kernel
-	req := RequestFromContext(ctx)
-	st.Tenant = req.Tenant
-	st.Class = req.Class.String()
-	st.Seconds = sc.Elapsed().Seconds()
-	sc.End(attrs...)
-	o.RecordInvocation(st)
+// parallelForObserved runs one invocation with its record on this
+// frame, which only observed invocations pay for, and hands it to o.
+func (s *Scheduler) parallelForObserved(ctx context.Context, o *obs.Observer, k engine.Kernel, n int) (Report, error) {
+	inv := obs.Invocation{ID: o.NextInvocationID(), Kernel: k.Name, Start: time.Now()}
+	rep, err := s.ParallelForScoped(ctx, k, n, &inv)
+	inv.Fail(err)
+	o.Finish(&inv)
+	return rep, err
 }
 
-// StatsFor summarizes a completed invocation's report as the metric
-// deltas the observer registry records. Callers that open their own
-// scope via ParallelForScoped fold these in exactly once per
-// invocation through FinishInvocation; the ParallelForCtx path does it
-// automatically.
-func StatsFor(rep Report) obs.InvocationStats {
-	st := obs.InvocationStats{
-		Seconds:        rep.Duration.Seconds(),
-		ProfileSeconds: rep.ProfileDuration.Seconds(),
-		Alpha:          rep.Alpha,
-		Retries:        rep.Retries,
-		Profiled:       rep.Profiled,
-		ProfileSteps:   rep.ProfileSteps,
-		MeterRejected:  rep.MeterSamplesRejected,
-		Quarantined:    rep.ProfileQuarantined,
-		Sanitized:      rep.ProfileSanitized,
-		BreakerState:   int(rep.BreakerState),
-		FastPath:       rep.FastPath,
-		CPUEnergyJ:     rep.CPUEnergyJ,
-		GPUEnergyJ:     rep.GPUEnergyJ,
-		DRAMEnergyJ:    rep.DRAMEnergyJ,
-	}
-	if rep.CatKnown {
-		// Category.Key() is interned — no allocation on the hot path.
-		st.Category = rep.Category.Key()
-	}
-	switch {
-	case rep.BreakerOpen:
-		st.Fallback = "breaker-open"
-	case rep.GPUBusyFallback:
-		st.Fallback = "gpu-busy"
-	}
-	return st
-}
-
-// ParallelForScoped is ParallelForCtx under a caller-owned observer
-// scope: spans for admission wait, profiling, the α search (with its
-// Explain decision audit), and remainder execution are emitted as
-// children of sc, and instant events mark retries, fallbacks, and
-// breaker suppressions. The caller owns the scope's lifecycle — it
-// finishes it with FinishInvocation (see StatsFor) itself.
-// A zero Scope (or one from a nil observer) disables all of it.
-func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n int, sc obs.Scope) (Report, error) {
+// ParallelForScoped is ParallelForCtx filling a caller-owned
+// invocation record: the admission wait, profiling, the α search (with
+// its Explain decision audit) and remainder execution are timed into
+// inv, along with the decision, the energy split and every rare-path
+// outcome. The caller owns the record — it hands it to
+// Observer.Finish itself. A nil inv records nothing.
+func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n int, inv *obs.Invocation) (Report, error) {
 	if n <= 0 {
 		return Report{}, fmt.Errorf("core: non-positive iteration count %d for kernel %q", n, k.Name)
 	}
@@ -553,23 +515,29 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 	// Admission: the gate reads the invocation's attributes (tenant,
 	// class, deadline budget) from the context and may shed it with
 	// ErrOverloaded before it touches anything.
-	var wait obs.Timed
-	if sc.Enabled() {
-		wait = sc.Span("admission-wait")
+	req := RequestFromContext(ctx)
+	if inv != nil {
+		inv.Tenant, inv.Class = req.Tenant, req.Class.String()
 	}
-	ticket, err := s.adm.Acquire(ctx, RequestFromContext(ctx), nil)
+	inv.Begin(obs.PhaseAdmit)
+	ticket, err := s.adm.Acquire(ctx, req, nil)
+	inv.End(obs.PhaseAdmit)
 	if err != nil {
-		s.recordAdmitFailure(wait, err)
+		s.recordShed(err)
 		return Report{}, err
-	}
-	if wait.Enabled() {
-		wait.End()
 	}
 	defer s.adm.Release(ticket)
 	if d := s.eng.FaultPlan().TakeAdmissionHold(); d > 0 {
-		s.holdAdmission(ctx, s.adm.Revocation(ticket), sc, d)
+		if inv != nil {
+			inv.Hold = d
+		}
+		s.holdAdmission(ctx, s.adm.Revocation(ticket), d)
 	}
-	return s.runAdmitted(k, n, sc, ent, ticket)
+	rep, err := s.runAdmitted(k, n, inv, ent, ticket)
+	if err == nil && inv != nil {
+		rep.fillRecord(inv)
+	}
+	return rep, err
 }
 
 // holdAdmission is the scripted slow-tenant fault: it wedges the
@@ -577,10 +545,7 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 // the watchdog exists for. The stall is interruptible by watchdog
 // revocation (the grant's revocation signal) or the caller's own
 // cancel.
-func (s *Scheduler) holdAdmission(ctx context.Context, revoke <-chan struct{}, sc obs.Scope, d time.Duration) {
-	if sc.Enabled() {
-		sc.Event("admission-hold", obs.Num("hold_ms", float64(d.Milliseconds())))
-	}
+func (s *Scheduler) holdAdmission(ctx context.Context, revoke <-chan struct{}, d time.Duration) {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
@@ -590,17 +555,13 @@ func (s *Scheduler) holdAdmission(ctx context.Context, revoke <-chan struct{}, s
 	}
 }
 
-// recordAdmitFailure closes a failed admission wait's span and
-// attributes a load-shedding rejection to its tenant and reason in the
-// observer (metrics and flight ring). Only typed ErrOverloaded
-// rejections count — a cancelled admission wait is the caller's doing,
-// not the gate's.
-func (s *Scheduler) recordAdmitFailure(wait obs.Timed, err error) {
-	if wait.Enabled() {
-		wait.End(obs.Str("error", err.Error()))
-	}
+// recordShed attributes a load-shedding rejection to its tenant and
+// reason in the observer (metrics and flight ring). Only typed
+// ErrOverloaded rejections count — a cancelled admission wait is the
+// caller's doing, not the gate's.
+func (s *Scheduler) recordShed(err error) {
 	o := s.opts.Observer
-	if !o.Enabled() {
+	if o == nil {
 		return
 	}
 	var ov *ErrOverloaded
@@ -614,7 +575,7 @@ func (s *Scheduler) recordAdmitFailure(wait obs.Timed, err error) {
 // deltas belong to this tenant alone. A force-released invocation
 // returns ErrAdmissionRevoked instead of its report: a revoked gate
 // means another tenant may have driven the engine concurrently.
-func (s *Scheduler) runAdmitted(k engine.Kernel, n int, sc obs.Scope, ent *kernelEntry, ticket uint64) (Report, error) {
+func (s *Scheduler) runAdmitted(k engine.Kernel, n int, inv *obs.Invocation, ent *kernelEntry, ticket uint64) (Report, error) {
 	if s.adm.Revoked(ticket) {
 		return Report{}, ErrAdmissionRevoked
 	}
@@ -633,7 +594,7 @@ func (s *Scheduler) runAdmitted(k engine.Kernel, n int, sc obs.Scope, ent *kerne
 		pre = s.rmeter.Stats()
 		s.invPredW = 0
 	}
-	rep, err := s.parallelFor(k, n, sc, ent)
+	rep, err := s.parallelFor(k, n, inv, ent)
 	if err != nil {
 		return Report{}, err
 	}
@@ -665,31 +626,31 @@ func (s *Scheduler) runAdmitted(k engine.Kernel, n int, sc obs.Scope, ent *kerne
 // parallelFor is the EAS algorithm proper (Fig. 7); the caller holds
 // the admission gate. Three CPU-only exits decide nothing; every other
 // invocation runs decide → execute → account over one Decision.
-func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, ent *kernelEntry) (Report, error) {
+func (s *Scheduler) parallelFor(k engine.Kernel, n int, inv *obs.Invocation, ent *kernelEntry) (Report, error) {
 	items := float64(n)
 	// GPU owned by another application (the A26 check): CPU-only run,
 	// nothing recorded. The breaker counts it like any other
 	// GPU-unavailable fallback.
 	if s.eng.Platform().GPUBusy() {
-		sc.Event("gpu-busy-upfront")
+		exit(inv, "gpu-busy-upfront")
 		return s.busyFallback(k, items, Report{})
 	}
 	// Too little parallelism to fill the GPU: multi-core CPU alone
 	// (Fig. 7 steps 6-10). A tiny frontier says nothing about how larger
 	// invocations should split.
 	if items < float64(s.eng.Platform().GPUProfileSize()) {
-		sc.Event("small-n-cpu-only")
+		exit(inv, "small-n-cpu-only")
 		return s.cpuOnly(k, items, Report{})
 	}
 	// Circuit breaker open: the GPU has been failing every recent
 	// invocation, so stop paying dispatch+timeout latency.
 	if !s.breaker.Allow() {
-		sc.Event("breaker-suppressed")
+		exit(inv, "breaker-suppressed")
 		return s.cpuOnly(k, items, Report{BreakerOpen: true})
 	}
 
 	var rep Report
-	dec, src, nrem, err := s.decide(k, items, sc, ent, &rep)
+	dec, src, nrem, err := s.decide(k, items, inv, ent, &rep)
 	if err == nil {
 		// Every source's Decision reaches the report and the robust
 		// meter's substitute power here, and only here.
@@ -702,13 +663,13 @@ func (s *Scheduler) parallelFor(k engine.Kernel, n int, sc obs.Scope, ent *kerne
 				s.invPredW = curve.Power(dec.Alpha)
 			}
 		}
-		err = s.execute(k, dec.Alpha, nrem, sc, &rep)
+		err = s.execute(k, dec.Alpha, nrem, inv, &rep)
 	}
 	if errors.Is(err, engine.ErrGPUBusy) {
 		// The GPU became (and stayed) busy while profiling or executing:
 		// finish the remaining items CPU-only and remember nothing.
-		if sc.Enabled() {
-			sc.Event("cpu-fallback", obs.Num("items", nrem))
+		if inv != nil {
+			inv.FallbackItems = nrem
 		}
 		return s.busyFallback(k, nrem, rep)
 	}
@@ -771,7 +732,7 @@ type Decision struct {
 // table's accumulated α, or online profiling plus the α search — which
 // a quarantined profile turns back into the last known-good α. nrem is
 // what profiling left for execute.
-func (s *Scheduler) decide(k engine.Kernel, n float64, sc obs.Scope, ent *kernelEntry, rep *Report) (dec Decision, src source, nrem float64, err error) {
+func (s *Scheduler) decide(k engine.Kernel, n float64, inv *obs.Invocation, ent *kernelEntry, rep *Report) (dec Decision, src source, nrem float64, err error) {
 	var rec record
 	present := ent.snapshot(&rec)
 	due, fast := s.profileDue(rec, present)
@@ -780,7 +741,7 @@ func (s *Scheduler) decide(k engine.Kernel, n float64, sc obs.Scope, ent *kernel
 		return Decision{Alpha: rec.alpha, Category: rec.category}, fromTable, n, nil
 	}
 
-	acc, nrem, err := s.runProfile(k, n, sc, rep)
+	acc, nrem, err := s.runProfile(k, n, inv, rep)
 	if err != nil {
 		return Decision{}, 0, nrem, err
 	}
@@ -792,8 +753,8 @@ func (s *Scheduler) decide(k engine.Kernel, n float64, sc obs.Scope, ent *kernel
 			// α table. Replay the last known-good split (or CPU-only for
 			// unknown kernels) and force a fresh profile next invocation.
 			rep.ProfileQuarantined = true
-			if sc.Enabled() {
-				sc.Event("profile-quarantined", obs.Str("cause", qerr.Error()))
+			if inv != nil {
+				inv.QuarantineCause = qerr.Error()
 			}
 			ent.markReprofile()
 			if s.store != nil {
@@ -821,13 +782,11 @@ func (s *Scheduler) decide(k engine.Kernel, n float64, sc obs.Scope, ent *kernel
 	if !tm.Valid() {
 		return Decision{}, 0, nrem, fmt.Errorf("core: profiling produced no usable throughputs for kernel %q", k.Name)
 	}
-	var search obs.Timed
-	if sc.Enabled() {
-		search = sc.Span("alpha-search")
-	}
+	inv.Begin(obs.PhaseSearch)
 	alpha, _ := BestAlpha(curve, tm, searchN, s.metric, s.opts.AlphaStep)
-	if search.Enabled() {
-		search.EndExplain(s.explain(tm, searchN, alpha, cat))
+	inv.End(obs.PhaseSearch)
+	if inv != nil {
+		s.explain(&inv.Explain, tm, searchN, alpha, cat)
 	}
 	return Decision{
 		Alpha:          alpha,
@@ -842,38 +801,24 @@ func (s *Scheduler) decide(k engine.Kernel, n float64, sc obs.Scope, ent *kernel
 // busy retries go into rep; the merged observation and the items left
 // come back. A GPU busy through a whole retry budget returns
 // engine.ErrGPUBusy with nrem still counting the failed step's items.
-func (s *Scheduler) runProfile(k engine.Kernel, n float64, sc obs.Scope, rep *Report) (acc profile.Observation, nrem float64, err error) {
-	var prof obs.Timed
-	if sc.Enabled() {
-		prof = sc.Span("profile")
-	}
+func (s *Scheduler) runProfile(k engine.Kernel, n float64, inv *obs.Invocation, rep *Report) (acc profile.Observation, nrem float64, err error) {
+	inv.Begin(obs.PhaseProfile)
+	defer inv.End(obs.PhaseProfile)
 	var prev profile.Observation
 	nrem = n
 	chunk := float64(s.eng.Platform().GPUProfileSize())
 	stopAt := n * (1 - profileShare)
 	for nrem > stopAt && nrem > 0 {
 		gpuChunk := min(chunk, nrem)
-		var step obs.Timed
-		if prof.Enabled() {
-			step = prof.Child("profile-step")
-		}
 		var ob profile.Observation
 		var remaining float64
-		err = s.retryBusy(rep, sc, func() error {
+		err = s.retryBusy(rep, func() error {
 			var e error
 			ob, remaining, e = profile.Step(s.eng, k, gpuChunk, nrem-gpuChunk)
 			return e
 		})
 		if err != nil {
-			if step.Enabled() && errors.Is(err, engine.ErrGPUBusy) {
-				step.End(obs.Str("outcome", "gpu-busy"))
-				prof.End(obs.Num("steps", float64(rep.ProfileSteps)))
-			}
 			return acc, nrem, err
-		}
-		if step.Enabled() {
-			step.End(obs.Num("gpu_chunk", gpuChunk),
-				obs.Num("rc", ob.RC), obs.Num("rg", ob.RG))
 		}
 		rep.ProfileSteps++
 		if rep.ProfileSteps == 1 {
@@ -900,9 +845,8 @@ func (s *Scheduler) runProfile(k engine.Kernel, n float64, sc obs.Scope, rep *Re
 			chunk *= 2
 		}
 	}
-	if prof.Enabled() {
-		prof.End(obs.Num("steps", float64(rep.ProfileSteps)),
-			obs.Num("rc", acc.RC), obs.Num("rg", acc.RG))
+	if inv != nil {
+		inv.RC, inv.RG = acc.RC, acc.RG
 	}
 	return acc, nrem, nil
 }
@@ -911,16 +855,14 @@ func (s *Scheduler) runProfile(k engine.Kernel, n float64, sc obs.Scope, rep *Re
 // 7 steps 23-25), retrying busy GPU dispatches on the Retry budget. A
 // budget exhausted by a busy GPU returns engine.ErrGPUBusy for
 // parallelFor's CPU-only fallback.
-func (s *Scheduler) execute(k engine.Kernel, alpha, nrem float64, sc obs.Scope, rep *Report) error {
+func (s *Scheduler) execute(k engine.Kernel, alpha, nrem float64, inv *obs.Invocation, rep *Report) error {
 	if nrem <= 0 {
 		return nil
 	}
-	var exec obs.Timed
-	if sc.Enabled() {
-		exec = sc.Span("execute")
-	}
+	inv.Begin(obs.PhaseExecute)
+	defer inv.End(obs.PhaseExecute)
 	var res engine.Result
-	err := s.retryBusy(rep, sc, func() error {
+	err := s.retryBusy(rep, func() error {
 		var e error
 		res, e = s.eng.Run(engine.Phase{
 			Kernel:    k,
@@ -930,14 +872,7 @@ func (s *Scheduler) execute(k engine.Kernel, alpha, nrem float64, sc obs.Scope, 
 		return e
 	})
 	if err != nil {
-		if exec.Enabled() && errors.Is(err, engine.ErrGPUBusy) {
-			exec.End(obs.Str("outcome", "gpu-busy"))
-		}
 		return err
-	}
-	if exec.Enabled() {
-		exec.End(obs.Num("gpu_items", alpha*nrem),
-			obs.Num("cpu_items", (1-alpha)*nrem))
 	}
 	s.addResult(rep, res)
 	return nil
@@ -998,7 +933,7 @@ func (s *Scheduler) account(name string, n float64, ent *kernelEntry, rep *Repor
 // rejection counts toward rep.Retries, including the final attempt
 // that exhausts the budget: Retries is the number of busy dispatches
 // observed, not the number of backoffs slept.
-func (s *Scheduler) retryBusy(rep *Report, sc obs.Scope, op func() error) error {
+func (s *Scheduler) retryBusy(rep *Report, op func() error) error {
 	backoff := s.opts.Retry.BaseBackoff
 	for attempt := 1; ; attempt++ {
 		err := op()
@@ -1006,10 +941,6 @@ func (s *Scheduler) retryBusy(rep *Report, sc obs.Scope, op func() error) error 
 			return err
 		}
 		rep.Retries++
-		if sc.Enabled() {
-			sc.Event("gpu-retry", obs.Num("attempt", float64(attempt)),
-				obs.Num("backoff_us", float64(backoff.Microseconds())))
-		}
 		if attempt >= s.opts.Retry.MaxAttempts {
 			return err
 		}
@@ -1024,17 +955,17 @@ func (s *Scheduler) retryBusy(rep *Report, sc obs.Scope, op func() error) error 
 	}
 }
 
-// explain records the α grid search as a decision-audit record: the
-// measured throughputs, the workload category and fitted curve the
-// search ran against, and the chosen α with its objective value. The
-// objective at every grid point is a pure function of these inputs, so
-// the record stores them and Explain.Grid rebuilds the landscape only
-// when a trace is exported; the decision path pays for one objective
-// evaluation and one fixed-size record.
-func (s *Scheduler) explain(tm TimeModel, searchN, alpha float64, cat wclass.Category) *obs.Explain {
+// explain fills ex, the invocation record's decision audit, with the
+// α grid search: the measured throughputs, the workload category and
+// fitted curve the search ran against, and the chosen α with its
+// objective value. The objective at every grid point is a pure
+// function of these inputs, so the record stores them and Explain.Grid
+// rebuilds the landscape only when a trace is exported; the decision
+// path pays for one objective evaluation and no allocation.
+func (s *Scheduler) explain(ex *obs.Explain, tm TimeModel, searchN, alpha float64, cat wclass.Category) {
 	m := s.auditSource()
 	i := cat.Index()
-	ex := &obs.Explain{
+	*ex = obs.Explain{
 		RC:        tm.RC,
 		RG:        tm.RG,
 		SearchN:   searchN,
@@ -1046,11 +977,10 @@ func (s *Scheduler) explain(tm TimeModel, searchN, alpha float64, cat wclass.Cat
 		Source:    m,
 	}
 	ex.Objective = m.Objective(ex, alpha)
-	return ex
 }
 
 // auditSource returns the scheduler's audit model. New builds it when
-// an Observer is configured; a caller-supplied scope on a scheduler
+// an Observer is configured; a caller-supplied record on a scheduler
 // without one (ParallelForScoped) builds it on first use. Schedulers
 // that never explain a decision never pay for the curve ids.
 func (s *Scheduler) auditSource() *auditModel {
@@ -1061,7 +991,7 @@ func (s *Scheduler) auditSource() *auditModel {
 // auditModel is what decision-audit records need to rebuild their
 // objective grid: the curve table, each curve's identifier, and the
 // metric. It is built once per scheduler and never mutated. It, not
-// the Scheduler, is the Explain's GridSource, so spans retained by a
+// the Scheduler, is the Explain's GridSource, so records retained by a
 // shared observer never pin a closed runtime's engine, table or WAL.
 type auditModel struct {
 	curves   [wclass.NumCategories]powerchar.Curve

@@ -14,33 +14,23 @@ type fixedGrid map[float64]float64
 
 func (g fixedGrid) Objective(_ *Explain, alpha float64) float64 { return g[alpha] }
 
-func fixedSpans() []Span {
+func fixedRecords() []Invocation {
 	base := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-	return []Span{
-		{
-			ID: 1, Invocation: 1, Name: "invocation", Kernel: "bfs",
-			Start: base, End: base.Add(500 * time.Microsecond),
-			Attrs: AttrsOf(Num("alpha", 0.6), Str("fallback", "")),
-		},
-		{
-			ID: 2, Parent: 1, Invocation: 1, Name: "alpha-search", Kernel: "bfs",
-			Start: base.Add(100 * time.Microsecond), End: base.Add(110 * time.Microsecond),
-			Explain: &Explain{
-				RC: 1e6, RG: 2e6, Category: "mem-cpuS-gpuL", CurveID: "mem-cpuS-gpuL~deg6",
-				AlphaStep: 0.5,
-				Source: fixedGrid{
-					0: 3.5, 0.5: 1.25, 1: math.Inf(1),
-				},
-				Alpha: 0.5, Objective: 1.25,
+	inv := Invocation{
+		ID: 1, Kernel: "bfs", Start: base, Wall: 500 * time.Microsecond,
+		Alpha: 0.6, Retries: 1,
+		Explain: Explain{
+			RC: 1e6, RG: 2e6, Category: "mem-cpuS-gpuL", CurveID: "mem-cpuS-gpuL~deg6",
+			AlphaStep: 0.5,
+			Source: fixedGrid{
+				0: 3.5, 0.5: 1.25, 1: math.Inf(1),
 			},
-		},
-		{
-			ID: 3, Parent: 1, Invocation: 1, Kind: KindInstant, Name: "gpu-retry",
-			Kernel: "bfs",
-			Start:  base.Add(200 * time.Microsecond), End: base.Add(200 * time.Microsecond),
-			Attrs: AttrsOf(Num("attempt", 1)),
+			Alpha: 0.5, Objective: 1.25,
 		},
 	}
+	inv.Phases[PhaseSearch] = PhaseTime{Start: 100 * time.Microsecond, Dur: 10 * time.Microsecond}
+	inv.ran = 1 << PhaseSearch
+	return []Invocation{inv}
 }
 
 // TestChromeTraceRoundTrip checks the exporter emits valid JSON that
@@ -48,7 +38,7 @@ func fixedSpans() []Span {
 // including non-finite grid objectives, which must not break Marshal.
 func TestChromeTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, fixedSpans()); err != nil {
+	if err := WriteChromeTrace(&buf, fixedRecords()); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(buf.Bytes()) {
@@ -64,7 +54,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if doc.DisplayTimeUnit != "ms" {
 		t.Errorf("displayTimeUnit: got %q", doc.DisplayTimeUnit)
 	}
-	// 1 metadata + 3 spans.
+	// 1 metadata + the root, alpha-search and gpu-retry events.
 	if len(doc.TraceEvents) != 4 {
 		t.Fatalf("got %d events, want 4", len(doc.TraceEvents))
 	}
@@ -113,24 +103,22 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChromeTraceGolden pins the exact serialization of a fixed span
-// set so format drift (field renames, timestamp units) is caught.
+// TestChromeTraceGolden pins the exact serialization of a fixed record
+// so format drift (field renames, timestamp units) is caught.
 func TestChromeTraceGolden(t *testing.T) {
 	base := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-	spans := []Span{{
-		ID: 1, Invocation: 7, Name: "invocation", Kernel: "scale",
-		Start: base, End: base.Add(250 * time.Microsecond),
-		Attrs: AttrsOf(Num("alpha", 0.5)),
+	recs := []Invocation{{
+		ID: 7, Kernel: "scale", Start: base, Wall: 250 * time.Microsecond, Alpha: 0.5,
 	}}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, spans); err != nil {
+	if err := WriteChromeTrace(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	got := strings.TrimSpace(buf.String())
 	want := `{"traceEvents":[` +
 		`{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"eas"}},` +
 		`{"name":"invocation","cat":"eas","ph":"X","ts":0,"dur":250,"pid":1,"tid":7,` +
-		`"args":{"alpha":0.5,"invocation":7,"kernel":"scale","span":1}}` +
+		`"args":{"alpha":0.5,"duration_us":0,"energy_j":0,"invocation":7,"kernel":"scale","span":1}}` +
 		`],"displayTimeUnit":"ms"}`
 	if got != want {
 		t.Errorf("golden mismatch:\ngot:  %s\nwant: %s", got, want)

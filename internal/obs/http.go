@@ -29,7 +29,7 @@ type HTTPOptions struct {
 // NewHTTPHandler serves the classic observability surface over HTTP:
 //
 //	/metrics      Prometheus text exposition of the registry
-//	/debug/trace  Chrome trace-event JSON of the ring's current spans
+//	/debug/trace  Chrome trace-event JSON of the ring's current records
 //	/             a tiny index linking everything mounted
 //
 // reg may be nil (404 for /metrics); ring may be nil (404 for

@@ -20,7 +20,7 @@ func httpGet(t *testing.T, h http.Handler, path string) *httptest.ResponseRecord
 func TestHTTPTenantsEndpoint(t *testing.T) {
 	reg := NewRegistry()
 	o := New(nil, reg)
-	o.RecordInvocation(InvocationStats{Tenant: "tenant-a", Class: "batch", Seconds: 0.01, GPUEnergyJ: 2.5})
+	o.Finish(&Invocation{Tenant: "tenant-a", Class: "batch", Start: time.Now(), GPUEnergyJ: 2.5})
 	o.RecordShed("tenant-a", "batch", "queue-full")
 
 	h := NewHTTPHandlerOpts(HTTPOptions{Registry: reg, Observer: o})

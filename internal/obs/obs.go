@@ -1,6 +1,7 @@
 // Package obs is the runtime's zero-dependency observability layer:
-// structured per-invocation span traces, decision-audit records, and a
-// lock-light metrics registry with Prometheus text exposition.
+// one fixed-size record per invocation, a decision-audit record inside
+// it, and a lock-light metrics registry with Prometheus text
+// exposition.
 //
 // The scheduling pipeline is a black box by design — it profiles,
 // classifies, searches α, and possibly degrades through retries, CPU
@@ -8,26 +9,27 @@
 // call. This package opens a window into that pipeline without
 // changing it:
 //
-//   - Tracing: every invocation becomes a span tree (profile →
-//     alpha-search → execute, plus instant events for retries and
-//     fallbacks) emitted through a pluggable Sink. RingSink keeps the
-//     last N spans for post-mortem dumps; WriteChromeTrace renders a
-//     ring snapshot as Chrome trace-event JSON that Perfetto and
-//     chrome://tracing load directly, one track per invocation.
-//   - Decision audit: the alpha-search span carries an Explain record —
-//     measured throughputs R_C/R_G, the chosen workload category, the
-//     fitted P(α) curve, and the search's remaining inputs. The
-//     objective at every α grid point is rebuilt from them on export
-//     (Explain.Grid), bit-identical to what the search evaluated, so
-//     "why α=0.6?" is answerable from the trace alone at a fixed
-//     per-decision cost.
+//   - Records: every invocation fills one Invocation value on its own
+//     stack — the wall time of each phase (admission wait, profile,
+//     α search, execute, functional), the decision, the energy split,
+//     and the rare-path outcomes (CPU-only exits, fallbacks, retries,
+//     quarantined profiles, admission holds) — and hands it to
+//     Observer.Finish once. RingSink keeps the last N records for
+//     post-mortem dumps; WriteChromeTrace expands them into Chrome
+//     trace-event JSON that Perfetto and chrome://tracing load
+//     directly, one track per invocation.
+//   - Decision audit: the record's Explain holds the α search's inputs
+//     — measured throughputs R_C/R_G, the chosen workload category, the
+//     fitted P(α) curve. The objective at every α grid point is rebuilt
+//     from them on export (Explain.Grid), bit-identical to what the
+//     search evaluated, so "why α=0.6?" is answerable from the trace
+//     alone at a fixed per-decision cost.
 //   - Metrics: Registry holds atomic counters, gauges, and fixed-bucket
 //     histograms with a Prometheus text writer and an optional HTTP
 //     handler (/metrics, /debug/trace).
 //
-// Everything is nil-safe and off by default: a nil *Observer makes
-// every hook a no-op, and the instrumented call sites guard their
-// attribute construction behind Enabled() so the disabled hot path
+// Everything is nil-safe and off by default: a nil *Observer and a nil
+// *Invocation make every hook a no-op, so the disabled hot path
 // allocates nothing.
 package obs
 
@@ -38,57 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// SpanKind distinguishes duration spans from instantaneous markers.
-type SpanKind uint8
-
-const (
-	// KindSpan is a duration span with distinct start and end times.
-	KindSpan SpanKind = iota
-	// KindInstant is a zero-duration marker (a retry, a fallback, a
-	// breaker transition).
-	KindInstant
-)
-
-// Attr is one key/value label on a span: either a string or a number.
-type Attr struct {
-	Key   string
-	Str   string
-	Num   float64
-	IsNum bool
-}
-
-// Str builds a string attribute.
-func Str(key, value string) Attr { return Attr{Key: key, Str: value} }
-
-// Num builds a numeric attribute.
-func Num(key string, value float64) Attr { return Attr{Key: key, Num: value, IsNum: true} }
-
-// MaxAttrs is the number of attributes a span carries; the widest
-// instrumented site, a degraded invocation's root span, has four.
-const MaxAttrs = 4
-
-// Attrs is a span's attribute list held by value, so emitting a span
-// allocates nothing for its labels and a sink that stores the span
-// owns a copy.
-type Attrs struct {
-	list [MaxAttrs]Attr
-	n    uint8
-}
-
-// AttrsOf copies the first MaxAttrs of attrs; any further ones are
-// dropped.
-func AttrsOf(attrs ...Attr) Attrs {
-	var a Attrs
-	a.n = uint8(copy(a.list[:], attrs))
-	return a
-}
-
-// List returns the attributes as a slice of a's storage.
-func (a *Attrs) List() []Attr { return a.list[:a.n] }
-
-// Len returns the number of attributes.
-func (a Attrs) Len() int { return int(a.n) }
 
 // GridPoint is the objective value at one α of the scheduler's grid
 // search.
@@ -105,12 +56,12 @@ type GridSource interface {
 	Objective(ex *Explain, alpha float64) float64
 }
 
-// Explain is the decision audit attached to an alpha-search span: the
-// full evidence behind one α choice (the paper's eqs. 1-4 evaluated on
-// this invocation's online profile). It records the search's inputs,
-// a fixed handful of words; the objective at every grid point is a
-// pure function of them and is rebuilt by Grid only when the trace is
-// exported. An Explain is immutable once emitted.
+// Explain is the decision audit of one α search, held by value in the
+// invocation's record: the full evidence behind one α choice (the
+// paper's eqs. 1-4 evaluated on this invocation's online profile). It
+// records the search's inputs, a fixed handful of words; the objective
+// at every grid point is a pure function of them and is rebuilt by
+// Grid only when the trace is exported.
 type Explain struct {
 	// RC and RG are the measured combined-mode throughputs (items/s).
 	RC, RG float64
@@ -156,40 +107,14 @@ func (ex *Explain) Grid() []GridPoint {
 	return grid
 }
 
-// Span is one completed trace record. IDs are process-unique and
-// monotonic; Parent is zero for invocation roots.
-type Span struct {
-	ID         uint64
-	Parent     uint64
-	Invocation uint64
-	Kind       SpanKind
-	Name       string
-	Kernel     string
-	Start, End time.Time
-	Attrs      Attrs
-	Explain    *Explain
-}
-
-// Sink receives completed spans. Implementations must be safe for
-// concurrent use. The span is a value — its attributes included — and
-// the runtime hands over the immutable Explain on emission, so a sink
-// may keep what it receives.
-type Sink interface {
-	Emit(sp Span)
-}
-
-// Observer is the root of the observability layer: it owns the sink
-// spans flow into and the registry metrics flow into, and hands out
-// per-invocation Scopes. All methods are nil-receiver-safe, so
-// instrumented code holds a possibly-nil *Observer and calls through
-// unconditionally; the disabled path is a pointer test.
+// Observer is the root of the observability layer: it owns the ring
+// invocation records flow into and the registry metrics flow into. All
+// methods are nil-receiver-safe, so instrumented code holds a
+// possibly-nil *Observer and calls through unconditionally; the
+// disabled path is a pointer test.
 type Observer struct {
-	sink    Sink
-	reg     *Registry
-	spanIDs atomic.Uint64
-	// epoch anchors span times: now() is epoch plus the monotonic time
-	// since, one clock read instead of time.Now's two.
-	epoch  time.Time
+	ring   *RingSink
+	reg    *Registry
 	invSeq atomic.Uint64
 
 	// Pre-resolved instruments: resolved once at construction so the
@@ -256,16 +181,15 @@ var DefBuckets = []float64{
 // step of the paper's grid.
 var AlphaBuckets = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}
 
-// New builds an observer emitting spans into sink (nil keeps metrics
-// only) and metrics into reg (nil allocates a fresh Registry).
-func New(sink Sink, reg *Registry) *Observer {
+// New builds an observer keeping invocation records in ring (nil keeps
+// metrics only) and metrics in reg (nil allocates a fresh Registry).
+func New(ring *RingSink, reg *Registry) *Observer {
 	if reg == nil {
 		reg = NewRegistry()
 	}
 	o := &Observer{
-		sink:  sink,
-		reg:   reg,
-		epoch: time.Now(),
+		ring: ring,
+		reg:  reg,
 		invocations: reg.Counter("eas_invocations_total",
 			"ParallelFor invocations completed."),
 		latency: reg.Histogram("eas_invocation_seconds",
@@ -367,20 +291,8 @@ func (o *Observer) Registry() *Registry {
 	return o.reg
 }
 
-// Enabled reports whether the observer is live. Instrumented code must
-// guard any attribute construction (string building, variadic attrs)
-// behind this so the disabled path stays allocation-free.
+// Enabled reports whether the observer is live.
 func (o *Observer) Enabled() bool { return o != nil }
-
-// now is the span clock: wall time at the observer's creation advanced
-// by the monotonic clock.
-func (o *Observer) now() time.Time { return o.epoch.Add(time.Since(o.epoch)) }
-
-func (o *Observer) emit(sp Span) {
-	if o.sink != nil {
-		o.sink.Emit(sp)
-	}
-}
 
 // NextInvocationID allocates the next id from the observer's monotonic
 // invocation sequence. Sharing one observer between several schedulers
@@ -393,136 +305,82 @@ func (o *Observer) NextInvocationID() uint64 {
 	return o.invSeq.Add(1)
 }
 
-// BeginInvocation opens the root span of one invocation's trace. The
-// invocation id comes from the caller (the runtime's monotonic
-// sequence, which also lands in the public Report), so traces, logs,
-// and metrics correlate. The zero Scope of a nil observer is inert.
-func (o *Observer) BeginInvocation(inv uint64, kernel string) Scope {
-	if o == nil {
-		return Scope{}
-	}
-	return Scope{
-		obs:    o,
-		inv:    inv,
-		root:   o.spanIDs.Add(1),
-		kernel: kernel,
-		start:  o.now(),
-	}
-}
-
-// InvocationStats is the per-invocation summary the scope owner feeds
-// the metrics registry once, when the invocation completes.
-type InvocationStats struct {
-	// Kernel names the invoked kernel (flight-recorder context only).
-	Kernel string
-	// Tenant and Class are the invocation's admission attributes for
-	// per-tenant attribution; an empty Tenant accounts as AnonTenant,
-	// an empty Class as "interactive" (the zero admission class).
-	Tenant, Class string
-	// Category is the resolved workload class key ("" when the
-	// invocation never resolved one — small-N, breaker-suppressed, and
-	// GPU-busy runs decide nothing).
-	Category string
-	// CPUEnergyJ, GPUEnergyJ and DRAMEnergyJ split the invocation's
-	// package energy by RAPL domain for tenant energy attribution.
-	CPUEnergyJ, GPUEnergyJ, DRAMEnergyJ float64
-	// Seconds is the invocation's wall-clock latency.
-	Seconds float64
-	// ProfileSeconds is the wall-clock profiling overhead (0 when the
-	// invocation replayed a remembered α).
-	ProfileSeconds float64
-	// Alpha is the applied offload ratio.
-	Alpha float64
-	// Retries counts busy GPU dispatch/enqueue attempts.
-	Retries int
-	// Profiled is true when online profiling ran; ProfileSteps counts
-	// its repetitions.
-	Profiled     bool
-	ProfileSteps int
-	// Fallback is the fallback reason key ("" when the run went as
-	// scheduled).
-	Fallback string
-	// MeterRejected counts robust-meter sample rejections.
-	MeterRejected int
-	// Quarantined / Sanitized flag profile-validation outcomes.
-	Quarantined, Sanitized bool
-	// BreakerState is the breaker position after the invocation
-	// (0=closed, 1=open, 2=half-open); negative skips the gauge.
-	BreakerState int
-	// FastPath marks an invocation whose fresh table record skipped a
-	// periodic re-profile.
-	FastPath bool
-}
-
-// RecordInvocation folds one completed invocation into the registry.
-// Exactly one layer calls it per invocation: whoever opened the scope.
-func (o *Observer) RecordInvocation(st InvocationStats) {
-	if o == nil {
+// Finish closes an invocation's record: it stamps the wall-clock
+// latency, copies the record into the ring, and folds an invocation
+// that completed (no Err) into the registry and the flight recorder.
+// It is the one call the runtime makes per observed invocation.
+func (o *Observer) Finish(r *Invocation) {
+	if o == nil || r == nil {
 		return
 	}
+	r.Wall = time.Since(r.Start)
+	if o.ring != nil {
+		o.ring.Put(r)
+	}
+	if r.Err != "" {
+		return
+	}
+	seconds := r.Wall.Seconds()
 	o.invocations.Inc()
-	o.latency.Observe(st.Seconds)
-	o.alphaDist.Observe(st.Alpha)
-	if st.Retries > 0 {
-		o.retries.Add(uint64(st.Retries))
+	o.latency.Observe(seconds)
+	o.alphaDist.Observe(r.Alpha)
+	if n := r.Retries + r.EnqueueRetries; n > 0 {
+		o.retries.Add(uint64(n))
 	}
-	if st.Profiled {
+	if r.Profiled {
 		o.profiled.Inc()
-		o.profileSteps.Add(uint64(st.ProfileSteps))
-		o.profileLat.Observe(st.ProfileSeconds)
+		o.profileSteps.Add(uint64(r.ProfileSteps))
+		o.profileLat.Observe(r.ProfileDuration.Seconds())
 	}
-	if st.Fallback != "" {
-		o.fallbacks.With1(st.Fallback).Inc()
+	if r.Fallback != "" {
+		o.fallbacks.With1(r.Fallback).Inc()
 	}
-	if st.MeterRejected > 0 {
-		o.meterRejected.Add(uint64(st.MeterRejected))
+	if r.MeterRejected > 0 {
+		o.meterRejected.Add(uint64(r.MeterRejected))
 	}
-	if st.Quarantined {
+	if r.Quarantined {
 		o.quarantined.Inc()
 	}
-	if st.Sanitized {
+	if r.Sanitized {
 		o.sanitized.Inc()
 	}
-	if st.BreakerState >= 0 {
-		o.breakerState.Set(float64(st.BreakerState))
-	}
-	if st.FastPath {
+	if r.FastPath {
 		o.fastPath.Inc()
 	}
 
 	// Per-tenant attribution. Tenant ids are user-supplied; the families
 	// intern them behind a hard cardinality cap, so the hot path here is
 	// an RLock and a map probe per family, allocation-free.
-	tenant := st.Tenant
+	tenant := r.Tenant
 	if tenant == "" {
 		tenant = AnonTenant
 	}
-	class := st.Class
+	class := r.Class
 	if class == "" {
 		class = "interactive"
 	}
 	o.tenantInv.With2(tenant, class).Inc()
-	o.tenantLatency.With1(tenant).Observe(st.Seconds)
-	if st.FastPath {
+	o.tenantLatency.With1(tenant).Observe(seconds)
+	if r.FastPath {
 		o.tenantFastPath.With1(tenant).Inc()
 	}
-	if st.CPUEnergyJ > 0 {
-		o.tenantEnergy.With2(tenant, "cpu").Add(st.CPUEnergyJ)
+	if r.CPUEnergyJ > 0 {
+		o.tenantEnergy.With2(tenant, "cpu").Add(r.CPUEnergyJ)
 	}
-	if st.GPUEnergyJ > 0 {
-		o.tenantEnergy.With2(tenant, "gpu").Add(st.GPUEnergyJ)
+	if r.GPUEnergyJ > 0 {
+		o.tenantEnergy.With2(tenant, "gpu").Add(r.GPUEnergyJ)
 	}
-	if st.DRAMEnergyJ > 0 {
-		o.tenantEnergy.With2(tenant, "dram").Add(st.DRAMEnergyJ)
+	if r.DRAMEnergyJ > 0 {
+		o.tenantEnergy.With2(tenant, "dram").Add(r.DRAMEnergyJ)
 	}
-	if st.Category != "" {
-		o.catDecisions.With1(st.Category).Inc()
+	if r.Category != "" {
+		o.catDecisions.With1(r.Category).Inc()
 	}
 	if o.flight != nil {
-		o.flight.RecordDecision(st.Kernel, tenant, st.Category,
-			st.Alpha, st.Seconds, st.FastPath)
-		if st.Fallback != "" {
-			o.flight.RecordDegradation(st.Kernel, tenant, st.Fallback)
+		o.flight.RecordDecision(r.Kernel, tenant, r.Category,
+			r.Alpha, seconds, r.FastPath)
+		if r.Fallback != "" {
+			o.flight.RecordDegradation(r.Kernel, tenant, r.Fallback)
 		}
 	}
 }
@@ -622,30 +480,25 @@ func (o *Observer) RecordDrain(seconds float64) {
 }
 
 // RecordWatchdogStall notes one watchdog force-release of the
-// admission gate: the stall counter increments and a degradation
-// instant (Name "watchdog-stall", Kernel = the wedged tenant) lands in
-// the trace so overload incidents are visible on the Perfetto
-// timeline, not only in counters.
+// admission gate: the stall counter increments and a stall record (the
+// wedged tenant and the time held) lands in the ring, exported as a
+// "watchdog-stall" instant, so overload incidents are visible on the
+// Perfetto timeline, not only in counters.
 func (o *Observer) RecordWatchdogStall(tenant string, held time.Duration) {
 	if o == nil {
 		return
 	}
 	o.watchdogStall.Inc()
-	now := o.now()
-	o.emit(Span{
-		ID:     o.spanIDs.Add(1),
-		Kind:   KindInstant,
-		Name:   "watchdog-stall",
-		Kernel: tenant,
-		Start:  now,
-		End:    now,
-		Attrs:  AttrsOf(Str("tenant", tenant), Num("held_ms", float64(held.Milliseconds()))),
-	})
+	if o.ring != nil {
+		o.ring.Put(&Invocation{Stall: true, Tenant: tenant, Hold: held, Start: time.Now()})
+	}
 	o.flight.RecordWatchdogStall(tenant, held)
 }
 
 // RecordBreakerTransition notes one circuit-breaker state change
-// (states encoded 0=closed, 1=open, 2=half-open).
+// (states encoded 0=closed, 1=open, 2=half-open). It is the one writer
+// of eas_breaker_state, so several runtimes sharing the observer never
+// overwrite another's open breaker with their own closed one.
 func (o *Observer) RecordBreakerTransition(to int) {
 	if o == nil {
 		return
@@ -737,154 +590,4 @@ func (o *Observer) TenantAccounting() []TenantAccount {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
-}
-
-// Scope is one invocation's trace context: the root span plus the ids
-// child spans hang off. It is a small value; the zero Scope (from a
-// nil observer) makes every method a no-op.
-type Scope struct {
-	obs    *Observer
-	inv    uint64
-	root   uint64
-	kernel string
-	start  time.Time
-}
-
-// Enabled reports whether the scope is live. Call sites must guard
-// attribute construction behind it (see Observer.Enabled).
-func (sc Scope) Enabled() bool { return sc.obs != nil }
-
-// InvocationID returns the invocation id the scope was opened with.
-func (sc Scope) InvocationID() uint64 { return sc.inv }
-
-// Elapsed is the wall-clock time since the scope opened (0 for an
-// inert scope).
-func (sc Scope) Elapsed() time.Duration {
-	if sc.obs == nil {
-		return 0
-	}
-	return time.Since(sc.start)
-}
-
-// End closes and emits the root invocation span.
-func (sc Scope) End(attrs ...Attr) {
-	if sc.obs == nil {
-		return
-	}
-	sc.obs.emit(Span{
-		ID:         sc.root,
-		Invocation: sc.inv,
-		Name:       "invocation",
-		Kernel:     sc.kernel,
-		Start:      sc.start,
-		End:        sc.obs.now(),
-		Attrs:      AttrsOf(attrs...),
-	})
-}
-
-// Span opens a child span under the invocation root.
-func (sc Scope) Span(name string) Timed {
-	if sc.obs == nil {
-		return Timed{}
-	}
-	return Timed{
-		obs:    sc.obs,
-		inv:    sc.inv,
-		parent: sc.root,
-		id:     sc.obs.spanIDs.Add(1),
-		kernel: sc.kernel,
-		name:   name,
-		start:  sc.obs.now(),
-	}
-}
-
-// Event emits an instant marker under the invocation root.
-func (sc Scope) Event(name string, attrs ...Attr) {
-	if sc.obs == nil {
-		return
-	}
-	now := sc.obs.now()
-	sc.obs.emit(Span{
-		ID:         sc.obs.spanIDs.Add(1),
-		Parent:     sc.root,
-		Invocation: sc.inv,
-		Kind:       KindInstant,
-		Name:       name,
-		Kernel:     sc.kernel,
-		Start:      now,
-		End:        now,
-		Attrs:      AttrsOf(attrs...),
-	})
-}
-
-// Timed is an open child span. The zero Timed is inert.
-type Timed struct {
-	obs    *Observer
-	inv    uint64
-	parent uint64
-	id     uint64
-	kernel string
-	name   string
-	start  time.Time
-}
-
-// Enabled reports whether the span is live.
-func (t Timed) Enabled() bool { return t.obs != nil }
-
-// End closes and emits the span.
-func (t Timed) End(attrs ...Attr) { t.end(nil, attrs) }
-
-// EndExplain closes the span carrying a decision-audit record.
-func (t Timed) EndExplain(ex *Explain, attrs ...Attr) { t.end(ex, attrs) }
-
-func (t Timed) end(ex *Explain, attrs []Attr) {
-	if t.obs == nil {
-		return
-	}
-	t.obs.emit(Span{
-		ID:         t.id,
-		Parent:     t.parent,
-		Invocation: t.inv,
-		Name:       t.name,
-		Kernel:     t.kernel,
-		Start:      t.start,
-		End:        t.obs.now(),
-		Attrs:      AttrsOf(attrs...),
-		Explain:    ex,
-	})
-}
-
-// Child opens a nested span under this one.
-func (t Timed) Child(name string) Timed {
-	if t.obs == nil {
-		return Timed{}
-	}
-	return Timed{
-		obs:    t.obs,
-		inv:    t.inv,
-		parent: t.id,
-		id:     t.obs.spanIDs.Add(1),
-		kernel: t.kernel,
-		name:   name,
-		start:  t.obs.now(),
-	}
-}
-
-// Event emits an instant marker under this span.
-func (t Timed) Event(name string, attrs ...Attr) {
-	if t.obs == nil {
-		return
-	}
-	now := t.obs.now()
-	t.obs.emit(Span{
-		ID:         t.obs.spanIDs.Add(1),
-		Parent:     t.id,
-		Invocation: t.inv,
-		Kind:       KindInstant,
-		Name:       name,
-		Kernel:     t.kernel,
-		Start:      now,
-		End:        now,
-		Attrs:      AttrsOf(attrs...),
-	})
 }

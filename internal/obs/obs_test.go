@@ -1,129 +1,134 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
-// TestNilObserverIsInert drives the whole span API through a nil
-// observer: nothing may panic and nothing may be recorded.
+// TestNilObserverIsInert drives the record API through a nil observer
+// and a nil record: nothing may panic and nothing may be recorded.
 func TestNilObserverIsInert(t *testing.T) {
 	var o *Observer
 	if o.Enabled() {
 		t.Fatal("nil observer reports enabled")
 	}
-	sc := o.BeginInvocation(1, "k")
-	if sc.Enabled() {
-		t.Fatal("scope of nil observer reports enabled")
+	var inv *Invocation
+	inv.Begin(PhaseProfile)
+	inv.End(PhaseProfile)
+	inv.Fail(errors.New("x"))
+	if inv.Ran(PhaseProfile) {
+		t.Fatal("nil record reports a phase ran")
 	}
-	child := sc.Span("profile")
-	grand := child.Child("step")
-	grand.End()
-	child.Event("x")
-	child.End()
-	sc.Event("y", Num("n", 1))
-	sc.End()
-	o.RecordInvocation(InvocationStats{Seconds: 1})
+	o.Finish(&Invocation{Wall: 1})
+	o.Finish(nil)
+	o.RecordWatchdogStall("t", time.Second)
 	o.RecordBreakerTransition(1)
 	if o.Registry() != nil {
 		t.Fatal("nil observer has a registry")
 	}
 }
 
+// traceEvent is the subset of an exported Chrome trace event the
+// tests read.
+type traceEvent struct {
+	Name  string         `json:"name"`
+	Phase string         `json:"ph"`
+	TS    float64        `json:"ts"`
+	Dur   float64        `json:"dur"`
+	TID   uint64         `json:"tid"`
+	Args  map[string]any `json:"args"`
+}
+
+func exportEvents(t *testing.T, recs []Invocation) []traceEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, recs); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.TraceEvents[1:] // drop the process_name metadata
+}
+
+// TestObserverSpanTree checks the span tree one record exports: a root
+// "invocation" slice with no parent, one child slice per phase that
+// ran, the Explain on alpha-search, and the rare-path counts and flags
+// as instants under the root.
 func TestObserverSpanTree(t *testing.T) {
 	ring := NewRingSink(16)
 	o := New(ring, nil)
-	sc := o.BeginInvocation(42, "bfs")
-	if !sc.Enabled() || sc.InvocationID() != 42 {
-		t.Fatalf("scope not live: %+v", sc)
+	inv := Invocation{ID: 42, Kernel: "bfs", Start: time.Now(), ProfileSteps: 1, Retries: 1, Profiled: true}
+	for _, p := range []Phase{PhaseAdmit, PhaseProfile, PhaseSearch} {
+		inv.Begin(p)
+		inv.End(p)
 	}
-	prof := sc.Span("profile")
-	step := prof.Child("profile-step")
-	step.End(Num("step", 1))
-	prof.End(Num("steps", 1))
-	search := sc.Span("alpha-search")
-	search.EndExplain(&Explain{Alpha: 0.5, Category: "c"})
-	sc.Event("gpu-retry", Num("attempt", 1))
-	sc.End(Num("alpha", 0.5))
+	inv.Explain = Explain{Alpha: 0.5, Category: "c"}
+	o.Finish(&inv)
 
-	spans := ring.Snapshot()
-	if len(spans) != 5 {
-		t.Fatalf("got %d spans, want 5", len(spans))
+	recs := ring.Snapshot()
+	if len(recs) != 1 || recs[0].ID != 42 || recs[0].Wall <= 0 {
+		t.Fatalf("ring holds %+v, want one stamped record of invocation 42", recs)
 	}
-	byName := map[string]Span{}
-	for _, sp := range spans {
-		byName[sp.Name] = sp
-		if sp.Invocation != 42 {
-			t.Errorf("span %q invocation = %d, want 42", sp.Name, sp.Invocation)
-		}
-		if sp.Kernel != "bfs" {
-			t.Errorf("span %q kernel = %q, want bfs", sp.Name, sp.Kernel)
+	events := exportEvents(t, recs)
+	if len(events) != 5 {
+		t.Fatalf("got %d events, want 5: %+v", len(events), events)
+	}
+	byName := map[string]traceEvent{}
+	for _, ev := range events {
+		byName[ev.Name] = ev
+		if ev.TID != 42 || ev.Args["kernel"] != "bfs" {
+			t.Errorf("event %q on track %d kernel %v, want 42/bfs", ev.Name, ev.TID, ev.Args["kernel"])
 		}
 	}
 	root := byName["invocation"]
-	if root.Parent != 0 {
-		t.Errorf("root has parent %d", root.Parent)
+	if _, ok := root.Args["parent"]; ok || root.Phase != "X" {
+		t.Errorf("root slice wrong: %+v", root)
 	}
-	if byName["profile"].Parent != root.ID {
-		t.Error("profile span not parented to root")
+	for _, name := range []string{"admission-wait", "profile", "alpha-search"} {
+		if ev := byName[name]; ev.Phase != "X" || ev.Args["parent"] != root.Args["span"] {
+			t.Errorf("%s slice not parented to the root: %+v", name, ev)
+		}
 	}
-	if byName["profile-step"].Parent != byName["profile"].ID {
-		t.Error("profile-step not parented to profile")
+	if _, ok := byName["alpha-search"].Args["explain"]; !ok {
+		t.Error("alpha-search slice lost its explain record")
 	}
-	if byName["alpha-search"].Explain == nil {
-		t.Error("alpha-search span lost its explain record")
-	}
-	if ev := byName["gpu-retry"]; ev.Kind != KindInstant || ev.Parent != root.ID {
+	if ev := byName["gpu-retry"]; ev.Phase != "i" || ev.Args["parent"] != root.Args["span"] {
 		t.Errorf("instant event wrong: %+v", ev)
 	}
 }
 
-// TestSpanAttrsByValue pins the value semantics of span attributes:
-// the sink receives a copy, so reusing the caller's slice after End
-// changes nothing it stored; at most MaxAttrs are kept; and span times
-// are monotone in emission order on the observer's clock.
-func TestSpanAttrsByValue(t *testing.T) {
+// TestRingKeepsRecordByValue pins the value semantics of the ring: it
+// keeps a copy of each record, so a caller reusing its record after
+// Finish changes nothing the ring stored.
+func TestRingKeepsRecordByValue(t *testing.T) {
 	ring := NewRingSink(8)
 	o := New(ring, nil)
-	sc := o.BeginInvocation(1, "k")
-	attrs := []Attr{Num("a", 1), Str("b", "x"), Num("c", 3), Str("d", "y"), Num("e", 5)}
-	sc.Span("wide").End(attrs...)
-	attrs[0] = Num("a", -1)
-	sc.Event("one", Num("n", 7))
-	sc.End()
+	inv := Invocation{ID: 1, Kernel: "k", Start: time.Now(), Alpha: 0.25}
+	inv.Begin(PhaseExecute)
+	inv.End(PhaseExecute)
+	o.Finish(&inv)
+	inv.Alpha = 0.75
+	inv.Kernel = "other"
+	inv.Phases[PhaseExecute].Dur = -1
 
-	spans := ring.Snapshot()
-	if len(spans) != 3 {
-		t.Fatalf("got %d spans, want 3", len(spans))
+	got := ring.Snapshot()[0]
+	if got.Alpha != 0.25 || got.Kernel != "k" || got.Phases[PhaseExecute].Dur < 0 {
+		t.Errorf("ring record changed with the caller's: %+v", got)
 	}
-	wide := spans[0].Attrs
-	got := wide.List()
-	if wide.Len() != MaxAttrs || len(got) != MaxAttrs {
-		t.Fatalf("wide span keeps %d attributes, want %d", wide.Len(), MaxAttrs)
-	}
-	for i, a := range got {
-		want := []Attr{Num("a", 1), Str("b", "x"), Num("c", 3), Str("d", "y")}[i]
-		if a != want {
-			t.Errorf("attribute %d = %+v, want %+v", i, a, want)
-		}
-	}
-	if ev := spans[1].Attrs.List(); len(ev) != 1 || ev[0] != Num("n", 7) {
-		t.Errorf("event attributes = %+v, want [n=7]", ev)
-	}
-	if spans[2].Attrs.Len() != 0 {
-		t.Errorf("root span has %d attributes, want 0", spans[2].Attrs.Len())
-	}
-	for i, sp := range spans {
-		if sp.End.Before(sp.Start) {
-			t.Errorf("span %q ends before it starts", sp.Name)
-		}
-		if i > 0 && sp.End.Before(spans[i-1].End) {
-			t.Errorf("span %q ends before the span emitted ahead of it", sp.Name)
-		}
+	if pt := got.Phases[PhaseExecute]; pt.Start < 0 || pt.Start+pt.Dur > got.Wall {
+		t.Errorf("execute phase %+v lies outside the invocation's %v", pt, got.Wall)
 	}
 }
 
@@ -136,7 +141,7 @@ func TestRingSinkWraps(t *testing.T) {
 	} {
 		ring := NewRingSink(tc.capacity)
 		for i := 1; i <= tc.emitted; i++ {
-			ring.Emit(Span{ID: uint64(i)})
+			ring.Put(&Invocation{ID: uint64(i)})
 		}
 		kept := min(tc.capacity, tc.emitted)
 		if ring.Len() != kept || ring.Total() != uint64(tc.emitted) {
@@ -145,42 +150,44 @@ func TestRingSinkWraps(t *testing.T) {
 		}
 		got := ring.Snapshot()
 		if len(got) != kept {
-			t.Fatalf("capacity %d: snapshot holds %d spans, want %d", tc.capacity, len(got), kept)
+			t.Fatalf("capacity %d: snapshot holds %d records, want %d", tc.capacity, len(got), kept)
 		}
-		for i, sp := range got {
-			if want := uint64(tc.emitted - kept + 1 + i); sp.ID != want {
-				t.Fatalf("capacity %d: snapshot[%d] = span %d, want %d", tc.capacity, i, sp.ID, want)
+		for i, rec := range got {
+			if want := uint64(tc.emitted - kept + 1 + i); rec.ID != want {
+				t.Fatalf("capacity %d: snapshot[%d] = record %d, want %d", tc.capacity, i, rec.ID, want)
 			}
 		}
 	}
 }
 
 // TestRingSinkAllocatesOnUse pins that a ring's memory follows the
-// spans it has held: an unused default ring costs a page table, not
-// DefaultRingCapacity spans.
+// records it has held: an unused default ring costs a page table, not
+// DefaultRingCapacity records.
 func TestRingSinkAllocatesOnUse(t *testing.T) {
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	ring := NewRingSink(DefaultRingCapacity)
 	runtime.ReadMemStats(&ms1)
 	if got := ms1.TotalAlloc - ms0.TotalAlloc; got > 4096 {
-		t.Errorf("an empty %d-span ring allocated %d bytes, want <= 4096", DefaultRingCapacity, got)
+		t.Errorf("an empty %d-record ring allocated %d bytes, want <= 4096", DefaultRingCapacity, got)
 	}
-	ring.Emit(Span{ID: 1})
+	ring.Put(&Invocation{ID: 1})
 	if ring.Len() != 1 {
-		t.Fatalf("len = %d after one span, want 1", ring.Len())
+		t.Fatalf("len = %d after one record, want 1", ring.Len())
 	}
 }
 
 func TestRecordInvocationMetrics(t *testing.T) {
 	reg := NewRegistry()
 	o := New(nil, reg)
-	o.RecordInvocation(InvocationStats{
-		Seconds: 0.25, ProfileSeconds: 0.1, Alpha: 0.6, Retries: 2,
+	now := time.Now()
+	o.Finish(&Invocation{
+		Start: now, ProfileDuration: 100 * time.Millisecond, Alpha: 0.6, Retries: 1, EnqueueRetries: 1,
 		Profiled: true, ProfileSteps: 3, Fallback: "gpu-busy",
-		MeterRejected: 4, Quarantined: true, Sanitized: true, BreakerState: 1,
+		MeterRejected: 4, Quarantined: true, Sanitized: true,
 	})
-	o.RecordInvocation(InvocationStats{Seconds: 0.5, Alpha: 0.6, Fallback: "weird", BreakerState: -1})
+	o.Finish(&Invocation{Start: now, Alpha: 0.6, Fallback: "weird"})
+	o.Finish(&Invocation{Start: now, Alpha: 0.6, Err: "failed"}) // traced, not counted
 	o.RecordBreakerTransition(2)
 
 	var b strings.Builder
@@ -201,7 +208,7 @@ func TestRecordInvocationMetrics(t *testing.T) {
 		"eas_profiles_quarantined_total 1",
 		"eas_profiles_sanitized_total 1",
 		"eas_breaker_transitions_total 1",
-		"eas_breaker_state 2", // transition after the BreakerState: -1 skip
+		"eas_breaker_state 2", // transitions are the gauge's only writer
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, out)
@@ -215,9 +222,7 @@ func TestRecordInvocationMetrics(t *testing.T) {
 func TestHTTPHandler(t *testing.T) {
 	ring := NewRingSink(8)
 	o := New(ring, nil)
-	sc := o.BeginInvocation(1, "k")
-	sc.End()
-	o.RecordInvocation(InvocationStats{Seconds: 0.1, Alpha: 0.5, BreakerState: 0})
+	o.Finish(&Invocation{ID: 1, Kernel: "k", Start: time.Now(), Alpha: 0.5})
 
 	srv := httptest.NewServer(NewHTTPHandler(o.Registry(), ring))
 	defer srv.Close()

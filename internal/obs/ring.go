@@ -2,53 +2,52 @@ package obs
 
 import "sync"
 
-// DefaultRingCapacity is the ring sink's span capacity when the caller
-// does not choose one: enough for a few thousand invocations' span
-// trees without unbounded growth.
-const DefaultRingCapacity = 8192
+// DefaultRingCapacity is the ring's record capacity when the caller
+// does not choose one: the last ~1500 invocations, bounded.
+const DefaultRingCapacity = 1536
 
-// ringPage is how many spans a RingSink allocates at a time, so a sink
-// costs memory in proportion to the spans it has held, not to its
-// capacity: a span is a few hundred bytes, and most sinks are built at
-// set-up long before they fill.
+// ringPage is how many records a RingSink allocates at a time, so a
+// ring costs memory in proportion to the records it has held, not to
+// its capacity: a record is a few hundred bytes, and most rings are
+// built at set-up long before they fill.
 const ringPage = 256
 
-// RingSink retains the most recent spans in a fixed-capacity ring for
-// post-mortem dumps: when something goes wrong, the last N spans are a
-// flight recorder of what the scheduler decided and why. It is safe
-// for concurrent use.
+// RingSink retains the most recent invocation records in a
+// fixed-capacity ring for post-mortem dumps: when something goes
+// wrong, the last N records are a flight recorder of what the
+// scheduler decided and why. It is safe for concurrent use.
 type RingSink struct {
 	mu       sync.Mutex
-	pages    [][]Span // ring slot i is pages[i/ringPage][i%ringPage]
+	pages    [][]Invocation // ring slot i is pages[i/ringPage][i%ringPage]
 	capacity int
 	next     int
 	wrapped  bool
 	total    uint64
 }
 
-// NewRingSink returns a ring retaining up to capacity spans
+// NewRingSink returns a ring retaining up to capacity records
 // (DefaultRingCapacity when capacity <= 0).
 func NewRingSink(capacity int) *RingSink {
 	if capacity <= 0 {
 		capacity = DefaultRingCapacity
 	}
 	return &RingSink{
-		pages:    make([][]Span, (capacity+ringPage-1)/ringPage),
+		pages:    make([][]Invocation, (capacity+ringPage-1)/ringPage),
 		capacity: capacity,
 	}
 }
 
-// Emit implements Sink.
-func (r *RingSink) Emit(sp Span) {
+// Put copies one record into the ring, evicting the oldest when full.
+func (r *RingSink) Put(rec *Invocation) {
 	r.mu.Lock()
 	page := r.pages[r.next/ringPage]
 	if page == nil {
 		// The ring fills in order, so a page is first written at its
 		// first slot.
-		page = make([]Span, min(ringPage, r.capacity-r.next))
+		page = make([]Invocation, min(ringPage, r.capacity-r.next))
 		r.pages[r.next/ringPage] = page
 	}
-	page[r.next%ringPage] = sp
+	page[r.next%ringPage] = *rec
 	r.next++
 	if r.next == r.capacity {
 		r.next = 0
@@ -58,7 +57,7 @@ func (r *RingSink) Emit(sp Span) {
 	r.mu.Unlock()
 }
 
-// Len returns the number of spans currently retained.
+// Len returns the number of records currently retained.
 func (r *RingSink) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -68,7 +67,7 @@ func (r *RingSink) Len() int {
 	return r.next
 }
 
-// Total returns the lifetime number of spans emitted (retained or
+// Total returns the lifetime number of records put (retained or
 // evicted).
 func (r *RingSink) Total() uint64 {
 	r.mu.Lock()
@@ -76,10 +75,9 @@ func (r *RingSink) Total() uint64 {
 	return r.total
 }
 
-// Snapshot copies the retained spans out in emission order
-// (oldest first). Explain records are shared, not copied: they are
-// immutable once emitted.
-func (r *RingSink) Snapshot() []Span {
+// Snapshot copies the retained records out in the order they were put
+// (oldest first).
+func (r *RingSink) Snapshot() []Invocation {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n, first := r.next, 0
@@ -89,7 +87,7 @@ func (r *RingSink) Snapshot() []Span {
 	if n == 0 {
 		return nil
 	}
-	out := make([]Span, n)
+	out := make([]Invocation, n)
 	for k := range out {
 		i := (first + k) % r.capacity
 		out[k] = r.pages[i/ringPage][i%ringPage]

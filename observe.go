@@ -1,7 +1,6 @@
 package eas
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -15,12 +14,12 @@ import (
 )
 
 // Observer collects end-to-end observability data from every runtime
-// it is attached to (via Config.Observer): a per-invocation span trace
-// kept in a bounded in-memory ring, a decision-audit record for every
-// α search, and a registry of runtime metrics. One Observer may be
-// shared by any number of Runtimes — invocation ids stay unique across
-// all of them, so a multi-tenant process renders as one coherent
-// timeline.
+// it is attached to (via Config.Observer): one record per invocation
+// kept in a bounded in-memory ring — phase timings, the decision audit
+// of every α search, rare-path outcomes — and a registry of runtime
+// metrics. One Observer may be shared by any number of Runtimes —
+// invocation ids stay unique across all of them, so a multi-tenant
+// process renders as one coherent timeline.
 //
 // Everything here is optional and near-free when absent: a Runtime
 // whose Config.Observer is nil runs the exact historical code path and
@@ -35,8 +34,8 @@ type Observer struct {
 // ObserverOptions tunes a new Observer. The zero value is a good
 // default.
 type ObserverOptions struct {
-	// RingCapacity bounds the span ring buffer (default 8192 spans ≈
-	// the last ~1500 invocations); older spans are overwritten.
+	// RingCapacity bounds the ring of invocation records (default 1536,
+	// the last ~1500 invocations); older records are overwritten.
 	RingCapacity int
 	// Flight arms the black-box flight recorder: an always-on ring of
 	// compact scheduler events (decisions, sheds, breaker transitions,
@@ -97,14 +96,10 @@ func (p FlightPolicy) internal() obs.FlightPolicy {
 	}
 }
 
-// NewObserver builds an observer with a bounded span ring and a fresh
+// NewObserver builds an observer with a bounded record ring and a fresh
 // metrics registry.
 func NewObserver(opts ObserverOptions) *Observer {
-	capacity := opts.RingCapacity
-	if capacity <= 0 {
-		capacity = obs.DefaultRingCapacity
-	}
-	ring := obs.NewRingSink(capacity)
+	ring := obs.NewRingSink(opts.RingCapacity)
 	reg := obs.NewRegistry()
 	o := &Observer{inner: obs.New(ring, reg), ring: ring, reg: reg, pprof: opts.EnablePprof}
 	if opts.Flight.enabled() {
@@ -122,10 +117,11 @@ func (o *Observer) internal() *obs.Observer {
 	return o.inner
 }
 
-// WriteChromeTrace renders the ring's current span snapshot as Chrome
+// WriteChromeTrace renders the ring's current records as Chrome
 // trace-event JSON, loadable directly in Perfetto
 // (https://ui.perfetto.dev) or chrome://tracing. Each invocation is
-// one track; the alpha-search span's args carry the full decision
+// one track holding a slice per phase; the alpha-search slice's args
+// carry the full decision
 // audit (measured throughputs, workload category, fitted curve, and
 // the objective at every α grid point, rebuilt from the recorded
 // search inputs at export time).
@@ -294,39 +290,4 @@ func (o *Observer) admissionCollector(adm *core.Admission) func() {
 		late.Add(st.LateReleases - last.LateReleases)
 		last = st
 	}
-}
-
-// invocationAttrs builds the root-span closing attributes for a
-// completed invocation (only called on enabled scopes).
-func invocationAttrs(out *Report) obs.Attrs {
-	attrs := [obs.MaxAttrs]obs.Attr{
-		obs.Num("alpha", out.Alpha),
-		obs.Num("energy_j", out.EnergyJ),
-		obs.Num("duration_us", float64(out.Duration.Microseconds())),
-	}
-	n := 3
-	if out.FallbackReason != FallbackNone {
-		attrs[n] = obs.Str("fallback", string(out.FallbackReason))
-		n++
-	}
-	return obs.AttrsOf(attrs[:n]...)
-}
-
-// finishScope closes an invocation's root span and records its metric
-// deltas — the eas layer owns the scope, so it records exactly once,
-// amending the core's α, retry count and fallback reason with the
-// functional layer's (enqueue-error, gpu-timeout) when the degradation
-// happened there.
-func (r *Runtime) finishScope(ctx context.Context, sc obs.Scope, rep core.Report, kernel string, out *Report) {
-	if !sc.Enabled() {
-		return
-	}
-	st := core.StatsFor(rep)
-	st.Alpha = out.Alpha
-	st.Retries = out.Retries
-	if out.FallbackReason != FallbackNone {
-		st.Fallback = string(out.FallbackReason)
-	}
-	attrs := invocationAttrs(out)
-	core.FinishInvocation(ctx, r.obsv, sc, kernel, st, attrs.List()...)
 }
