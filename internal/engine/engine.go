@@ -198,7 +198,7 @@ func (e *Engine) Run(ph Phase) (Result, error) {
 		gpuSlowdown = e.faults.TakeSlowGPU()
 	}
 
-	spec := e.p.Spec()
+	spec := e.p.SpecRef()
 	cost := ph.Kernel.Cost
 	traffic := cost.TrafficBytes()
 	misses := cost.MissesPerItem()

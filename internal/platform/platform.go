@@ -155,6 +155,11 @@ func (p *Platform) SetSensorFaults(plan *faultinject.Plan) {
 // Spec returns a copy of the platform's specification.
 func (p *Platform) Spec() Spec { return p.spec }
 
+// SpecRef returns the platform's specification by reference, for hot
+// paths that read it on every call: a Spec is a few hundred bytes, and
+// nothing changes it after New. Callers must not modify it.
+func (p *Platform) SpecRef() *Spec { return &p.spec }
+
 // Name returns the platform name.
 func (p *Platform) Name() string { return p.spec.Name }
 

@@ -13,7 +13,7 @@ import (
 
 // TestEvaluateBuildsEachScheduleOnce wraps every workload's Schedule in
 // a counter: one evaluation must build each schedule exactly once and
-// share it with the Oracle sweep and every strategy.
+// share it with the Oracle search and every strategy.
 func TestEvaluateBuildsEachScheduleOnce(t *testing.T) {
 	for _, name := range []string{"desktop", "tablet"} {
 		spec, _ := platform.Presets(name)
@@ -38,7 +38,7 @@ func TestEvaluateBuildsEachScheduleOnce(t *testing.T) {
 }
 
 // TestCPUCellMatchesCPUOnly checks that the CPU cell the grid takes from
-// the Oracle sweep's α = 0 candidate equals a separate sched.CPUOnly
+// the Oracle search's α = 0 candidate equals a separate sched.CPUOnly
 // run field for field, for every workload on both platforms.
 func TestCPUCellMatchesCPUOnly(t *testing.T) {
 	for _, seed := range []int64{DefaultSeed, 7} {

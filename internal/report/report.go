@@ -65,7 +65,7 @@ func (f *EfficiencyFigure) Average(strategy string) float64 {
 type Options struct {
 	// Seed for workload schedules; 0 selects DefaultSeed.
 	Seed int64
-	// OracleStep is the Oracle's sweep granularity; 0 selects 0.1.
+	// OracleStep is the Oracle's α grid step; 0 selects 0.1.
 	OracleStep float64
 	// EAS options (zero = paper defaults).
 	EAS core.Options
@@ -74,10 +74,13 @@ type Options struct {
 	// it only the first time a process needs it).
 	Model *powerchar.Model
 	// Serial disables the evaluation grid's parallel fan-out, running
-	// every cell sequentially in display order. The parallel path is
-	// byte-identical by construction (each run boots its own platform
-	// and shares only read-only schedules); Serial exists so tests can
-	// prove that, and as an escape hatch for single-core debugging.
+	// every cell sequentially in display order and every Oracle
+	// search's candidates on one worker in search order. The parallel
+	// path picks the same results by construction (each run boots its
+	// own platform and shares only read-only schedules, and the Oracle
+	// search's pick does not depend on which candidates it stops);
+	// Serial exists so tests can prove that, and as an escape hatch for
+	// single-core debugging.
 	Serial bool
 }
 
@@ -119,7 +122,7 @@ func Evaluate(platformName, metricName string, opts Options) (*EfficiencyFigure,
 }
 
 // EvaluateCtx is Evaluate with cancellation: the workloads × strategies
-// grid (and the Oracle's α sweep inside it) fans out concurrently, and
+// grid (and the Oracle's α search inside it) fans out concurrently, and
 // the first failing cell — or a cancelled ctx — stops the rest.
 func EvaluateCtx(ctx context.Context, platformName, metricName string, opts Options) (*EfficiencyFigure, error) {
 	spec, ok := platform.Presets(platformName)
@@ -144,7 +147,7 @@ func evaluateSpec(ctx context.Context, spec platform.Spec, metricName string, op
 //
 // Nothing is simulated twice: each workload's schedule is built once
 // and shared read-only by all of its runs, and the CPU cell is the
-// Oracle sweep's α = 0 candidate (the same run as sched.CPUOnly).
+// Oracle search's α = 0 candidate (the same run as sched.CPUOnly).
 func evaluateWorkloads(ctx context.Context, spec platform.Spec, wls []workloads.Workload, metricName string, opts Options) (*EfficiencyFigure, error) {
 	opts = opts.withDefaults()
 	metric, err := metrics.ByName(metricName)
@@ -160,7 +163,7 @@ func evaluateWorkloads(ctx context.Context, spec platform.Spec, wls []workloads.
 	}
 
 	// The CPU strategy heads the display order; its cell comes from the
-	// Oracle sweep, so only the others run as jobs of their own.
+	// Oracle search, so only the others run as jobs of their own.
 	cpuName := sched.CPUOnly().Name()
 	strategies := []sched.Strategy{
 		sched.GPUOnly(),
@@ -181,9 +184,9 @@ func evaluateWorkloads(ctx context.Context, spec platform.Spec, wls []workloads.
 	}
 
 	// One job per run: index j decomposes as (workload, slot) with slot
-	// 0 the Oracle sweep (which also yields the CPU cell) and slot i>0
-	// strategies[i-1]. Serial mode runs the same jobs on one worker in
-	// index order.
+	// 0 the Oracle search (which also yields the CPU cell) and slot i>0
+	// strategies[i-1]. Serial mode runs the same jobs, and each Oracle
+	// search's candidates, on one worker in index order.
 	wls = shareSchedules(wls, spec.Name, opts.Seed)
 	for _, w := range wls {
 		fig.Workloads = append(fig.Workloads, w.Abbrev)
@@ -202,16 +205,11 @@ func evaluateWorkloads(ctx context.Context, spec platform.Spec, wls []workloads.
 		wi, si := j/slots, j%slots
 		w := wls[wi]
 		if si == 0 {
-			cands, err := sched.OracleSweep(ctx, opts.OracleStep, w, spec, metric, opts.Seed)
-			if err == nil {
-				oracleRes[wi], err = sched.OracleBest(cands)
-			}
+			best, cpu, err := sched.OracleSearch(ctx, opts.OracleStep, workers, w, spec, metric, opts.Seed)
 			if err != nil {
 				return fmt.Errorf("report: oracle on %s: %w", w.Abbrev, err)
 			}
-			cpu := cands[0]
-			cpu.Strategy = cpuName
-			cellRes[wi][0] = cpu
+			oracleRes[wi], cellRes[wi][0] = best, cpu
 			return nil
 		}
 		s := strategies[si-1]
