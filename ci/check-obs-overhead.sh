@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # check-obs-overhead.sh — fail the build if disabled observability ever
 # costs anything on the scheduling hot path, if the decision audit on
-# the profiling path outgrows its budget, or if the armed flight
-# recorder exceeds its per-event allocation budget.
+# the profiling path outgrows its budget, or if finishing a record with
+# the flight recorder armed exceeds its per-record allocation budget.
 #
 # Three layers of defence:
 #   1. TestNilObserverZeroAlloc pins the nil-observer steady-state path
@@ -25,9 +25,12 @@
 #      the committed baseline (ci/obs-overhead-baseline.txt); any
 #      regression past the baseline fails. Allocation counts are exact
 #      and machine-independent, unlike ns/op, so this is CI-stable.
-#   3. BenchmarkFlightRecord pins the enabled flight recorder to the
-#      flight_allocs_per_event budget: recording must stay ring-writes
-#      only, never allocation per event.
+#   3. BenchmarkFinishFlightArmed pins Observer.Finish with the flight
+#      recorder armed (shed-spike and p99 triggers set, neither firing)
+#      to the flight_allocs_per_event budget: the recorder keeps no
+#      ring of its own, so a finished record costs the observer's one
+#      ring write, the metrics fold and the p99 window, never an
+#      allocation.
 #
 # The enabled-observer benchmark runs too and its overhead is printed
 # for the log; beyond the decision-audit budget above, the enabled
@@ -70,19 +73,19 @@ if (( nil_allocs > baseline )); then
 fi
 echo "OK: nil-observer path at $nil_allocs allocs/op (baseline $baseline)"
 
-echo "== flight recorder event budget =="
-flight_out=$(go test ./internal/obs -run '^$' -bench 'BenchmarkFlightRecord' \
+echo "== flight recorder per-record budget =="
+flight_out=$(go test ./internal/obs -run '^$' -bench '^BenchmarkFinishFlightArmed$' \
     -benchtime=10000x -benchmem -count=1)
 echo "$flight_out"
 
-flight_allocs=$(echo "$flight_out" | awk '/^BenchmarkFlightRecord/ {print $(NF-1)}')
+flight_allocs=$(echo "$flight_out" | awk '/^BenchmarkFinishFlightArmed/ {print $(NF-1)}')
 if [[ -z "$flight_allocs" ]]; then
-    echo "error: BenchmarkFlightRecord produced no allocs/op figure" >&2
+    echo "error: BenchmarkFinishFlightArmed produced no allocs/op figure" >&2
     exit 1
 fi
 if (( flight_allocs > flight_budget )); then
-    echo "FAIL: armed flight recorder allocates $flight_allocs allocs/event, budget is $flight_budget" >&2
-    echo "(event recording must stay preallocated-ring writes; see internal/obs/flight.go)" >&2
+    echo "FAIL: Finish with the flight recorder armed allocates $flight_allocs allocs/record, budget is $flight_budget" >&2
+    echo "(a finished record must stay a preallocated ring write; see internal/obs/obs.go and flight.go)" >&2
     exit 1
 fi
-echo "OK: flight recorder at $flight_allocs allocs/event (budget $flight_budget)"
+echo "OK: armed Finish at $flight_allocs allocs/record (budget $flight_budget)"

@@ -48,10 +48,8 @@ func main() {
 	flag.Parse()
 
 	var observer *obs.Observer
-	var ring *obs.RingSink
 	if *traceOut != "" || *metricsAddr != "" || *flightDir != "" {
-		ring = obs.NewRingSink(obs.DefaultRingCapacity)
-		observer = obs.New(ring, nil)
+		observer = obs.New(nil, nil)
 		if *flightDir != "" {
 			flight := observer.AttachFlight(obs.FlightPolicy{Dir: *flightDir})
 			defer func() {
@@ -65,12 +63,7 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			srv := &http.Server{Handler: obs.NewHTTPHandlerOpts(obs.HTTPOptions{
-				Registry:    observer.Registry(),
-				Ring:        ring,
-				Observer:    observer,
-				EnablePprof: *pprofOn,
-			})}
+			srv := &http.Server{Handler: obs.NewHTTPHandler(observer, *pprofOn)}
 			defer srv.Close()
 			go func() { _ = srv.Serve(ln) }()
 			fmt.Fprintf(os.Stderr, "easrun: serving metrics at http://%s/metrics (trace at /debug/trace)\n", ln.Addr())
@@ -82,7 +75,7 @@ func main() {
 				if err != nil {
 					fail(err)
 				}
-				if err := obs.WriteChromeTrace(f, ring.Snapshot()); err != nil {
+				if err := obs.WriteChromeTrace(f, observer.Ring().Snapshot()); err != nil {
 					f.Close()
 					fail(err)
 				}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -175,5 +176,114 @@ func TestFlightShedAttribution(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/flight", nil))
 	if !strings.Contains(rec.Body.String(), `"kind": "shed"`) {
 		t.Errorf("flight ring missing shed event:\n%s", rec.Body.String())
+	}
+}
+
+// TestFlightDumpsEveryRecordKind drives one flight-armed runtime
+// through every kind of event an incident dump holds — a decision, a
+// fallback's degradation, a quota shed, a breaker transition, a WAL
+// error and a watchdog stall — and reads them back, in the order they
+// happened, from the recorder's snapshot of the observer's one ring.
+// The breaker and WAL-error records are also instants on the trace's
+// track 0.
+func TestFlightDumpsEveryRecordKind(t *testing.T) {
+	observer := NewObserver(ObserverOptions{Flight: FlightPolicy{Enable: true}})
+	plan := NewFaultPlan(13)
+	rt := robustRuntime(t, plan, Config{
+		Observer:          observer,
+		BreakerThreshold:  2,
+		BreakerProbeAfter: 1,
+		GPURetry:          RetryPolicy{MaxAttempts: 1},
+		State:             StatePolicy{Path: filepath.Join(t.TempDir(), "alpha.state")},
+		Admission: AdmissionPolicy{
+			TenantQuotas: map[string]TenantQuota{"acme": {Rate: 0.0001, Burst: 1}},
+			Watchdog:     40 * time.Millisecond,
+		},
+	})
+	defer rt.Close()
+	k := computeKernel("every-kind", func(int) {})
+	acme := WithTenant(context.Background(), "acme")
+	run := func(ctx context.Context) (Report, error) {
+		rep, err := rt.ParallelForCtx(ctx, k, 200000)
+		if err != nil {
+			return Report{}, err
+		}
+		defer rt.ReleaseReport(rep)
+		return *rep, nil
+	}
+
+	// A decision, then a busy GPU's fallback: the breaker's first.
+	if _, err := run(acme); err != nil {
+		t.Fatal(err)
+	}
+	plan.GPUBusyFor(1)
+	if rep, err := run(context.Background()); err != nil || rep.FallbackReason != FallbackGPUBusy {
+		t.Fatalf("busy invocation: %v, fallback %q; want a gpu-busy fallback", err, rep.FallbackReason)
+	}
+	// acme's quota is spent: a shed.
+	var ov *ErrOverloaded
+	if _, err := run(acme); !errors.As(err, &ov) {
+		t.Fatalf("over-quota invocation returned %v, want *ErrOverloaded", err)
+	}
+	// The second fallback in a row opens the breaker.
+	plan.GPUBusyFor(1)
+	if rep, err := run(context.Background()); err != nil || rep.BreakerState != "open" {
+		t.Fatalf("second busy invocation: %v, breaker %q; want it open", err, rep.BreakerState)
+	}
+	// The next invocation probes the breaker and closes it; its table
+	// update fails to reach the WAL.
+	plan.FailWALWrites(1)
+	if _, err := run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// A held gate the watchdog takes back: a stall.
+	plan.HoldAdmission(time.Hour, 1)
+	if _, err := run(context.Background()); !errors.Is(err, ErrAdmissionRevoked) {
+		t.Fatalf("held invocation returned %v, want ErrAdmissionRevoked", err)
+	}
+
+	// The stall record lands after the gate is handed on, so the held
+	// invocation can return first.
+	var dump struct {
+		Events []struct {
+			Seq  uint64 `json:"seq"`
+			Kind string `json:"kind"`
+		} `json:"events"`
+	}
+	await(t, "the watchdog-stall record", func() bool {
+		data, err := observer.inner.Flight().Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &dump); err != nil {
+			t.Fatal(err)
+		}
+		return len(dump.Events) > 0 && dump.Events[len(dump.Events)-1].Kind == "watchdog-stall"
+	})
+	var kinds []string
+	seen := map[string]bool{}
+	for i, ev := range dump.Events {
+		if i > 0 && ev.Seq < dump.Events[i-1].Seq {
+			t.Errorf("event %d seq %d after %d: not in ring order", i, ev.Seq, dump.Events[i-1].Seq)
+		}
+		if !seen[ev.Kind] {
+			seen[ev.Kind] = true
+			kinds = append(kinds, ev.Kind)
+		}
+	}
+	want := []string{"decision", "degradation", "shed", "breaker", "wal-error", "watchdog-stall"}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Errorf("event kinds in ring order (first of each) %v, want %v", kinds, want)
+	}
+
+	instants := map[string]int{}
+	for _, ev := range observerTrace(t, observer) {
+		if ev.TID == 0 && ev.Phase == "i" {
+			instants[ev.Name]++
+		}
+	}
+	// open, half-open, closed.
+	if instants["breaker"] != 3 || instants["wal-error"] != 1 || instants["watchdog-stall"] != 1 {
+		t.Errorf("track 0 instants %v, want 3 breaker, 1 wal-error, 1 watchdog-stall", instants)
 	}
 }

@@ -523,7 +523,12 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 	ticket, err := s.adm.Acquire(ctx, req, nil)
 	inv.End(obs.PhaseAdmit)
 	if err != nil {
-		s.recordShed(err)
+		// A typed load-shedding rejection is the gate's doing; the
+		// record carries its reason. A cancelled wait is the caller's.
+		var ov *ErrOverloaded
+		if inv != nil && errors.As(err, &ov) {
+			inv.Shed = ov.Reason
+		}
 		return Report{}, err
 	}
 	defer s.adm.Release(ticket)
@@ -552,21 +557,6 @@ func (s *Scheduler) holdAdmission(ctx context.Context, revoke <-chan struct{}, d
 	case <-timer.C:
 	case <-revoke:
 	case <-ctx.Done():
-	}
-}
-
-// recordShed attributes a load-shedding rejection to its tenant and
-// reason in the observer (metrics and flight ring). Only typed
-// ErrOverloaded rejections count — a cancelled admission wait is the
-// caller's doing, not the gate's.
-func (s *Scheduler) recordShed(err error) {
-	o := s.opts.Observer
-	if o == nil {
-		return
-	}
-	var ov *ErrOverloaded
-	if errors.As(err, &ov) {
-		o.RecordShed(ov.Tenant, ov.Class.String(), ov.Reason)
 	}
 }
 

@@ -38,8 +38,9 @@ type chromeTrace struct {
 // functional slice. The alpha-search slice's args carry the full
 // Explain record (measured R_C/R_G, category, curve, and the objective
 // at every grid point, rebuilt here by Explain.Grid from the recorded
-// search inputs). A watchdog stall record is one "watchdog-stall"
-// instant on track 0.
+// search inputs). A record that is not an invocation (a watchdog
+// stall, a breaker transition, a WAL error) is one instant on track 0,
+// named by its kind.
 func WriteChromeTrace(w io.Writer, recs []Invocation) error {
 	events := make([]chromeEvent, 0, 1+4*len(recs))
 	events = append(events, chromeEvent{
@@ -89,11 +90,16 @@ func (r *Invocation) appendEvents(events []chromeEvent, base time.Time, span *ui
 		return a
 	}
 
-	if r.Stall {
-		a := instant("watchdog-stall", 0, 0)
-		a["kernel"] = r.Tenant
-		a["tenant"] = r.Tenant
-		a["held_ms"] = float64(r.Hold.Milliseconds())
+	if r.Kind != KindInvocation {
+		a := instant(r.Kind.String(), 0, 0)
+		switch r.Kind {
+		case KindWatchdogStall:
+			a["kernel"] = r.Tenant
+			a["tenant"] = r.Tenant
+			a["held_ms"] = float64(r.Hold.Milliseconds())
+		case KindBreaker:
+			a["state"] = breakerStateName(r.Breaker)
+		}
 		return events
 	}
 	a, root := slice("invocation", 0, 0, r.Wall)

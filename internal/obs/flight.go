@@ -12,74 +12,33 @@ import (
 	"github.com/hetsched/eas/internal/statestore"
 )
 
-// The flight recorder is the scheduler's aircraft-style black box: an
-// always-on, fixed-size ring of compact event records — decision
-// summaries, sheds, breaker transitions, watchdog stalls, WAL errors,
-// degradation instants — that costs nothing to keep and is only read
-// when something goes wrong. Trigger conditions (a watchdog stall, the
-// breaker opening, a shed-rate spike, a sliding-window p99 latency
-// breach) freeze the ring into a JSON incident artifact: the last N
-// events before the anomaly, dumped to a configured directory and held
-// in memory for the /debug/flight endpoint. A debounce window
-// collapses an anomaly storm into one dump.
-
-// FlightEventKind classifies one flight-recorder event.
-type FlightEventKind uint8
-
-const (
-	// FlightDecision is one completed invocation's decision summary.
-	FlightDecision FlightEventKind = iota
-	// FlightShed is one admission-gate load-shedding rejection.
-	FlightShed
-	// FlightBreaker is one circuit-breaker state transition.
-	FlightBreaker
-	// FlightWatchdogStall is one watchdog force-release of the gate.
-	FlightWatchdogStall
-	// FlightWALError is one durable-state write failure.
-	FlightWALError
-	// FlightDegradation is a fallback deviation from the planned split.
-	FlightDegradation
-)
-
-var flightKindNames = [...]string{
-	FlightDecision:      "decision",
-	FlightShed:          "shed",
-	FlightBreaker:       "breaker",
-	FlightWatchdogStall: "watchdog-stall",
-	FlightWALError:      "wal-error",
-	FlightDegradation:   "degradation",
-}
-
-// String returns the kind's JSON/log label.
-func (k FlightEventKind) String() string {
-	if int(k) < len(flightKindNames) {
-		return flightKindNames[k]
-	}
-	return "unknown"
-}
-
-// FlightEvent is one compact ring record. Strings are retained by
-// reference (kernel names, tenant ids, and reason constants are
-// long-lived in the runtime), so recording allocates nothing.
-type FlightEvent struct {
-	Seq      uint64
-	UnixNano int64
-	Kind     FlightEventKind
-	// Kernel and Tenant identify the actor ("" when not applicable).
-	Kernel string
-	Tenant string
-	// Detail carries the kind-specific label: the workload category for
-	// decisions, the shed reason, the breaker state name, the fallback
-	// reason for degradations.
-	Detail string
-	// Alpha is the applied offload ratio (decisions only).
-	Alpha float64
-	// Value is the kind's scalar payload: latency seconds for
-	// decisions, held milliseconds for watchdog stalls.
-	Value float64
-	// FastPath mirrors the decision flag.
-	FastPath bool
-}
+// The flight recorder is the scheduler's aircraft-style black box. It
+// keeps no history of its own: the observer's ring of records already
+// holds the last N invocations and the runtime events beside them
+// (watchdog stalls, breaker transitions, WAL errors). Trigger
+// conditions (a watchdog stall, the breaker opening, a shed-rate spike,
+// a sliding-window p99 latency breach) freeze that ring into a JSON
+// incident artifact, dumped to a configured directory and held in
+// memory for the /debug/flight endpoint. A debounce window collapses
+// an anomaly storm into one dump.
+//
+// A dump expands each retained record into events, oldest first:
+//
+//   - a completed invocation gives a "decision" event (kernel, tenant,
+//     category, α, latency in seconds, fast path), followed by a
+//     "degradation" event naming its fallback reason if it fell back;
+//   - a shed invocation gives a "shed" event (its class as the kernel,
+//     the shed reason as the detail);
+//   - any other failed invocation gives nothing;
+//   - a stall, breaker or WAL-error record gives one event of its kind
+//     ("watchdog-stall" with the held milliseconds, "breaker" with the
+//     new state).
+//
+// An invocation event names an untenanted invocation's tenant "anon".
+// An invocation's events are stamped at its end (Start+Wall), a
+// runtime event at its Start. An event's seq is its record's lifetime
+// put number in the ring, so the events of one record share it and
+// consecutive dumps from one observer line up.
 
 // flightEventJSON is the incident-artifact shape of one event.
 type flightEventJSON struct {
@@ -126,10 +85,9 @@ const (
 // FlightPolicy tunes a flight recorder. The zero value of every field
 // picks a sensible default; the watchdog-stall and breaker-open
 // triggers are always armed, the rate triggers (ShedSpike, P99Latency)
-// only when their threshold is set.
+// only when their threshold is set. The dump depth is the observer's
+// ring capacity.
 type FlightPolicy struct {
-	// Events bounds the ring (default 4096 events).
-	Events int
 	// Dir receives incident dump files ("" keeps dumps in memory only,
 	// still served at /debug/flight).
 	Dir string
@@ -142,18 +100,15 @@ type FlightPolicy struct {
 	// ShedWindow is the shed-rate trigger's sliding window (default 1s).
 	ShedWindow time.Duration
 	// P99Latency arms the latency trigger: when the sliding-window p99
-	// of recorded decision latencies exceeds it, the ring freezes. 0
+	// of completed invocation latencies exceeds it, the ring freezes. 0
 	// disables.
 	P99Latency time.Duration
-	// LatencyWindow is how many recent decisions the p99 estimate spans
-	// (default 256).
+	// LatencyWindow is how many recent invocations the p99 estimate
+	// spans (default 256).
 	LatencyWindow int
 }
 
 func (p FlightPolicy) withDefaults() FlightPolicy {
-	if p.Events <= 0 {
-		p.Events = 4096
-	}
 	if p.Debounce <= 0 {
 		p.Debounce = 30 * time.Second
 	}
@@ -174,21 +129,20 @@ func (p FlightPolicy) withDefaults() FlightPolicy {
 	return p
 }
 
-// FlightRecorder is the black-box ring plus its trigger state. One
-// short mutex guards everything; Record is a lock, a slot copy, and an
-// unlock — no allocation (the ring and all trigger windows are sized
-// at construction).
+// FlightRecorder is the trigger state over an observer's ring: the
+// shed-rate and p99 windows, the debounce and the dump writer. One
+// short mutex guards it; the trigger windows are sized at
+// construction, so feeding them allocates nothing. The recorder never
+// holds its mutex while it reads the ring.
 type FlightRecorder struct {
 	policy FlightPolicy
-	reg    *Registry
+	ring   *RingSink
 	dumps  *CounterVec
 
 	// now is injectable for deterministic tests.
 	now func() time.Time
 
-	mu   sync.Mutex
-	ring []FlightEvent
-	seq  uint64 // events recorded; ring[(seq-1)%len] is newest
+	mu sync.Mutex
 
 	// Shed-rate trigger: a ring of recent shed instants.
 	shedTimes []time.Time
@@ -210,15 +164,14 @@ type FlightRecorder struct {
 	dumpErr    error  // last file-write failure (surfaced, never fatal)
 }
 
-// NewFlightRecorder builds a recorder; reg (may be nil) receives the
-// eas_flight_dumps_total{trigger} accounting family.
-func NewFlightRecorder(p FlightPolicy, reg *Registry) *FlightRecorder {
+// newFlightRecorder builds a recorder dumping ring; reg (may be nil)
+// receives the eas_flight_dumps_total{trigger} accounting family.
+func newFlightRecorder(p FlightPolicy, ring *RingSink, reg *Registry) *FlightRecorder {
 	p = p.withDefaults()
 	f := &FlightRecorder{
 		policy: p,
-		reg:    reg,
+		ring:   ring,
 		now:    time.Now,
-		ring:   make([]FlightEvent, p.Events),
 	}
 	if p.ShedSpike > 1 {
 		// The ring holds the ShedSpike-1 most recent shed instants: when
@@ -239,91 +192,10 @@ func NewFlightRecorder(p FlightPolicy, reg *Registry) *FlightRecorder {
 	return f
 }
 
-// Record appends one event to the ring. Safe for concurrent use;
-// allocation-free (the ≤1-alloc-per-event budget is spent nowhere on
-// this path — see BenchmarkFlightRecord).
-func (f *FlightRecorder) Record(ev FlightEvent) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	ev.Seq = f.seq + 1
-	if ev.UnixNano == 0 {
-		ev.UnixNano = f.now().UnixNano()
-	}
-	f.ring[f.seq%uint64(len(f.ring))] = ev
-	f.seq++
-	f.mu.Unlock()
-}
-
-// RecordDecision appends a decision summary and feeds the p99 latency
-// trigger.
-func (f *FlightRecorder) RecordDecision(kernel, tenant, category string, alpha, seconds float64, fastPath bool) {
-	if f == nil {
-		return
-	}
-	f.Record(FlightEvent{
-		Kind: FlightDecision, Kernel: kernel, Tenant: tenant, Detail: category,
-		Alpha: alpha, Value: seconds, FastPath: fastPath,
-	})
-	f.observeLatency(seconds)
-}
-
-// RecordShed appends a load-shedding event and feeds the shed-rate
-// trigger.
-func (f *FlightRecorder) RecordShed(tenant, class, reason string) {
-	if f == nil {
-		return
-	}
-	f.Record(FlightEvent{Kind: FlightShed, Tenant: tenant, Kernel: class, Detail: reason})
-	f.observeShed()
-}
-
-// RecordBreaker appends a breaker transition; an opening breaker
-// (state 1) is a trigger.
-func (f *FlightRecorder) RecordBreaker(state int, name string) {
-	if f == nil {
-		return
-	}
-	f.Record(FlightEvent{Kind: FlightBreaker, Detail: name, Value: float64(state)})
-	if state == 1 {
-		f.Trigger(TriggerBreakerOpen, "GPU circuit breaker opened")
-	}
-}
-
-// RecordWatchdogStall appends a stall event and triggers a dump: a
-// force-released gate is the incident the recorder exists for.
-func (f *FlightRecorder) RecordWatchdogStall(tenant string, held time.Duration) {
-	if f == nil {
-		return
-	}
-	f.Record(FlightEvent{Kind: FlightWatchdogStall, Tenant: tenant,
-		Value: float64(held.Milliseconds())})
-	f.Trigger(TriggerWatchdogStall, "admission watchdog force-released the gate")
-}
-
-// RecordWALError appends a durable-state write failure (event only —
-// persistence failures degrade gracefully and have their own counter).
-func (f *FlightRecorder) RecordWALError() {
-	if f == nil {
-		return
-	}
-	f.Record(FlightEvent{Kind: FlightWALError})
-}
-
-// RecordDegradation appends a fallback instant (the invocation
-// deviated from its planned split).
-func (f *FlightRecorder) RecordDegradation(kernel, tenant, reason string) {
-	if f == nil {
-		return
-	}
-	f.Record(FlightEvent{Kind: FlightDegradation, Kernel: kernel, Tenant: tenant, Detail: reason})
-}
-
 // observeShed slides the shed window and fires the spike trigger when
 // ShedSpike sheds landed inside ShedWindow.
 func (f *FlightRecorder) observeShed() {
-	if f.policy.ShedSpike <= 0 {
+	if f == nil || f.policy.ShedSpike <= 0 {
 		return
 	}
 	if f.policy.ShedSpike == 1 {
@@ -350,7 +222,7 @@ func (f *FlightRecorder) observeShed() {
 // preallocated scratch copy, so the hot path never allocates; the sort
 // runs at most once per quarter-window of decisions.
 func (f *FlightRecorder) observeLatency(seconds float64) {
-	if f.policy.P99Latency <= 0 {
+	if f == nil || f.policy.P99Latency <= 0 {
 		return
 	}
 	bound := f.policy.P99Latency.Seconds()
@@ -395,22 +267,20 @@ func (f *FlightRecorder) Trigger(trigger, reason string) bool {
 	}
 	f.lastDump = now
 	f.dumpSeq++
-	dump := f.buildDumpLocked(trigger, reason, now)
+	dump := FlightDump{Trigger: trigger, Reason: reason, Dump: f.dumpSeq, Suppressed: f.suppressed}
 	f.suppressed = 0
-	seq := f.dumpSeq
 	f.mu.Unlock()
 
-	data, err := json.MarshalIndent(dump, "", "  ")
+	data, err := f.render(dump, now)
 	if err != nil {
 		// A marshal failure leaves the previous artifact in place.
 		return false
 	}
-	data = append(data, '\n')
 	f.mu.Lock()
 	f.lastJSON = data
 	f.mu.Unlock()
 	if f.policy.Dir != "" {
-		name := fmt.Sprintf("incident-%06d-%s.json", seq, trigger)
+		name := fmt.Sprintf("incident-%06d-%s.json", dump.Dump, trigger)
 		err = os.MkdirAll(f.policy.Dir, 0o755)
 		if err == nil {
 			err = statestore.WriteFileAtomic(filepath.Join(f.policy.Dir, name), data)
@@ -431,39 +301,62 @@ func (f *FlightRecorder) Trigger(trigger, reason string) bool {
 	return true
 }
 
-// buildDumpLocked assembles the incident artifact from the frozen
-// ring. Caller holds f.mu.
-func (f *FlightRecorder) buildDumpLocked(trigger, reason string, now time.Time) FlightDump {
-	n := f.seq
-	cap64 := uint64(len(f.ring))
-	start := uint64(0)
-	if n > cap64 {
-		start = n - cap64
+// render fills the artifact's time and events and encodes it. The
+// events are the ring's retained records, expanded by the dump rules at
+// the top of this file. The caller must not hold f.mu: the ring takes
+// its own lock.
+func (f *FlightRecorder) render(dump FlightDump, now time.Time) ([]byte, error) {
+	recs, first := f.ring.snapshot()
+	dump.Time = stamp(now)
+	dump.Events = make([]flightEventJSON, 0, len(recs))
+	for i := range recs {
+		dump.Events = recs[i].appendFlightEvents(dump.Events, first+uint64(i))
 	}
-	events := make([]flightEventJSON, 0, n-start)
-	for i := start; i < n; i++ {
-		ev := f.ring[i%cap64]
-		events = append(events, flightEventJSON{
-			Seq:      ev.Seq,
-			Time:     time.Unix(0, ev.UnixNano).UTC().Format(time.RFC3339Nano),
-			Kind:     ev.Kind.String(),
-			Kernel:   ev.Kernel,
-			Tenant:   ev.Tenant,
-			Detail:   ev.Detail,
-			Alpha:    ev.Alpha,
-			Value:    ev.Value,
-			FastPath: ev.FastPath,
-		})
+	data, err := json.MarshalIndent(dump, "", "  ")
+	if err != nil {
+		return nil, err
 	}
-	return FlightDump{
-		Trigger:    trigger,
-		Reason:     reason,
-		Time:       now.UTC().Format(time.RFC3339Nano),
-		Dump:       f.dumpSeq,
-		Suppressed: f.suppressed,
-		Events:     events,
-	}
+	return append(data, '\n'), nil
 }
+
+// appendFlightEvents expands one record into its incident-dump events;
+// seq is the record's put number in the ring.
+func (r *Invocation) appendFlightEvents(events []flightEventJSON, seq uint64) []flightEventJSON {
+	ev := flightEventJSON{Seq: seq, Time: stamp(r.Start), Kind: r.Kind.String()}
+	if r.Kind != KindInvocation {
+		switch r.Kind {
+		case KindWatchdogStall:
+			ev.Tenant = r.Tenant
+			ev.Value = float64(r.Hold.Milliseconds())
+		case KindBreaker:
+			ev.Detail = breakerStateName(r.Breaker)
+			ev.Value = float64(r.Breaker)
+		}
+		return append(events, ev)
+	}
+	if r.Err != "" && r.Shed == "" {
+		return events
+	}
+	ev.Time = stamp(r.Start.Add(r.Wall))
+	ev.Tenant = r.Tenant
+	if ev.Tenant == "" {
+		ev.Tenant = AnonTenant
+	}
+	if r.Shed != "" {
+		ev.Kind, ev.Kernel, ev.Detail = "shed", r.Class, r.Shed
+		return append(events, ev)
+	}
+	ev.Kind, ev.Kernel, ev.Detail = "decision", r.Kernel, r.Category
+	ev.Alpha, ev.Value, ev.FastPath = r.Alpha, r.Wall.Seconds(), r.FastPath
+	events = append(events, ev)
+	if r.Fallback != "" {
+		events = append(events, flightEventJSON{Seq: seq, Time: ev.Time, Kind: "degradation",
+			Kernel: r.Kernel, Tenant: ev.Tenant, Detail: r.Fallback})
+	}
+	return events
+}
+
+func stamp(t time.Time) string { return t.UTC().Format(time.RFC3339Nano) }
 
 // LastDump returns the most recent incident artifact's JSON (nil when
 // no trigger has fired yet).
@@ -489,13 +382,10 @@ func (f *FlightRecorder) Snapshot() ([]byte, error) {
 		return nil, fmt.Errorf("obs: nil flight recorder")
 	}
 	f.mu.Lock()
-	dump := f.buildDumpLocked(TriggerManual, "on-demand ring snapshot", f.now())
+	dump := FlightDump{Trigger: TriggerManual, Reason: "on-demand ring snapshot", Dump: f.dumpSeq, Suppressed: f.suppressed}
+	now := f.now()
 	f.mu.Unlock()
-	data, err := json.MarshalIndent(dump, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return f.render(dump, now)
 }
 
 // DumpError returns the last incident-file write failure (nil when

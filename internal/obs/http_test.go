@@ -18,12 +18,11 @@ func httpGet(t *testing.T, h http.Handler, path string) *httptest.ResponseRecord
 }
 
 func TestHTTPTenantsEndpoint(t *testing.T) {
-	reg := NewRegistry()
-	o := New(nil, reg)
+	o := New(nil, nil)
 	o.Finish(&Invocation{Tenant: "tenant-a", Class: "batch", Start: time.Now(), GPUEnergyJ: 2.5})
-	o.RecordShed("tenant-a", "batch", "queue-full")
+	o.Finish(shedRecord("tenant-a", "queue-full"))
 
-	h := NewHTTPHandlerOpts(HTTPOptions{Registry: reg, Observer: o})
+	h := NewHTTPHandler(o, false)
 	rec := httpGet(t, h, "/debug/tenants")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
@@ -41,23 +40,21 @@ func TestHTTPTenantsEndpoint(t *testing.T) {
 	}
 
 	// Without an observer the endpoint 404s.
-	if rec := httpGet(t, NewHTTPHandler(reg, nil), "/debug/tenants"); rec.Code != http.StatusNotFound {
+	if rec := httpGet(t, NewHTTPHandler(nil, false), "/debug/tenants"); rec.Code != http.StatusNotFound {
 		t.Fatalf("tenants without observer: status %d, want 404", rec.Code)
 	}
 }
 
 func TestHTTPFlightEndpoint(t *testing.T) {
-	reg := NewRegistry()
-	o := New(nil, reg)
-	h := NewHTTPHandlerOpts(HTTPOptions{Registry: reg, Observer: o})
+	o := New(nil, nil)
+	h := NewHTTPHandler(o, false)
 
 	// No recorder attached: 404.
 	if rec := httpGet(t, h, "/debug/flight"); rec.Code != http.StatusNotFound {
 		t.Fatalf("flight without recorder: status %d, want 404", rec.Code)
 	}
 
-	flight := o.AttachFlight(FlightPolicy{Events: 8})
-	h = NewHTTPHandlerOpts(HTTPOptions{Registry: reg, Observer: o})
+	o.AttachFlight(FlightPolicy{})
 
 	// Recorder armed but no incident yet: a live "manual" snapshot.
 	rec := httpGet(t, h, "/debug/flight")
@@ -73,7 +70,7 @@ func TestHTTPFlightEndpoint(t *testing.T) {
 	}
 
 	// After an incident the endpoint serves the frozen artifact.
-	flight.RecordWatchdogStall("tenant-a", 100*time.Millisecond)
+	o.RecordWatchdogStall("tenant-a", 100*time.Millisecond)
 	rec = httpGet(t, h, "/debug/flight")
 	if err := json.Unmarshal(rec.Body.Bytes(), &dump); err != nil {
 		t.Fatal(err)
@@ -84,8 +81,8 @@ func TestHTTPFlightEndpoint(t *testing.T) {
 }
 
 func TestHTTPPprofGating(t *testing.T) {
-	reg := NewRegistry()
-	off := NewHTTPHandlerOpts(HTTPOptions{Registry: reg})
+	o := New(nil, nil)
+	off := NewHTTPHandler(o, false)
 	if rec := httpGet(t, off, "/debug/pprof/"); rec.Code != http.StatusNotFound {
 		t.Fatalf("pprof without opt-in: status %d, want 404", rec.Code)
 	}
@@ -93,7 +90,7 @@ func TestHTTPPprofGating(t *testing.T) {
 		t.Fatalf("index links pprof without opt-in:\n%s", body)
 	}
 
-	on := NewHTTPHandlerOpts(HTTPOptions{Registry: reg, EnablePprof: true})
+	on := NewHTTPHandler(o, true)
 	if rec := httpGet(t, on, "/debug/pprof/"); rec.Code != http.StatusOK {
 		t.Fatalf("pprof with opt-in: status %d, want 200", rec.Code)
 	}
@@ -103,10 +100,9 @@ func TestHTTPPprofGating(t *testing.T) {
 }
 
 func TestHTTPIndexLinks(t *testing.T) {
-	reg := NewRegistry()
-	o := New(nil, reg)
-	o.AttachFlight(FlightPolicy{Events: 8})
-	h := NewHTTPHandlerOpts(HTTPOptions{Registry: reg, Observer: o})
+	o := New(nil, nil)
+	o.AttachFlight(FlightPolicy{})
+	h := NewHTTPHandler(o, false)
 	body := httpGet(t, h, "/").Body.String()
 	for _, want := range []string{"/metrics", "/debug/trace", "/debug/tenants", "/debug/flight"} {
 		if !strings.Contains(body, want) {

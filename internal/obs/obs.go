@@ -13,11 +13,14 @@
 //     stack — the wall time of each phase (admission wait, profile,
 //     α search, execute, functional), the decision, the energy split,
 //     and the rare-path outcomes (CPU-only exits, fallbacks, retries,
-//     quarantined profiles, admission holds) — and hands it to
-//     Observer.Finish once. RingSink keeps the last N records for
-//     post-mortem dumps; WriteChromeTrace expands them into Chrome
-//     trace-event JSON that Perfetto and chrome://tracing load
-//     directly, one track per invocation.
+//     quarantined profiles, admission holds, sheds) — and hands it to
+//     Observer.Finish once. The observer's RingSink keeps the last N
+//     records, with watchdog stalls, breaker transitions and WAL errors
+//     put between them as records of their own kind. WriteChromeTrace
+//     expands them into Chrome trace-event JSON that Perfetto and
+//     chrome://tracing load directly, one track per invocation.
+//   - Flight recorder: optional anomaly triggers that freeze the same
+//     ring into a JSON incident dump.
 //   - Decision audit: the record's Explain holds the α search's inputs
 //     — measured throughputs R_C/R_G, the chosen workload category, the
 //     fitted P(α) curve. The objective at every α grid point is rebuilt
@@ -26,7 +29,7 @@
 //     alone at a fixed per-decision cost.
 //   - Metrics: Registry holds atomic counters, gauges, and fixed-bucket
 //     histograms with a Prometheus text writer and an optional HTTP
-//     handler (/metrics, /debug/trace).
+//     handler (/metrics, /debug/trace, /debug/tenants, /debug/flight).
 //
 // Everything is nil-safe and off by default: a nil *Observer and a nil
 // *Invocation make every hook a no-op, so the disabled hot path
@@ -108,7 +111,7 @@ func (ex *Explain) Grid() []GridPoint {
 }
 
 // Observer is the root of the observability layer: it owns the ring
-// invocation records flow into and the registry metrics flow into. All
+// records flow into and the registry metrics flow into. All
 // methods are nil-receiver-safe, so instrumented code holds a
 // possibly-nil *Observer and calls through unconditionally; the
 // disabled path is a pointer test.
@@ -181,9 +184,13 @@ var DefBuckets = []float64{
 // step of the paper's grid.
 var AlphaBuckets = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}
 
-// New builds an observer keeping invocation records in ring (nil keeps
-// metrics only) and metrics in reg (nil allocates a fresh Registry).
+// New builds an observer keeping records in ring (nil allocates a
+// ring of DefaultRingCapacity) and metrics in reg (nil allocates a
+// fresh Registry).
 func New(ring *RingSink, reg *Registry) *Observer {
+	if ring == nil {
+		ring = NewRingSink(DefaultRingCapacity)
+	}
 	if reg == nil {
 		reg = NewRegistry()
 	}
@@ -291,6 +298,15 @@ func (o *Observer) Registry() *Registry {
 	return o.reg
 }
 
+// Ring returns the observer's ring of records (nil for a nil
+// observer).
+func (o *Observer) Ring() *RingSink {
+	if o == nil {
+		return nil
+	}
+	return o.ring
+}
+
 // Enabled reports whether the observer is live.
 func (o *Observer) Enabled() bool { return o != nil }
 
@@ -306,16 +322,27 @@ func (o *Observer) NextInvocationID() uint64 {
 }
 
 // Finish closes an invocation's record: it stamps the wall-clock
-// latency, copies the record into the ring, and folds an invocation
-// that completed (no Err) into the registry and the flight recorder.
-// It is the one call the runtime makes per observed invocation.
+// latency and copies the record into the ring. A shed invocation is
+// counted against its tenant and reason and feeds the flight
+// recorder's shed-rate trigger; one that completed (no Err) is folded
+// into the registry and the p99 trigger. It is the one call the
+// runtime makes per observed invocation.
 func (o *Observer) Finish(r *Invocation) {
 	if o == nil || r == nil {
 		return
 	}
 	r.Wall = time.Since(r.Start)
-	if o.ring != nil {
-		o.ring.Put(r)
+	o.ring.Put(r)
+	// Per-tenant attribution. Tenant ids are user-supplied; the families
+	// intern them behind a hard cardinality cap, so the hot path here is
+	// an RLock and a map probe per family, allocation-free.
+	tenant := r.Tenant
+	if tenant == "" {
+		tenant = AnonTenant
+	}
+	if r.Shed != "" {
+		o.tenantShed.With2(tenant, r.Shed).Inc()
+		o.flight.observeShed()
 	}
 	if r.Err != "" {
 		return
@@ -348,13 +375,6 @@ func (o *Observer) Finish(r *Invocation) {
 		o.fastPath.Inc()
 	}
 
-	// Per-tenant attribution. Tenant ids are user-supplied; the families
-	// intern them behind a hard cardinality cap, so the hot path here is
-	// an RLock and a map probe per family, allocation-free.
-	tenant := r.Tenant
-	if tenant == "" {
-		tenant = AnonTenant
-	}
 	class := r.Class
 	if class == "" {
 		class = "interactive"
@@ -376,42 +396,21 @@ func (o *Observer) Finish(r *Invocation) {
 	if r.Category != "" {
 		o.catDecisions.With1(r.Category).Inc()
 	}
-	if o.flight != nil {
-		o.flight.RecordDecision(r.Kernel, tenant, r.Category,
-			r.Alpha, seconds, r.FastPath)
-		if r.Fallback != "" {
-			o.flight.RecordDegradation(r.Kernel, tenant, r.Fallback)
-		}
-	}
+	o.flight.observeLatency(seconds)
 }
 
-// RecordShed counts one admission-gate load-shedding rejection against
-// its tenant and reason, and lands a shed event in the flight ring.
-func (o *Observer) RecordShed(tenant, class, reason string) {
-	if o == nil {
-		return
-	}
-	if tenant == "" {
-		tenant = AnonTenant
-	}
-	o.tenantShed.With2(tenant, reason).Inc()
-	if o.flight != nil {
-		o.flight.RecordShed(tenant, class, reason)
-	}
-}
-
-// AttachFlight arms the black-box flight recorder: every subsequent
-// decision, shed, breaker transition, watchdog stall, and WAL error
-// lands in its ring, and the policy's trigger conditions freeze the
-// ring into incident dumps. Attach before the runtime starts serving;
-// the recorder itself is concurrency-safe, but the o.flight pointer is
+// AttachFlight arms the black-box flight recorder: the policy's
+// trigger conditions freeze the observer's ring — the invocation
+// records and the stall, breaker and WAL-error records between them —
+// into incident dumps. Attach before the runtime starts serving; the
+// recorder itself is concurrency-safe, but the o.flight pointer is
 // written without synchronization. Returns the recorder (nil for a
 // nil observer).
 func (o *Observer) AttachFlight(p FlightPolicy) *FlightRecorder {
 	if o == nil {
 		return nil
 	}
-	o.flight = NewFlightRecorder(p, o.reg)
+	o.flight = newFlightRecorder(p, o.ring, o.reg)
 	return o.flight
 }
 
@@ -436,13 +435,14 @@ func (o *Observer) RecordStateAppend(bytes int) {
 }
 
 // RecordStateError counts one durable-state write failure — the event
-// that permanently disables persistence for the run.
+// that permanently disables persistence for the run — and puts a
+// WAL-error record in the ring.
 func (o *Observer) RecordStateError() {
 	if o == nil {
 		return
 	}
 	o.stateErrors.Inc()
-	o.flight.RecordWALError()
+	o.ring.Put(&Invocation{Kind: KindWALError, Start: time.Now()})
 }
 
 // RecordStateSnapshot counts one compaction into an atomic snapshot.
@@ -483,34 +483,38 @@ func (o *Observer) RecordDrain(seconds float64) {
 // admission gate: the stall counter increments and a stall record (the
 // wedged tenant and the time held) lands in the ring, exported as a
 // "watchdog-stall" instant, so overload incidents are visible on the
-// Perfetto timeline, not only in counters.
+// Perfetto timeline, not only in counters. A stall triggers a flight
+// dump: a force-released gate is the incident the recorder exists for.
 func (o *Observer) RecordWatchdogStall(tenant string, held time.Duration) {
 	if o == nil {
 		return
 	}
 	o.watchdogStall.Inc()
-	if o.ring != nil {
-		o.ring.Put(&Invocation{Stall: true, Tenant: tenant, Hold: held, Start: time.Now()})
-	}
-	o.flight.RecordWatchdogStall(tenant, held)
+	o.ring.Put(&Invocation{Kind: KindWatchdogStall, Tenant: tenant, Hold: held, Start: time.Now()})
+	o.flight.Trigger(TriggerWatchdogStall, "admission watchdog force-released the gate")
 }
 
 // RecordBreakerTransition notes one circuit-breaker state change
-// (states encoded 0=closed, 1=open, 2=half-open). It is the one writer
-// of eas_breaker_state, so several runtimes sharing the observer never
-// overwrite another's open breaker with their own closed one.
+// (states encoded 0=closed, 1=open, 2=half-open) and puts a breaker
+// record in the ring; an opening breaker triggers a flight dump. It is
+// the one writer of eas_breaker_state, so several runtimes sharing the
+// observer never overwrite another's open breaker with their own
+// closed one.
 func (o *Observer) RecordBreakerTransition(to int) {
 	if o == nil {
 		return
 	}
 	o.breakerTrans.Inc()
 	o.breakerState.Set(float64(to))
-	o.flight.RecordBreaker(to, breakerStateName(to))
+	o.ring.Put(&Invocation{Kind: KindBreaker, Breaker: uint8(to), Start: time.Now()})
+	if to == 1 {
+		o.flight.Trigger(TriggerBreakerOpen, "GPU circuit breaker opened")
+	}
 }
 
 // breakerStateName maps the runtime's breaker-state encoding to its
 // label (mirrors robust.BreakerState without importing it).
-func breakerStateName(state int) string {
+func breakerStateName(state uint8) string {
 	switch state {
 	case 0:
 		return "closed"

@@ -224,7 +224,7 @@ func TestHTTPHandler(t *testing.T) {
 	o := New(ring, nil)
 	o.Finish(&Invocation{ID: 1, Kernel: "k", Start: time.Now(), Alpha: 0.5})
 
-	srv := httptest.NewServer(NewHTTPHandler(o.Registry(), ring))
+	srv := httptest.NewServer(NewHTTPHandler(o, false))
 	defer srv.Close()
 
 	get := func(path string) (int, string, string) {

@@ -96,13 +96,49 @@ type Invocation struct {
 	// Hold is a scripted admission hold (a stall record's held time).
 	Hold time.Duration
 	// Err is the error text of an invocation that failed; a failed
-	// invocation is traced but not counted in the metrics.
-	Err string
+	// invocation is traced but not counted in the metrics. Shed is the
+	// reason the admission gate shed it ("" when it was admitted).
+	Err, Shed string
 
-	// Stall marks the one kind of entry that is not an invocation: a
-	// watchdog force-release of the admission gate, carrying the
-	// wedged Tenant and the Hold time.
-	Stall bool
+	// Kind marks the entries that are not invocations: a watchdog
+	// stall (the wedged Tenant and the Hold time), a breaker
+	// transition (its new state in Breaker) or a durable-state write
+	// failure. Such a record has no ID and is stamped at its Start.
+	Kind RecordKind
+	// Breaker is a breaker record's new state (0=closed, 1=open,
+	// 2=half-open).
+	Breaker uint8
+}
+
+// RecordKind tells an invocation record from the runtime events the
+// ring keeps beside them.
+type RecordKind uint8
+
+const (
+	// KindInvocation is one observed invocation.
+	KindInvocation RecordKind = iota
+	// KindWatchdogStall is one watchdog force-release of the
+	// admission gate.
+	KindWatchdogStall
+	// KindBreaker is one circuit-breaker state transition.
+	KindBreaker
+	// KindWALError is one durable-state write failure.
+	KindWALError
+)
+
+var recordKindNames = [...]string{
+	KindInvocation:    "invocation",
+	KindWatchdogStall: "watchdog-stall",
+	KindBreaker:       "breaker",
+	KindWALError:      "wal-error",
+}
+
+// String returns the kind's trace and incident-dump label.
+func (k RecordKind) String() string {
+	if int(k) < len(recordKindNames) {
+		return recordKindNames[k]
+	}
+	return "unknown"
 }
 
 // Begin marks the start of phase p.

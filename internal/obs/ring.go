@@ -12,10 +12,10 @@ const DefaultRingCapacity = 1536
 // built at set-up long before they fill.
 const ringPage = 256
 
-// RingSink retains the most recent invocation records in a
-// fixed-capacity ring for post-mortem dumps: when something goes
-// wrong, the last N records are a flight recorder of what the
-// scheduler decided and why. It is safe for concurrent use.
+// RingSink retains the most recent records in a fixed-capacity ring:
+// the last N invocations and the runtime events between them. The
+// trace export and the flight recorder's incident dumps both read it.
+// It is safe for concurrent use.
 type RingSink struct {
 	mu       sync.Mutex
 	pages    [][]Invocation // ring slot i is pages[i/ringPage][i%ringPage]
@@ -78,6 +78,13 @@ func (r *RingSink) Total() uint64 {
 // Snapshot copies the retained records out in the order they were put
 // (oldest first).
 func (r *RingSink) Snapshot() []Invocation {
+	recs, _ := r.snapshot()
+	return recs
+}
+
+// snapshot is Snapshot that also returns the lifetime put number of
+// the first record copied (records are numbered from 1).
+func (r *RingSink) snapshot() ([]Invocation, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n, first := r.next, 0
@@ -85,12 +92,12 @@ func (r *RingSink) Snapshot() []Invocation {
 		n, first = r.capacity, r.next
 	}
 	if n == 0 {
-		return nil
+		return nil, 0
 	}
 	out := make([]Invocation, n)
 	for k := range out {
 		i := (first + k) % r.capacity
 		out[k] = r.pages[i/ringPage][i%ringPage]
 	}
-	return out
+	return out, r.total - uint64(n) + 1
 }

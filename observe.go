@@ -26,21 +26,22 @@ import (
 // allocates nothing extra.
 type Observer struct {
 	inner *obs.Observer
-	ring  *obs.RingSink
-	reg   *obs.Registry
 	pprof bool
 }
 
 // ObserverOptions tunes a new Observer. The zero value is a good
 // default.
 type ObserverOptions struct {
-	// RingCapacity bounds the ring of invocation records (default 1536,
-	// the last ~1500 invocations); older records are overwritten.
+	// RingCapacity bounds the ring of records (default 1536: the last
+	// ~1500 invocations, with the watchdog stalls, breaker transitions
+	// and WAL errors between them); older records are overwritten. It
+	// also bounds what a flight-recorder dump holds.
 	RingCapacity int
-	// Flight arms the black-box flight recorder: an always-on ring of
-	// compact scheduler events (decisions, sheds, breaker transitions,
-	// watchdog stalls, WAL errors) that anomaly triggers freeze into
-	// JSON incident dumps. The zero value keeps the recorder off.
+	// Flight arms the black-box flight recorder: anomaly triggers that
+	// freeze the ring of records into JSON incident dumps of the
+	// decisions, degradations, sheds, breaker transitions, watchdog
+	// stalls and WAL errors it holds. The zero value keeps the recorder
+	// off.
 	Flight FlightPolicy
 	// EnablePprof mounts Go's net/http/pprof profiling endpoints under
 	// /debug/pprof/ on Handler and Serve. Off by default — the profile
@@ -56,8 +57,6 @@ type ObserverOptions struct {
 type FlightPolicy struct {
 	// Enable arms the recorder even with every other field zero.
 	Enable bool
-	// Events bounds the event ring (default 4096).
-	Events int
 	// Dir receives incident dump files named
 	// incident-<n>-<trigger>.json ("" keeps dumps in memory only,
 	// served at /debug/flight).
@@ -86,7 +85,6 @@ func (p FlightPolicy) enabled() bool {
 
 func (p FlightPolicy) internal() obs.FlightPolicy {
 	return obs.FlightPolicy{
-		Events:        p.Events,
 		Dir:           p.Dir,
 		Debounce:      p.Debounce,
 		ShedSpike:     p.ShedSpike,
@@ -99,9 +97,7 @@ func (p FlightPolicy) internal() obs.FlightPolicy {
 // NewObserver builds an observer with a bounded record ring and a fresh
 // metrics registry.
 func NewObserver(opts ObserverOptions) *Observer {
-	ring := obs.NewRingSink(opts.RingCapacity)
-	reg := obs.NewRegistry()
-	o := &Observer{inner: obs.New(ring, reg), ring: ring, reg: reg, pprof: opts.EnablePprof}
+	o := &Observer{inner: obs.New(obs.NewRingSink(opts.RingCapacity), nil), pprof: opts.EnablePprof}
 	if opts.Flight.enabled() {
 		o.inner.AttachFlight(opts.Flight.internal())
 	}
@@ -129,7 +125,7 @@ func (o *Observer) WriteChromeTrace(w io.Writer) error {
 	if o == nil {
 		return errors.New("eas: nil observer")
 	}
-	return obs.WriteChromeTrace(w, o.ring.Snapshot())
+	return obs.WriteChromeTrace(w, o.inner.Ring().Snapshot())
 }
 
 // WriteMetrics writes the metrics registry in Prometheus text
@@ -138,7 +134,7 @@ func (o *Observer) WriteMetrics(w io.Writer) error {
 	if o == nil {
 		return errors.New("eas: nil observer")
 	}
-	return o.reg.WritePrometheus(w)
+	return o.inner.Registry().WritePrometheus(w)
 }
 
 // Handler returns an http.Handler serving /metrics (Prometheus text),
@@ -150,12 +146,7 @@ func (o *Observer) Handler() http.Handler {
 	if o == nil {
 		return http.NotFoundHandler()
 	}
-	return obs.NewHTTPHandlerOpts(obs.HTTPOptions{
-		Registry:    o.reg,
-		Ring:        o.ring,
-		Observer:    o.inner,
-		EnablePprof: o.pprof,
-	})
+	return obs.NewHTTPHandler(o.inner, o.pprof)
 }
 
 // FlightDumps reports how many incident dumps the flight recorder has
@@ -207,23 +198,25 @@ func (s *ObserverServer) Close() error {
 // counters (work-stealing pool, GPU command queues, admission gate) into
 // the observer's registry as pull-style metrics: a collector snapshots
 // the component stats at scrape time and folds the delta since the
-// previous scrape into shared counters, so several runtimes on one
-// observer sum cleanly. The returned function folds the final deltas
-// and unregisters the collector, so a closed runtime keeps counting
-// toward the totals without staying reachable from the observer.
+// previous scrape into shared counters and gauges, so several runtimes
+// on one observer sum cleanly. The returned function folds the final
+// counter deltas, takes the runtime's share out of the gauges and
+// unregisters the collector, so a closed runtime keeps counting toward
+// the totals without staying reachable from the observer.
 func (o *Observer) registerRuntimeCollectors(r *Runtime) (remove func()) {
 	if o == nil {
 		return func() {}
 	}
-	steals := o.reg.Counter("eas_ws_steals_total",
+	reg := o.inner.Registry()
+	steals := reg.Counter("eas_ws_steals_total",
 		"Work-stealing chunks executed by a worker other than their owner.")
-	parks := o.reg.Counter("eas_ws_parks_total",
+	parks := reg.Counter("eas_ws_parks_total",
 		"Idle episodes in which a pool worker parked on the semaphore.")
-	wakes := o.reg.Counter("eas_ws_wakes_total",
+	wakes := reg.Counter("eas_ws_wakes_total",
 		"Wakeups delivered to parked pool workers.")
-	enqueues := o.reg.Counter("eas_cl_enqueues_total",
+	enqueues := reg.Counter("eas_cl_enqueues_total",
 		"Functional GPU NDRange enqueues attempted.")
-	busy := o.reg.Counter("eas_cl_enqueue_busy_total",
+	busy := reg.Counter("eas_cl_enqueue_busy_total",
 		"Functional GPU enqueues transiently rejected as device-busy.")
 	// Capture the components, not r: the runtime keeps the returned
 	// remove function, and a path from it back to r would form a cycle
@@ -231,8 +224,8 @@ func (o *Observer) registerRuntimeCollectors(r *Runtime) (remove func()) {
 	pool, clctx := r.pool, r.ctx
 	lastPool := pool.Stats()
 	lastQ := clctx.Stats()
-	admission := o.admissionCollector(r.sched.Admission())
-	return o.reg.RegisterCollector(func() {
+	admission, retire := admissionCollector(reg, r.sched.Admission())
+	unregister := reg.RegisterCollector(func() {
 		p := pool.Stats()
 		steals.Add(p.Steals - lastPool.Steals)
 		parks.Add(p.Parks - lastPool.Parks)
@@ -244,6 +237,10 @@ func (o *Observer) registerRuntimeCollectors(r *Runtime) (remove func()) {
 		lastQ = q
 		admission()
 	})
+	return func() {
+		unregister()
+		retire()
+	}
 }
 
 // admissionCollector exposes admission-gate pressure on /metrics:
@@ -252,13 +249,16 @@ func (o *Observer) registerRuntimeCollectors(r *Runtime) (remove func()) {
 // late-release counts. Every class and reason series exists from
 // registration, so zero-valued series still appear. (Watchdog stalls
 // are push-style — see RecordWatchdogStall — because each one also
-// lands in the trace as a degradation instant.)
-func (o *Observer) admissionCollector(adm *core.Admission) func() {
-	waiters := o.reg.Gauge("eas_admission_waiters",
+// lands in the ring as a stall record.) The gauges, like the counters,
+// move by this gate's change since the previous scrape, so the gates
+// of several runtimes sum; retire takes this gate's last reading back
+// out once its collector is gone.
+func admissionCollector(reg *obs.Registry, adm *core.Admission) (collect, retire func()) {
+	waiters := reg.Gauge("eas_admission_waiters",
 		"Invocations currently queued at the admission gate.")
-	depthVec := o.reg.GaugeVec("eas_admission_queue_depth",
+	depthVec := reg.GaugeVec("eas_admission_queue_depth",
 		"Invocations queued at the admission gate, by priority class.", []string{"class"}, 0)
-	admittedVec := o.reg.CounterVec("eas_admission_admitted_total",
+	admittedVec := reg.CounterVec("eas_admission_admitted_total",
 		"Invocations admitted through the admission gate, by priority class.", []string{"class"}, 0)
 	var depth [core.NumClasses]*obs.Gauge
 	var admitted [core.NumClasses]*obs.Counter
@@ -266,21 +266,24 @@ func (o *Observer) admissionCollector(adm *core.Admission) func() {
 		depth[c] = depthVec.With1(c.String())
 		admitted[c] = admittedVec.With1(c.String())
 	}
-	shed := o.reg.CounterVec("eas_admission_shed_total",
+	shed := reg.CounterVec("eas_admission_shed_total",
 		"Invocations shed at the admission gate, by reason.", []string{"reason"}, 0)
 	shedQuota := shed.With1("tenant-quota")
 	shedQueue := shed.With1("queue-full")
 	shedDeadline := shed.With1("deadline")
-	aging := o.reg.Counter("eas_admission_aging_promotions_total",
+	aging := reg.Counter("eas_admission_aging_promotions_total",
 		"Grants in which aging let a lower-priority waiter overtake a queued higher class.")
-	late := o.reg.Counter("eas_admission_late_releases_total",
+	late := reg.Counter("eas_admission_late_releases_total",
 		"Releases arriving after the watchdog had already revoked the holder's ticket.")
 	var last core.AdmissionStats
-	return func() {
-		waiters.Set(float64(adm.Waiters()))
+	var lastWaiters int
+	collect = func() {
+		w := adm.Waiters()
+		waiters.Add(float64(w - lastWaiters))
+		lastWaiters = w
 		st := adm.Stats()
 		for c := 0; c < core.NumClasses; c++ {
-			depth[c].Set(float64(st.QueueDepth[c]))
+			depth[c].Add(float64(st.QueueDepth[c] - last.QueueDepth[c]))
 			admitted[c].Add(st.Admitted[c] - last.Admitted[c])
 		}
 		shedQuota.Add(st.ShedQuota - last.ShedQuota)
@@ -290,4 +293,11 @@ func (o *Observer) admissionCollector(adm *core.Admission) func() {
 		late.Add(st.LateReleases - last.LateReleases)
 		last = st
 	}
+	retire = func() {
+		waiters.Add(-float64(lastWaiters))
+		for c := 0; c < core.NumClasses; c++ {
+			depth[c].Add(-float64(last.QueueDepth[c]))
+		}
+	}
+	return collect, retire
 }

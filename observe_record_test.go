@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -45,18 +46,127 @@ func TestSharedObserverKeepsOpenBreakerState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := observer.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
+	if gauge := metricLine(t, observer, "eas_breaker_state"); gauge != "eas_breaker_state 1" {
+		t.Errorf("after B's invocations the gauge reads %q, want A's open breaker (1)", gauge)
 	}
-	gauge := "eas_breaker_state missing"
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.HasPrefix(line, "eas_breaker_state ") {
-			gauge = line
+}
+
+// heldGate is a runtime whose admission gate a held invocation owns,
+// with invocations queued behind it.
+type heldGate struct {
+	rt      *Runtime
+	release context.CancelFunc // ends the hold
+	done    chan error         // one result per invocation started
+	started int
+}
+
+// holdGate builds a runtime on observer, wedges its gate with one
+// held invocation and queues n more behind it.
+func holdGate(t *testing.T, observer *Observer, n int) *heldGate {
+	t.Helper()
+	plan := NewFaultPlan(5)
+	plan.HoldAdmission(time.Hour, 1)
+	// One buffered slot per invocation started, so none blocks on send.
+	g := &heldGate{rt: robustRuntime(t, plan, Config{Observer: observer}), done: make(chan error, n+1)}
+	ctx, cancel := context.WithCancel(context.Background())
+	g.release = cancel
+	k := computeKernel("gauge-shared", nil)
+	run := func(ctx context.Context) {
+		g.started++
+		go func() {
+			_, err := g.rt.ParallelForCtx(ctx, k, 200000)
+			g.done <- err
+		}()
+	}
+	run(ctx)
+	await(t, "the held invocation to own the gate", func() bool {
+		return g.rt.AdmissionStats().Admitted[ClassInteractive] == 1
+	})
+	for i := 0; i < n; i++ {
+		run(context.Background())
+	}
+	await(t, "the queue behind the hold", func() bool {
+		return g.rt.AdmissionStats().QueueDepth[ClassInteractive] == n
+	})
+	return g
+}
+
+// drain ends the hold and waits for every invocation: the held one
+// may fail with its cancelled context, the queued ones must succeed.
+func (g *heldGate) drain(t *testing.T) {
+	t.Helper()
+	g.release()
+	var failed int
+	for i := 0; i < g.started; i++ {
+		if err := <-g.done; err != nil {
+			failed++
 		}
 	}
-	if gauge != "eas_breaker_state 1" {
-		t.Errorf("after B's invocations the gauge reads %q, want A's open breaker (1)", gauge)
+	if failed > 1 {
+		t.Errorf("%d invocations failed, want at most the held one", failed)
+	}
+}
+
+// await spins until cond holds, yielding between checks.
+func await(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// metricLine returns the exposition line of one series.
+func metricLine(t *testing.T, o *Observer, series string) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := o.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, series+" ") {
+			return line
+		}
+	}
+	return series + " missing"
+}
+
+// TestSharedObserverSumsAdmissionGauges runs two runtimes on one
+// Observer, each gate held with invocations queued behind it. The
+// admission gauges must read the sum of both gates, and the
+// survivor's queue once the other runtime has drained and closed.
+func TestSharedObserverSumsAdmissionGauges(t *testing.T) {
+	observer := NewObserver(ObserverOptions{})
+	a := holdGate(t, observer, 2)
+	defer a.rt.Close()
+	defer a.release()
+	b := holdGate(t, observer, 1)
+	defer b.rt.Close()
+	defer b.release()
+
+	const waiters, depth = "eas_admission_waiters", `eas_admission_queue_depth{class="interactive"}`
+	for _, series := range []string{waiters, depth} {
+		if got := metricLine(t, observer, series); got != series+" 3" {
+			t.Errorf("with 2+1 queued: %q, want %s 3", got, series)
+		}
+	}
+	a.drain(t)
+	if err := a.rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{waiters, depth} {
+		if got := metricLine(t, observer, series); got != series+" 1" {
+			t.Errorf("after A closed: %q, want B's %s 1", got, series)
+		}
+	}
+	b.drain(t)
+	for _, series := range []string{waiters, depth} {
+		if got := metricLine(t, observer, series); got != series+" 0" {
+			t.Errorf("after both drained: %q, want %s 0", got, series)
+		}
 	}
 }
 
@@ -389,7 +499,7 @@ func TestObserverLeavesReportsUnchanged(t *testing.T) {
 	if fallbacks[FallbackGPUBusy] == 0 || fallbacks[FallbackEnqueueError] == 0 {
 		t.Errorf("fallbacks taken %v, want gpu-busy and enqueue-error among them", fallbacks)
 	}
-	if observed.ring.Total() != uint64(len(with)) {
-		t.Errorf("observer recorded %d invocations, want %d", observed.ring.Total(), len(with))
+	if got := observed.inner.Ring().Total(); got != uint64(len(with)) {
+		t.Errorf("observer recorded %d invocations, want %d", got, len(with))
 	}
 }
