@@ -3,6 +3,7 @@ package eas
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -107,27 +108,27 @@ func NewFaultPlan(seed int64) *FaultPlan {
 
 // GPUBusyFor scripts the next k GPU dispatch attempts (in the
 // simulated engine) to find the device owned by another application.
-func (f *FaultPlan) GPUBusyFor(k int) { f.inner.GPUBusyFor(k) }
+func (f *FaultPlan) GPUBusyFor(k int) { f.inner.Script(faultinject.GPUBusy, k, 0) }
 
 // HangKernels scripts the next k functional GPU dispatches to hang:
 // the driver accepts the NDRange but never starts the kernel, so only
 // Config.GPUDispatchTimeout (or context cancellation) recovers it. A
 // hung kernel never executes its body.
-func (f *FaultPlan) HangKernels(k int) { f.inner.HangKernels(k) }
+func (f *FaultPlan) HangKernels(k int) { f.inner.Script(faultinject.KernelHang, k, 0) }
 
 // FailEnqueues scripts the next k functional EnqueueNDRange calls to
 // fail with a transient device-busy error.
-func (f *FaultPlan) FailEnqueues(k int) { f.inner.FailEnqueues(k) }
+func (f *FaultPlan) FailEnqueues(k int) { f.inner.Script(faultinject.EnqueueError, k, 0) }
 
 // SlowGPU scripts the next k simulated GPU dispatches to run with
 // throughput divided by factor (> 1).
-func (f *FaultPlan) SlowGPU(factor float64, k int) { f.inner.SlowGPU(factor, k) }
+func (f *FaultPlan) SlowGPU(factor float64, k int) { f.inner.Script(faultinject.SlowGPU, k, factor) }
 
 // GPUBusyProb sets a per-dispatch busy probability (seeded chaos mode).
-func (f *FaultPlan) GPUBusyProb(p float64) { f.inner.GPUBusyProb(p) }
+func (f *FaultPlan) GPUBusyProb(p float64) { f.inner.SetProb(faultinject.GPUBusy, p) }
 
 // EnqueueErrorProb sets a per-enqueue transient-failure probability.
-func (f *FaultPlan) EnqueueErrorProb(p float64) { f.inner.EnqueueErrorProb(p) }
+func (f *FaultPlan) EnqueueErrorProb(p float64) { f.inner.SetProb(faultinject.EnqueueError, p) }
 
 // ReleaseHangs aborts every currently hung dispatch without executing
 // it; useful in tests that inject hangs without configuring a timeout.
@@ -139,22 +140,24 @@ func (f *FaultPlan) ReleaseHangs() { f.inner.ReleaseHangs() }
 // (Config.Admission.Watchdog), the hold is what the watchdog
 // force-releases; without one the invocation simply holds the gate for
 // d before running.
-func (f *FaultPlan) HoldAdmission(d time.Duration, k int) { f.inner.HoldAdmissionFor(d, k) }
+func (f *FaultPlan) HoldAdmission(d time.Duration, k int) {
+	f.inner.Script(faultinject.AdmissionHold, k, float64(d))
+}
 
 // FailWALWrites scripts the next k durable-state WAL appends
 // (Config.State) to fail with an I/O error before writing anything.
 // The first delivered persistence fault permanently disables the
 // store for the run — scheduling continues from memory.
-func (f *FaultPlan) FailWALWrites(k int) { f.inner.FailWALWrites(k) }
+func (f *FaultPlan) FailWALWrites(k int) { f.inner.Script(faultinject.WALWriteError, k, 0) }
 
 // ShortWALWrites scripts the next k durable-state WAL appends to land
 // only a prefix of their record frame before failing — the torn-record
 // shape recovery must truncate on the next open.
-func (f *FaultPlan) ShortWALWrites(k int) { f.inner.ShortWALWrites(k) }
+func (f *FaultPlan) ShortWALWrites(k int) { f.inner.Script(faultinject.WALShortWrite, k, 0) }
 
 // FillWALDisk scripts the next k durable-state WAL appends to fail as
 // if the disk were full.
-func (f *FaultPlan) FillWALDisk(k int) { f.inner.FillWALDisk(k) }
+func (f *FaultPlan) FillWALDisk(k int) { f.inner.Script(faultinject.WALNoSpace, k, 0) }
 
 // Sensor faults degrade what the runtime *observes* — the package
 // energy MSR, the hardware counters, the online profile — never the
@@ -164,10 +167,10 @@ func (f *FaultPlan) FillWALDisk(k int) { f.inner.FillWALDisk(k) }
 
 // StuckMSR scripts the next k package-energy MSR reads to repeat the
 // previous reading (a latched sensor).
-func (f *FaultPlan) StuckMSR(k int) { f.inner.StuckMSRFor(k) }
+func (f *FaultPlan) StuckMSR(k int) { f.inner.Script(faultinject.StuckMSR, k, 0) }
 
 // StuckMSRProb sets a per-read probability of a stuck MSR reading.
-func (f *FaultPlan) StuckMSRProb(p float64) { f.inner.StuckMSRProb(p) }
+func (f *FaultPlan) StuckMSRProb(p float64) { f.inner.SetProb(faultinject.StuckMSR, p) }
 
 // MSRNoise adds seeded Gaussian noise (standard deviation sigmaJoules)
 // to every package-energy MSR read; 0 disables.
@@ -177,21 +180,23 @@ func (f *FaultPlan) MSRNoise(sigmaJoules float64) { f.inner.MSRNoise(sigmaJoules
 // wrap periods — the multi-wrap gap a too-slow sampler would see,
 // which robust metering must flag as ambiguous.
 func (f *FaultPlan) WrapGap(k int) {
-	f.inner.WrapGapFor(k, 2.5*float64(uint64(1)<<32)*defaultMSRUnitJoules)
+	f.inner.Script(faultinject.WrapGap, k, 2.5*float64(uint64(1)<<32)*defaultMSRUnitJoules)
 }
 
 // DropHWC scripts the next k hardware-counter snapshots to return a
 // frozen (non-advancing) reading.
-func (f *FaultPlan) DropHWC(k int) { f.inner.DropHWCFor(k) }
+func (f *FaultPlan) DropHWC(k int) { f.inner.Script(faultinject.HWCDrop, k, 0) }
 
 // CorruptHWC scripts the next k hardware-counter snapshots to return
 // NaNs, as a torn multiplexed read would.
-func (f *FaultPlan) CorruptHWC(k int) { f.inner.CorruptHWCFor(k) }
+func (f *FaultPlan) CorruptHWC(k int) { f.inner.Script(faultinject.HWCCorrupt, k, 0) }
 
 // LieProfile scripts the next k online-profile observations to report
 // GPU throughput multiplied by factor (> 0) — a plausible-looking lie
 // that profile validation and classification hysteresis must contain.
-func (f *FaultPlan) LieProfile(factor float64, k int) { f.inner.LieProfileFor(factor, k) }
+func (f *FaultPlan) LieProfile(factor float64, k int) {
+	f.inner.Script(faultinject.ProfileLie, k, factor)
+}
 
 // defaultMSRUnitJoules mirrors msr.DefaultUnitJoules (2^-16 J) without
 // exporting the internal package.
@@ -213,22 +218,94 @@ type FaultStats struct {
 // Stats returns a snapshot of delivered faults.
 func (f *FaultPlan) Stats() FaultStats {
 	s := f.inner.Stats()
+	d := &s.Delivered
 	return FaultStats{
-		GPUBusy:          s.GPUBusy,
-		KernelHangs:      s.KernelHangs,
-		EnqueueErrors:    s.EnqueueErrors,
-		SlowDispatches:   s.SlowDispatches,
-		StuckMSRReads:    s.StuckMSRReads,
+		GPUBusy:          d[faultinject.GPUBusy],
+		KernelHangs:      d[faultinject.KernelHang],
+		EnqueueErrors:    d[faultinject.EnqueueError],
+		SlowDispatches:   d[faultinject.SlowGPU],
+		StuckMSRReads:    d[faultinject.StuckMSR],
 		NoisyMSRReads:    s.NoisyMSRReads,
-		WrapGaps:         s.WrapGaps,
-		HWCDrops:         s.HWCDrops,
-		HWCCorruptions:   s.HWCCorruptions,
-		ProfileLies:      s.ProfileLies,
-		AdmissionHolds:   s.AdmissionHolds,
-		WALWriteErrors:   s.WALWriteErrors,
-		WALShortWrites:   s.WALShortWrites,
-		WALNoSpaceWrites: s.WALNoSpaceWrites,
+		WrapGaps:         d[faultinject.WrapGap],
+		HWCDrops:         d[faultinject.HWCDrop],
+		HWCCorruptions:   d[faultinject.HWCCorrupt],
+		ProfileLies:      d[faultinject.ProfileLie],
+		AdmissionHolds:   d[faultinject.AdmissionHold],
+		WALWriteErrors:   d[faultinject.WALWriteError],
+		WALShortWrites:   d[faultinject.WALShortWrite],
+		WALNoSpaceWrites: d[faultinject.WALNoSpace],
 	}
+}
+
+// faultArgs is the shape of a fault verb's argument.
+type faultArgs int
+
+const (
+	argCount       faultArgs = iota // K
+	argFactorCount                  // FACTORxCOUNT
+	argSigma                        // SIGMA
+)
+
+// faultVerb is one ParseFaultPlan verb: its name, its argument shape,
+// and the plan call it scripts with the parsed factor or sigma x and
+// count k.
+type faultVerb struct {
+	name string
+	args faultArgs
+	call func(f *FaultPlan, x float64, k int)
+}
+
+// countOnly adapts a count-only plan call to a faultVerb call.
+func countOnly(call func(*FaultPlan, int)) func(*FaultPlan, float64, int) {
+	return func(f *FaultPlan, _ float64, k int) { call(f, k) }
+}
+
+// faultVerbs is the ParseFaultPlan grammar, in documentation order.
+var faultVerbs = []faultVerb{
+	{"gpubusy", argCount, countOnly((*FaultPlan).GPUBusyFor)},
+	{"hang", argCount, countOnly((*FaultPlan).HangKernels)},
+	{"enqueue", argCount, countOnly((*FaultPlan).FailEnqueues)},
+	{"slow", argFactorCount, (*FaultPlan).SlowGPU},
+	{"stuck", argCount, countOnly((*FaultPlan).StuckMSR)},
+	{"noise", argSigma, func(f *FaultPlan, sigma float64, _ int) { f.MSRNoise(sigma) }},
+	{"wrapgap", argCount, countOnly((*FaultPlan).WrapGap)},
+	{"hwcdrop", argCount, countOnly((*FaultPlan).DropHWC)},
+	{"hwccorrupt", argCount, countOnly((*FaultPlan).CorruptHWC)},
+	{"lie", argFactorCount, (*FaultPlan).LieProfile},
+	{"hold", argFactorCount, func(f *FaultPlan, ms float64, k int) {
+		f.HoldAdmission(time.Duration(ms*float64(time.Millisecond)), k)
+	}},
+	{"walerr", argCount, countOnly((*FaultPlan).FailWALWrites)},
+	{"walshort", argCount, countOnly((*FaultPlan).ShortWALWrites)},
+	{"walfull", argCount, countOnly((*FaultPlan).FillWALDisk)},
+}
+
+// parse splits a verb's value into its factor or sigma and its count.
+// On failure it returns what the value should have been.
+func (a faultArgs) parse(val string) (x float64, k int, want string) {
+	switch a {
+	case argSigma:
+		sigma, err := strconv.ParseFloat(val, 64)
+		if err != nil || sigma < 0 {
+			return 0, 0, "a non-negative sigma"
+		}
+		return sigma, 0, ""
+	case argFactorCount:
+		fs, ks, ok := strings.Cut(val, "x")
+		if !ok {
+			return 0, 0, "FACTORxCOUNT"
+		}
+		factor, err := strconv.ParseFloat(fs, 64)
+		if err != nil || factor <= 0 {
+			return 0, 0, "a positive factor"
+		}
+		x, val = factor, ks
+	}
+	k, err := strconv.Atoi(val)
+	if err != nil || k < 0 {
+		return 0, 0, "a non-negative count"
+	}
+	return x, k, ""
 }
 
 // ParseFaultPlan builds a plan from a compact comma-separated spec, so
@@ -265,10 +342,6 @@ func ParseFaultPlan(spec string, seed int64) (*FaultPlan, error) {
 // a live Runtime schedules faults for that runtime's next invocations,
 // which is how the chaos soak varies its fault mix mid-run.
 func (f *FaultPlan) Script(spec string) error {
-	plan := f
-	if strings.TrimSpace(spec) == "" {
-		return nil
-	}
 	for _, tok := range strings.Split(spec, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
@@ -278,116 +351,15 @@ func (f *FaultPlan) Script(spec string) error {
 		if !ok {
 			return fmt.Errorf("eas: fault spec %q: want key=value", tok)
 		}
-		parseCount := func() (int, error) {
-			k, err := strconv.Atoi(val)
-			if err != nil || k < 0 {
-				return 0, fmt.Errorf("eas: fault spec %q: want a non-negative count", tok)
-			}
-			return k, nil
-		}
-		parseFactorCount := func() (float64, int, error) {
-			fs, ks, ok := strings.Cut(val, "x")
-			if !ok {
-				return 0, 0, fmt.Errorf("eas: fault spec %q: want FACTORxCOUNT", tok)
-			}
-			factor, err := strconv.ParseFloat(fs, 64)
-			if err != nil || factor <= 0 {
-				return 0, 0, fmt.Errorf("eas: fault spec %q: want a positive factor", tok)
-			}
-			k, err := strconv.Atoi(ks)
-			if err != nil || k < 0 {
-				return 0, 0, fmt.Errorf("eas: fault spec %q: want a non-negative count", tok)
-			}
-			return factor, k, nil
-		}
-		switch key {
-		case "gpubusy":
-			k, err := parseCount()
-			if err != nil {
-				return err
-			}
-			plan.GPUBusyFor(k)
-		case "hang":
-			k, err := parseCount()
-			if err != nil {
-				return err
-			}
-			plan.HangKernels(k)
-		case "enqueue":
-			k, err := parseCount()
-			if err != nil {
-				return err
-			}
-			plan.FailEnqueues(k)
-		case "slow":
-			factor, k, err := parseFactorCount()
-			if err != nil {
-				return err
-			}
-			plan.SlowGPU(factor, k)
-		case "stuck":
-			k, err := parseCount()
-			if err != nil {
-				return err
-			}
-			plan.StuckMSR(k)
-		case "noise":
-			sigma, err := strconv.ParseFloat(val, 64)
-			if err != nil || sigma < 0 {
-				return fmt.Errorf("eas: fault spec %q: want a non-negative sigma", tok)
-			}
-			plan.MSRNoise(sigma)
-		case "wrapgap":
-			k, err := parseCount()
-			if err != nil {
-				return err
-			}
-			plan.WrapGap(k)
-		case "hwcdrop":
-			k, err := parseCount()
-			if err != nil {
-				return err
-			}
-			plan.DropHWC(k)
-		case "hwccorrupt":
-			k, err := parseCount()
-			if err != nil {
-				return err
-			}
-			plan.CorruptHWC(k)
-		case "lie":
-			factor, k, err := parseFactorCount()
-			if err != nil {
-				return err
-			}
-			plan.LieProfile(factor, k)
-		case "hold":
-			ms, k, err := parseFactorCount()
-			if err != nil {
-				return err
-			}
-			plan.HoldAdmission(time.Duration(ms*float64(time.Millisecond)), k)
-		case "walerr":
-			k, err := parseCount()
-			if err != nil {
-				return err
-			}
-			plan.FailWALWrites(k)
-		case "walshort":
-			k, err := parseCount()
-			if err != nil {
-				return err
-			}
-			plan.ShortWALWrites(k)
-		case "walfull":
-			k, err := parseCount()
-			if err != nil {
-				return err
-			}
-			plan.FillWALDisk(k)
-		default:
+		i := slices.IndexFunc(faultVerbs, func(v faultVerb) bool { return v.name == key })
+		if i < 0 {
 			return fmt.Errorf("eas: unknown fault %q", key)
 		}
+		x, k, want := faultVerbs[i].args.parse(val)
+		if want != "" {
+			return fmt.Errorf("eas: fault spec %q: want %s", tok, want)
+		}
+		faultVerbs[i].call(f, x, k)
 	}
 	return nil
 }

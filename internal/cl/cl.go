@@ -532,7 +532,7 @@ func (q *CommandQueue) EnqueueNDRange(k Kernel, offset, global int) (*Event, err
 	}
 	faults := q.ctx.faults.Load()
 	q.ctx.enqueues.Add(1)
-	if faults.TakeEnqueueError() {
+	if _, ok := faults.Take(faultinject.EnqueueError); ok {
 		q.ctx.busy.Add(1)
 		return nil, fmt.Errorf("%w: NDRange %q rejected", ErrDeviceBusy, k.Name)
 	}
@@ -615,28 +615,28 @@ func (q *CommandQueue) drain() {
 // dispatch runs one command and resolves its event.
 func (q *CommandQueue) dispatch(ev *Event) {
 	k := ev.kernel
-	switch {
-	case ev.abandoned.Load() || q.ctx.abandoned():
+	if ev.abandoned.Load() || q.ctx.abandoned() {
 		ev.resolve(Aborted, fmt.Errorf("%w: kernel %q abandoned while queued", ErrAborted, k.Name))
-	case ev.faults.TakeKernelHang():
+		return
+	}
+	ev.status.Store(int32(Running))
+	if _, hang := ev.faults.Take(faultinject.KernelHang); hang {
 		// The device accepted the kernel but it never starts: the event
 		// resolves only when the caller or the context abandons it (or
 		// the fault plan releases hangs). The body is never executed.
-		ev.status.Store(int32(Running))
 		select {
 		case <-ev.cancel:
 		case <-ev.faults.HangReleased():
 		case <-q.ctx.abort:
 		}
 		ev.resolve(Aborted, fmt.Errorf("%w: kernel %q hung in dispatch", ErrAborted, k.Name))
-	default:
-		ev.status.Store(int32(Running))
-		if err := runKernel(k, ev.offset, ev.items); err != nil {
-			ev.resolve(Failed, err)
-			return
-		}
-		ev.resolve(Complete, nil)
+		return
 	}
+	if err := runKernel(k, ev.offset, ev.items); err != nil {
+		ev.resolve(Failed, err)
+		return
+	}
+	ev.resolve(Complete, nil)
 }
 
 // runKernel executes the body over the NDRange, converting a panic

@@ -130,7 +130,7 @@ func TestKernelPanicIsolated(t *testing.T) {
 func TestHangTimeoutAbandon(t *testing.T) {
 	cctx := NewContext(platform.Desktop())
 	plan := faultinject.New(1)
-	plan.HangKernels(1)
+	plan.Script(faultinject.KernelHang, 1, 0)
 	cctx.SetFaultPlan(plan)
 	q := NewCommandQueue(cctx)
 
@@ -171,7 +171,7 @@ func TestHangTimeoutAbandon(t *testing.T) {
 func TestTransientEnqueueError(t *testing.T) {
 	cctx := NewContext(platform.Desktop())
 	plan := faultinject.New(1)
-	plan.FailEnqueues(2)
+	plan.Script(faultinject.EnqueueError, 2, 0)
 	cctx.SetFaultPlan(plan)
 	q := NewCommandQueue(cctx)
 
@@ -206,7 +206,7 @@ func TestWaitCtxCompletesNormally(t *testing.T) {
 func TestReleaseHangsUnblocksWithoutExecuting(t *testing.T) {
 	cctx := NewContext(platform.Desktop())
 	plan := faultinject.New(1)
-	plan.HangKernels(1)
+	plan.Script(faultinject.KernelHang, 1, 0)
 	cctx.SetFaultPlan(plan)
 	q := NewCommandQueue(cctx)
 

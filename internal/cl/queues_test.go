@@ -62,7 +62,7 @@ func TestLentQueuesOverlapAndRecycle(t *testing.T) {
 func TestReturnedQueueKeepsInOrderRule(t *testing.T) {
 	ctx := NewContext(platform.Desktop())
 	plan := faultinject.New(1)
-	plan.HangKernels(1)
+	plan.Script(faultinject.KernelHang, 1, 0)
 	ctx.SetFaultPlan(plan)
 
 	q := ctx.AcquireQueue()

@@ -204,7 +204,7 @@ func TestContextAbandonSkipsUnstartedCommands(t *testing.T) {
 	}
 	<-started
 	plan := faultinject.New(1)
-	plan.HangKernels(1)
+	plan.Script(faultinject.KernelHang, 1, 0)
 	ctx.SetFaultPlan(plan)
 	defer plan.ReleaseHangs()
 	hq := NewCommandQueue(ctx)
@@ -250,7 +250,7 @@ func TestContextAbandonSkipsUnstartedCommands(t *testing.T) {
 func TestWaitTimeoutReusesQueueTimer(t *testing.T) {
 	ctx := NewContext(platform.Desktop())
 	plan := faultinject.New(1)
-	plan.HangKernels(1)
+	plan.Script(faultinject.KernelHang, 1, 0)
 	ctx.SetFaultPlan(plan)
 	q := NewCommandQueue(ctx)
 	hung, err := q.EnqueueNDRange(Kernel{Name: "hung"}, 0, 1)
@@ -326,7 +326,7 @@ func spin(d time.Duration) {
 func TestOverlappingWaitTimeoutPanics(t *testing.T) {
 	ctx := NewContext(platform.Desktop())
 	plan := faultinject.New(1)
-	plan.HangKernels(1)
+	plan.Script(faultinject.KernelHang, 1, 0)
 	ctx.SetFaultPlan(plan)
 	q := NewCommandQueue(ctx)
 	hung, err := q.EnqueueNDRange(Kernel{Name: "hung"}, 0, 1)

@@ -19,7 +19,7 @@ func TestAdmissionSerializes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
+				tk, err := a.Acquire(context.Background(), AdmitRequest{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -42,7 +42,7 @@ func TestAdmissionSerializes(t *testing.T) {
 // not barging order.
 func TestAdmissionFIFOOrder(t *testing.T) {
 	var a Admission
-	tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
+	tk, err := a.Acquire(context.Background(), AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			wtk, err := a.Acquire(context.Background(), AdmitRequest{Class: ClassBatch}, nil)
+			wtk, err := a.Acquire(context.Background(), AdmitRequest{Class: ClassBatch})
 			if err != nil {
 				t.Error(err)
 				return
@@ -79,14 +79,14 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 
 func TestAdmissionCancelledWhileQueued(t *testing.T) {
 	var a Admission
-	tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
+	tk, err := a.Acquire(context.Background(), AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := a.Acquire(ctx, AdmitRequest{}, nil)
+		_, err := a.Acquire(ctx, AdmitRequest{})
 		errCh <- err
 	}()
 	waitForWaiters(t, &a, 1)
@@ -99,7 +99,7 @@ func TestAdmissionCancelledWhileQueued(t *testing.T) {
 	}
 	// The gate must still work: release and reacquire.
 	a.Release(tk)
-	if tk, err = a.Acquire(context.Background(), AdmitRequest{}, nil); err != nil {
+	if tk, err = a.Acquire(context.Background(), AdmitRequest{}); err != nil {
 		t.Fatal(err)
 	}
 	a.Release(tk)
@@ -109,7 +109,7 @@ func TestAdmissionPreCancelled(t *testing.T) {
 	var a Admission
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := a.Acquire(ctx, AdmitRequest{}, nil); !errors.Is(err, context.Canceled) {
+	if _, err := a.Acquire(ctx, AdmitRequest{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Acquire on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
@@ -120,7 +120,7 @@ func TestAdmissionPreCancelled(t *testing.T) {
 func TestAdmissionGrantCancelRaceDoesNotLeak(t *testing.T) {
 	var a Admission
 	for i := 0; i < 200; i++ {
-		tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
+		tk, err := a.Acquire(context.Background(), AdmitRequest{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestAdmissionGrantCancelRaceDoesNotLeak(t *testing.T) {
 		}
 		done := make(chan grant, 1)
 		go func() {
-			wtk, err := a.Acquire(ctx, AdmitRequest{}, nil)
+			wtk, err := a.Acquire(ctx, AdmitRequest{})
 			done <- grant{wtk, err}
 		}()
 		for a.Waiters() != 1 {
@@ -147,7 +147,7 @@ func TestAdmissionGrantCancelRaceDoesNotLeak(t *testing.T) {
 			a.Release(g.tk) // waiter won: it owns the gate
 		}
 		// Whatever the race outcome, the gate must be free again.
-		if tk, err = a.Acquire(context.Background(), AdmitRequest{}, nil); err != nil {
+		if tk, err = a.Acquire(context.Background(), AdmitRequest{}); err != nil {
 			t.Fatal(err)
 		}
 		a.Release(tk)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/hetsched/eas/internal/engine"
+	"github.com/hetsched/eas/internal/faultinject"
 	"github.com/hetsched/eas/internal/metrics"
 	"github.com/hetsched/eas/internal/msr"
 	"github.com/hetsched/eas/internal/obs"
@@ -520,7 +521,7 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 		inv.Tenant, inv.Class = req.Tenant, req.Class.String()
 	}
 	inv.Begin(obs.PhaseAdmit)
-	ticket, err := s.adm.Acquire(ctx, req, nil)
+	ticket, err := s.adm.Acquire(ctx, req)
 	inv.End(obs.PhaseAdmit)
 	if err != nil {
 		// A typed load-shedding rejection is the gate's doing; the
@@ -532,7 +533,8 @@ func (s *Scheduler) ParallelForScoped(ctx context.Context, k engine.Kernel, n in
 		return Report{}, err
 	}
 	defer s.adm.Release(ticket)
-	if d := s.eng.FaultPlan().TakeAdmissionHold(); d > 0 {
+	if ns, ok := s.eng.FaultPlan().Take(faultinject.AdmissionHold); ok {
+		d := time.Duration(ns)
 		if inv != nil {
 			inv.Hold = d
 		}

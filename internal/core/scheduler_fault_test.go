@@ -24,7 +24,7 @@ func newFaultyEAS(t *testing.T, opts Options) (*Scheduler, *faultinject.Plan) {
 
 func TestTransientBusySucceedsWithinRetries(t *testing.T) {
 	s, plan := newFaultyEAS(t, Options{})
-	plan.GPUBusyFor(2) // default budget is 3 attempts: 2 failures fit
+	plan.Script(faultinject.GPUBusy, 2, 0) // default budget is 3 attempts: 2 failures fit
 	rep, err := s.ParallelFor(compKernel(), 200000)
 	if err != nil {
 		t.Fatalf("transient busy should be retried away: %v", err)
@@ -60,7 +60,7 @@ func TestPersistentBusyFallsBackWithoutPoisoningAlpha(t *testing.T) {
 	}
 
 	// Second invocation: GPU busy beyond the whole retry budget.
-	plan.GPUBusyFor(100)
+	plan.Script(faultinject.GPUBusy, 100, 0)
 	rep2, err := s.ParallelFor(compKernel(), 200000)
 	if err != nil {
 		t.Fatalf("persistent busy should degrade, not fail: %v", err)
@@ -91,7 +91,7 @@ func TestPersistentBusyFallsBackWithoutPoisoningAlpha(t *testing.T) {
 
 func TestPersistentBusyDuringFirstProfileFallsBack(t *testing.T) {
 	s, plan := newFaultyEAS(t, Options{})
-	plan.GPUBusyFor(100)
+	plan.Script(faultinject.GPUBusy, 100, 0)
 	rep, err := s.ParallelFor(memKernel(), 200000)
 	if err != nil {
 		t.Fatalf("busy during profiling should degrade, not fail: %v", err)
@@ -109,7 +109,7 @@ func TestPersistentBusyDuringFirstProfileFallsBack(t *testing.T) {
 
 func TestRetryBackoffAdvancesSimulatedTime(t *testing.T) {
 	s, plan := newFaultyEAS(t, Options{})
-	plan.GPUBusyFor(2)
+	plan.Script(faultinject.GPUBusy, 2, 0)
 	rep, err := s.ParallelFor(compKernel(), 200000)
 	if err != nil {
 		t.Fatal(err)

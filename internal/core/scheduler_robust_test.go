@@ -32,7 +32,7 @@ func newSensorFaultyEAS(t *testing.T, opts Options, seed int64) (*Scheduler, *fa
 
 func TestRobustMeterSubstitutesWhenMSRStuck(t *testing.T) {
 	s, plan := newSensorFaultyEAS(t, Options{Robustness: Robustness{Meter: true}}, 7)
-	plan.StuckMSRFor(100000) // every read latches
+	plan.Script(faultinject.StuckMSR, 100000, 0) // every read latches
 	rep, err := s.ParallelFor(compKernel(), 200000)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestRobustMeterFlagsWrapGap(t *testing.T) {
 	// Two gapped reads: the first lands on the invocation-boundary
 	// Resync (discarded unjudged), the second inside a measured
 	// interval, where it must be flagged.
-	plan.WrapGapFor(2, 2.5*horizon)
+	plan.Script(faultinject.WrapGap, 2, 2.5*horizon)
 	rep, err := s.ParallelFor(compKernel(), 200000)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestQuarantinedProfileNeverReachesTable(t *testing.T) {
 
 	// Invocation 2 re-profiles (ReprofileEvery=2) with corrupted
 	// hardware counters: NaN observation → quarantine.
-	plan.CorruptHWCFor(4)
+	plan.Script(faultinject.HWCCorrupt, 4, 0)
 	rep2, err := s.ParallelFor(compKernel(), 200000)
 	if err != nil {
 		t.Fatalf("quarantine must degrade, not fail: %v", err)
@@ -168,8 +168,8 @@ func TestQuarantinedReplaySubstitutesPredictedPower(t *testing.T) {
 	curve, _ := s.curve(rec.category)
 	want := curve.Power(rec.alpha)
 
-	plan.CorruptHWCFor(4)    // invocation 2 re-profiles into a quarantine
-	plan.StuckMSRFor(100000) // and every energy read latches
+	plan.Script(faultinject.HWCCorrupt, 4, 0)    // invocation 2 re-profiles into a quarantine
+	plan.Script(faultinject.StuckMSR, 100000, 0) // and every energy read latches
 	rep, err := s.ParallelFor(k, 200000)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestQuarantinedReplaySubstitutesPredictedPower(t *testing.T) {
 
 func TestQuarantineOnUnknownKernelRunsCPUOnly(t *testing.T) {
 	s, plan := newSensorFaultyEAS(t, Options{Robustness: Robustness{ValidateProfiles: true}}, 7)
-	plan.CorruptHWCFor(4)
+	plan.Script(faultinject.HWCCorrupt, 4, 0)
 	rep, err := s.ParallelFor(memKernel(), 200000)
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestBreakerLifecycleInScheduler(t *testing.T) {
 	// Each fallback invocation burns the full 3-attempt retry budget on
 	// its first profiling dispatch: 3 scripted busy counts per
 	// invocation. 9 counts = two trips plus one failed probe.
-	plan.GPUBusyFor(9)
+	plan.Script(faultinject.GPUBusy, 9, 0)
 
 	// Invocations 1-2: real fallbacks — the breaker opens at 2.
 	for i := 0; i < 2; i++ {

@@ -11,6 +11,7 @@ import (
 
 	"github.com/hetsched/eas/internal/device"
 	"github.com/hetsched/eas/internal/engine"
+	"github.com/hetsched/eas/internal/faultinject"
 	"github.com/hetsched/eas/internal/metrics"
 	"github.com/hetsched/eas/internal/platform"
 	"github.com/hetsched/eas/internal/powerchar"
@@ -354,7 +355,7 @@ func assertSerialEquivalence(t *testing.T, rows []equivRow) {
 		defer s.Close()
 		var reps []Report
 		for i, st := range equivScript() {
-			plan.GPUBusyFor(st.busy)
+			plan.Script(faultinject.GPUBusy, st.busy, 0)
 			s.eng.Platform().SetGPUBusy(st.owned)
 			rep, err := s.ParallelForCtx(ctx, st.k, st.n)
 			if err != nil {

@@ -214,7 +214,7 @@ func TestStateWriteFailureDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	plan.FailWALWrites(1)
+	plan.Script(faultinject.WALWriteError, 1, 0)
 	if _, err := s.ParallelFor(compKernel(), 1e6); err != nil {
 		t.Fatalf("scheduling must not fail on a persistence fault: %v", err)
 	}

@@ -242,7 +242,6 @@ type waiter struct {
 	tenant string
 	enq    time.Time
 	budget time.Duration
-	cancel context.CancelFunc
 }
 
 // holder tracks the invocation currently holding the gate.
@@ -250,7 +249,6 @@ type holder struct {
 	ticket uint64
 	start  time.Time
 	tenant string
-	cancel context.CancelFunc
 	// revoke is this grant's revocation signal (capacity 1; nil when
 	// the watchdog is off): the watchdog sends one token on it when it
 	// force-releases the holder. Signals are recycled once the holder's
@@ -461,11 +459,11 @@ func (a *Admission) floorRetry(d time.Duration) time.Duration {
 // grantLocked installs a new holder and arms the watchdog: the
 // gate's one timer is reset to the new holder's bound, and the holder
 // takes a recycled revocation signal. Caller holds a.mu.
-func (a *Admission) grantLocked(tenant string, cancel context.CancelFunc, now time.Time) uint64 {
+func (a *Admission) grantLocked(tenant string, now time.Time) uint64 {
 	a.ticketSeq++
 	tk := a.ticketSeq
 	a.busy = true
-	a.holder = holder{ticket: tk, start: now, tenant: tenant, cancel: cancel}
+	a.holder = holder{ticket: tk, start: now, tenant: tenant}
 	if a.opts.Watchdog > 0 {
 		if n := len(a.freeSignals); n > 0 {
 			a.holder.revoke = a.freeSignals[n-1]
@@ -519,14 +517,13 @@ func (a *Admission) Revocation(ticket uint64) <-chan struct{} {
 // queue-bound checks happen immediately (a rejection returns
 // *ErrOverloaded and touches nothing else); otherwise the caller parks
 // in its class queue until granted by effective priority (class minus
-// aging credit, FIFO within a class) or its context is cancelled.
-// cancel, when non-nil, is called when the watchdog force-releases the
-// holder, next to the grant's Revocation signal; pass the CancelFunc of
-// a ctx the holder watches, or nil to watch Revocation alone.
+// aging credit, FIFO within a class) or its context is cancelled. A
+// holder the watchdog force-releases learns it from the grant's
+// Revocation signal.
 //
 // On success the caller owns the gate and must pass the returned
 // ticket to Release.
-func (a *Admission) Acquire(ctx context.Context, req AdmitRequest, cancel context.CancelFunc) (uint64, error) {
+func (a *Admission) Acquire(ctx context.Context, req AdmitRequest) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -557,7 +554,7 @@ func (a *Admission) Acquire(ctx context.Context, req AdmitRequest, cancel contex
 
 	if !a.busy {
 		a.admitted[req.Class]++
-		tk := a.grantLocked(req.Tenant, cancel, now)
+		tk := a.grantLocked(req.Tenant, now)
 		a.mu.Unlock()
 		return tk, nil
 	}
@@ -576,7 +573,6 @@ func (a *Admission) Acquire(ctx context.Context, req AdmitRequest, cancel contex
 	w.tenant = req.Tenant
 	w.enq = now
 	w.budget = req.DeadlineBudget
-	w.cancel = cancel
 	a.queues[req.Class] = append(a.queues[req.Class], w)
 	a.mu.Unlock()
 
@@ -728,7 +724,7 @@ func (a *Admission) handoffLocked() {
 			}
 		}
 		a.admitted[w.class]++
-		w.ticket = a.grantLocked(w.tenant, w.cancel, now)
+		w.ticket = a.grantLocked(w.tenant, now)
 		w.grant <- struct{}{}
 		return
 	}
@@ -740,10 +736,9 @@ func (a *Admission) handoffLocked() {
 // current one. The callback therefore checks the current ticket's hold
 // against the bound and does nothing unless that holder really has
 // held the gate for the full Watchdog bound. A holder that has is
-// presumed wedged: its revocation signal fires (and its cancel hook,
-// if Acquire was given one, is called), the ticket is marked revoked
-// (so its eventual Release is a recorded no-op), and the gate is
-// handed to the next waiter so the node keeps serving.
+// presumed wedged: its revocation signal fires, the ticket is marked
+// revoked (so its eventual Release is a recorded no-op), and the gate
+// is handed to the next waiter so the node keeps serving.
 //
 // Force-release assumes a revoked holder stops driving the engine;
 // the scheduler checks for revocation at its interruption points and
@@ -774,9 +769,6 @@ func (a *Admission) watchdogFire() {
 	// Signal before handing the gate on, so a holder parked on its
 	// revocation wakes, observes it, and stands down.
 	a.holder.revoke <- struct{}{}
-	if a.holder.cancel != nil {
-		a.holder.cancel()
-	}
 	a.recordRevokedHoldLocked(held)
 	a.handoffLocked()
 	a.mu.Unlock()

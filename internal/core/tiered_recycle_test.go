@@ -26,7 +26,7 @@ func TestContendedAdmissionAllocatesNothing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a := tieredGate(tc.opts)
 			ctx := context.Background()
-			held, err := a.Acquire(ctx, AdmitRequest{}, nil)
+			held, err := a.Acquire(ctx, AdmitRequest{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -34,7 +34,7 @@ func TestContendedAdmissionAllocatesNothing(t *testing.T) {
 			granted := make(chan uint64)
 			go func() {
 				for range start {
-					tk, err := a.Acquire(ctx, AdmitRequest{Tenant: "waiter", Class: ClassBatch}, nil)
+					tk, err := a.Acquire(ctx, AdmitRequest{Tenant: "waiter", Class: ClassBatch})
 					if err != nil {
 						t.Error(err)
 					}
@@ -70,7 +70,7 @@ func TestContendedAdmissionAllocatesNothing(t *testing.T) {
 func TestWaiterCancelledAsGrantedPassesGateOn(t *testing.T) {
 	a := tieredGate(AdmissionOptions{Watchdog: time.Hour})
 	bg := context.Background()
-	tk, err := a.Acquire(bg, AdmitRequest{}, nil)
+	tk, err := a.Acquire(bg, AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestWaiterCancelledAsGrantedPassesGateOn(t *testing.T) {
 	defer cancel()
 	werr := make(chan error, 1)
 	go func() {
-		wtk, err := a.Acquire(wctx, AdmitRequest{Tenant: "cancelled"}, nil)
+		wtk, err := a.Acquire(wctx, AdmitRequest{Tenant: "cancelled"})
 		if err == nil {
 			a.Release(wtk)
 		}
@@ -91,7 +91,7 @@ func TestWaiterCancelledAsGrantedPassesGateOn(t *testing.T) {
 
 	next := make(chan uint64, 1)
 	go func() {
-		ntk, err := a.Acquire(bg, AdmitRequest{Tenant: "next"}, nil)
+		ntk, err := a.Acquire(bg, AdmitRequest{Tenant: "next"})
 		if err != nil {
 			t.Error(err)
 		}
@@ -156,7 +156,7 @@ func TestWaiterRecyclingUnderCancellation(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				ctx, cancel := context.WithTimeout(context.Background(),
 					time.Duration(rng.Intn(50))*time.Microsecond)
-				tk, err := a.Acquire(ctx, AdmitRequest{Class: Class(rng.Intn(NumClasses))}, nil)
+				tk, err := a.Acquire(ctx, AdmitRequest{Class: Class(rng.Intn(NumClasses))})
 				cancel()
 				if err != nil {
 					if !errors.Is(err, context.DeadlineExceeded) {
@@ -204,12 +204,12 @@ func TestWaiterRecyclingUnderCancellation(t *testing.T) {
 func TestWatchdogStaleFireIsNoOp(t *testing.T) {
 	bg := context.Background()
 	a := tieredGate(AdmissionOptions{Watchdog: time.Hour})
-	tk1, err := a.Acquire(bg, AdmitRequest{}, nil)
+	tk1, err := a.Acquire(bg, AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.Release(tk1)
-	tk2, err := a.Acquire(bg, AdmitRequest{}, nil)
+	tk2, err := a.Acquire(bg, AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestWatchdogStaleFireIsNoOp(t *testing.T) {
 	// With a real bound, a stale fire early in a hold leaves the timer
 	// armed: the wedged holder is still revoked once the bound passes.
 	b := tieredGate(AdmissionOptions{Watchdog: 20 * time.Millisecond})
-	tk, err := b.Acquire(bg, AdmitRequest{}, nil)
+	tk, err := b.Acquire(bg, AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}

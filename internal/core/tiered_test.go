@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hetsched/eas/internal/faultinject"
 	"github.com/hetsched/eas/internal/metrics"
 )
 
@@ -37,13 +38,13 @@ func TestTieredQuotaSheds(t *testing.T) {
 	ctx := context.Background()
 	req := AdmitRequest{Tenant: "acme"}
 
-	tk, err := a.Acquire(ctx, req, nil)
+	tk, err := a.Acquire(ctx, req)
 	if err != nil {
 		t.Fatalf("first acquire within burst: %v", err)
 	}
 	a.Release(tk)
 
-	_, err = a.Acquire(ctx, req, nil)
+	_, err = a.Acquire(ctx, req)
 	var ov *ErrOverloaded
 	if !errors.As(err, &ov) {
 		t.Fatalf("second acquire = %v, want *ErrOverloaded", err)
@@ -56,7 +57,7 @@ func TestTieredQuotaSheds(t *testing.T) {
 	}
 
 	// Other tenants are unaffected by acme's empty bucket.
-	tk2, err := a.Acquire(ctx, AdmitRequest{Tenant: "globex"}, nil)
+	tk2, err := a.Acquire(ctx, AdmitRequest{Tenant: "globex"})
 	if err != nil {
 		t.Fatalf("independent tenant was shed: %v", err)
 	}
@@ -70,13 +71,13 @@ func TestTieredQuotaSheds(t *testing.T) {
 func TestTieredQueueFullSheds(t *testing.T) {
 	a := tieredGate(AdmissionOptions{QueueDepth: 1})
 	ctx := context.Background()
-	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
+	tk, err := a.Acquire(ctx, AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	granted := make(chan uint64, 1)
 	go func() {
-		wtk, werr := a.Acquire(ctx, AdmitRequest{}, nil)
+		wtk, werr := a.Acquire(ctx, AdmitRequest{})
 		if werr != nil {
 			granted <- 0
 			return
@@ -85,7 +86,7 @@ func TestTieredQueueFullSheds(t *testing.T) {
 	}()
 	waitForWaiters(t, a, 1)
 
-	_, err = a.Acquire(ctx, AdmitRequest{Tenant: "late"}, nil)
+	_, err = a.Acquire(ctx, AdmitRequest{Tenant: "late"})
 	var ov *ErrOverloaded
 	if !errors.As(err, &ov) || ov.Reason != ShedQueueFull {
 		t.Fatalf("over-depth acquire = %v, want queue-full shed", err)
@@ -103,7 +104,7 @@ func TestTieredDeadlineShedsAtArrival(t *testing.T) {
 	a := tieredGate(AdmissionOptions{})
 	ctx := context.Background()
 	// Seed the hold estimator with one deliberate ~20ms hold.
-	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
+	tk, err := a.Acquire(ctx, AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +112,11 @@ func TestTieredDeadlineShedsAtArrival(t *testing.T) {
 	a.Release(tk)
 
 	// Occupy the gate so the next arrival sees a backlog.
-	tk2, err := a.Acquire(ctx, AdmitRequest{}, nil)
+	tk2, err := a.Acquire(ctx, AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = a.Acquire(ctx, AdmitRequest{DeadlineBudget: time.Millisecond}, nil)
+	_, err = a.Acquire(ctx, AdmitRequest{DeadlineBudget: time.Millisecond})
 	var ov *ErrOverloaded
 	if !errors.As(err, &ov) || ov.Reason != ShedDeadline {
 		t.Fatalf("infeasible-deadline acquire = %v, want deadline shed", err)
@@ -129,13 +130,13 @@ func TestTieredDeadlineShedsAtArrival(t *testing.T) {
 func TestTieredDeadlineShedsAtGrant(t *testing.T) {
 	a := tieredGate(AdmissionOptions{})
 	ctx := context.Background()
-	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
+	tk, err := a.Acquire(ctx, AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	errs := make(chan error, 1)
 	go func() {
-		_, werr := a.Acquire(ctx, AdmitRequest{DeadlineBudget: 5 * time.Millisecond}, nil)
+		_, werr := a.Acquire(ctx, AdmitRequest{DeadlineBudget: 5 * time.Millisecond})
 		errs <- werr
 	}()
 	waitForWaiters(t, a, 1)
@@ -148,7 +149,7 @@ func TestTieredDeadlineShedsAtGrant(t *testing.T) {
 		t.Fatalf("expired-budget waiter got %v, want deadline shed", werr)
 	}
 	// The gate must have gone free (grant fell through to nobody).
-	tk2, err := a.Acquire(ctx, AdmitRequest{}, nil)
+	tk2, err := a.Acquire(ctx, AdmitRequest{})
 	if err != nil {
 		t.Fatalf("gate wedged after grant-time shed: %v", err)
 	}
@@ -160,7 +161,7 @@ func TestTieredPriorityOrder(t *testing.T) {
 	// must overtake an earlier background waiter.
 	a := tieredGate(AdmissionOptions{AgingStep: time.Hour})
 	ctx := context.Background()
-	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
+	tk, err := a.Acquire(ctx, AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestTieredPriorityOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wtk, werr := a.Acquire(ctx, AdmitRequest{Class: c}, nil)
+			wtk, werr := a.Acquire(ctx, AdmitRequest{Class: c})
 			if werr != nil {
 				t.Error(werr)
 				return
@@ -203,7 +204,7 @@ func TestTieredAgingPromotesBackground(t *testing.T) {
 	// the starvation-proofing bound in action.
 	a := tieredGate(AdmissionOptions{AgingStep: time.Millisecond})
 	ctx := context.Background()
-	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
+	tk, err := a.Acquire(ctx, AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestTieredAgingPromotesBackground(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wtk, werr := a.Acquire(ctx, AdmitRequest{Class: c}, nil)
+			wtk, werr := a.Acquire(ctx, AdmitRequest{Class: c})
 			if werr != nil {
 				t.Error(werr)
 				return
@@ -246,14 +247,14 @@ func TestTieredAgingPromotesBackground(t *testing.T) {
 
 func TestTieredCancelWhileQueued(t *testing.T) {
 	a := tieredGate(AdmissionOptions{})
-	tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
+	tk, err := a.Acquire(context.Background(), AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errs := make(chan error, 1)
 	go func() {
-		_, werr := a.Acquire(ctx, AdmitRequest{Class: ClassBatch}, nil)
+		_, werr := a.Acquire(ctx, AdmitRequest{Class: ClassBatch})
 		errs <- werr
 	}()
 	waitForWaiters(t, a, 1)
@@ -264,7 +265,7 @@ func TestTieredCancelWhileQueued(t *testing.T) {
 	waitForWaiters(t, a, 0)
 	a.Release(tk)
 	// The gate must be free again.
-	tk2, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
+	tk2, err := a.Acquire(context.Background(), AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,16 +276,15 @@ func TestWatchdogForceReleasesHungHolder(t *testing.T) {
 	stalls := make(chan time.Duration, 1)
 	a := tieredGate(AdmissionOptions{Watchdog: 30 * time.Millisecond})
 	a.onStall = func(tenant string, held time.Duration) { stalls <- held }
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	tk, err := a.Acquire(ctx, AdmitRequest{Tenant: "wedged"}, cancel)
+	tk, err := a.Acquire(context.Background(), AdmitRequest{Tenant: "wedged"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	revoked := a.Revocation(tk)
 	// A healthy waiter queued behind the wedged holder.
 	granted := make(chan uint64, 1)
 	go func() {
-		wtk, werr := a.Acquire(context.Background(), AdmitRequest{}, nil)
+		wtk, werr := a.Acquire(context.Background(), AdmitRequest{})
 		if werr != nil {
 			t.Error(werr)
 			granted <- 0
@@ -294,11 +294,11 @@ func TestWatchdogForceReleasesHungHolder(t *testing.T) {
 	}()
 	waitForWaiters(t, a, 1)
 
-	// Never release: the watchdog must cancel us and free the waiter.
+	// Never release: the watchdog must revoke us and free the waiter.
 	select {
-	case <-ctx.Done():
+	case <-revoked:
 	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog never cancelled the wedged holder")
+		t.Fatal("watchdog never revoked the wedged holder")
 	}
 	select {
 	case wtk := <-granted:
@@ -335,7 +335,7 @@ func TestSchedulerWatchdogBreaksHungTenant(t *testing.T) {
 	s, plan := newFaultyEAS(t, Options{
 		Admission: AdmissionOptions{Watchdog: 40 * time.Millisecond},
 	})
-	plan.HoldAdmissionFor(10*time.Second, 1)
+	plan.Script(faultinject.AdmissionHold, 1, float64(10*time.Second))
 
 	hungErr := make(chan error, 1)
 	go func() {
@@ -383,8 +383,8 @@ func TestSchedulerWatchdogBreaksHungTenant(t *testing.T) {
 	if st.WatchdogStalls != 1 {
 		t.Errorf("WatchdogStalls = %d, want 1", st.WatchdogStalls)
 	}
-	if stats := plan.Stats(); stats.AdmissionHolds != 1 {
-		t.Errorf("AdmissionHolds = %d, want 1", stats.AdmissionHolds)
+	if stats := plan.Stats(); stats.Delivered[faultinject.AdmissionHold] != 1 {
+		t.Errorf("AdmissionHolds = %d, want 1", stats.Delivered[faultinject.AdmissionHold])
 	}
 }
 
@@ -435,7 +435,7 @@ func TestTieredStressExactlyOnce(t *testing.T) {
 					Tenant: []string{"a", "b", "c"}[g%3],
 					Class:  Class(g % NumClasses),
 				}
-				tk, err := a.Acquire(ctx, req, nil)
+				tk, err := a.Acquire(ctx, req)
 				if err != nil {
 					var ov *ErrOverloaded
 					if errors.As(err, &ov) {
@@ -481,7 +481,7 @@ func TestTieredStressExactlyOnce(t *testing.T) {
 		t.Errorf("gate left %d waiters", a.Waiters())
 	}
 	// The gate must be reusable after the storm.
-	tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
+	tk, err := a.Acquire(context.Background(), AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestTieredStressExactlyOnce(t *testing.T) {
 func TestTieredNoInversionBeyondAgingBound(t *testing.T) {
 	a := tieredGate(AdmissionOptions{AgingStep: time.Hour})
 	ctx := context.Background()
-	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
+	tk, err := a.Acquire(ctx, AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +509,7 @@ func TestTieredNoInversionBeyondAgingBound(t *testing.T) {
 		wg.Add(1)
 		go func(c Class) {
 			defer wg.Done()
-			wtk, werr := a.Acquire(ctx, AdmitRequest{Class: c}, nil)
+			wtk, werr := a.Acquire(ctx, AdmitRequest{Class: c})
 			if werr != nil {
 				t.Error(werr)
 				return
@@ -553,7 +553,7 @@ func TestColdStartShedRetryAfterFloored(t *testing.T) {
 
 	// Queue-full shed with a never-released holder: AvgHold is still 0.
 	a := tieredGate(AdmissionOptions{QueueDepth: 1})
-	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
+	tk, err := a.Acquire(ctx, AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,13 +561,13 @@ func TestColdStartShedRetryAfterFloored(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		wtk, werr := a.Acquire(ctx, AdmitRequest{}, nil)
+		wtk, werr := a.Acquire(ctx, AdmitRequest{})
 		if werr == nil {
 			a.Release(wtk)
 		}
 	}()
 	waitForWaiters(t, a, 1)
-	_, err = a.Acquire(ctx, AdmitRequest{}, nil)
+	_, err = a.Acquire(ctx, AdmitRequest{})
 	var ov *ErrOverloaded
 	if !errors.As(err, &ov) || ov.Reason != ShedQueueFull {
 		t.Fatalf("expected queue-full shed, got %v", err)
@@ -581,13 +581,13 @@ func TestColdStartShedRetryAfterFloored(t *testing.T) {
 	// Grant-time deadline shed: the waiter's budget burns away in the
 	// queue while the estimator still reads zero.
 	b := tieredGate(AdmissionOptions{})
-	tk, err = b.Acquire(ctx, AdmitRequest{}, nil)
+	tk, err = b.Acquire(ctx, AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	shed := make(chan error, 1)
 	go func() {
-		_, werr := b.Acquire(ctx, AdmitRequest{DeadlineBudget: 2 * time.Millisecond}, nil)
+		_, werr := b.Acquire(ctx, AdmitRequest{DeadlineBudget: 2 * time.Millisecond})
 		shed <- werr
 	}()
 	waitForWaiters(t, b, 1)
@@ -605,7 +605,7 @@ func TestColdStartShedRetryAfterFloored(t *testing.T) {
 func TestRetryAfterFloorDisabled(t *testing.T) {
 	ctx := context.Background()
 	a := tieredGate(AdmissionOptions{QueueDepth: 1, RetryAfterFloor: -1})
-	tk, err := a.Acquire(ctx, AdmitRequest{}, nil)
+	tk, err := a.Acquire(ctx, AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,13 +613,13 @@ func TestRetryAfterFloorDisabled(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		wtk, werr := a.Acquire(ctx, AdmitRequest{}, nil)
+		wtk, werr := a.Acquire(ctx, AdmitRequest{})
 		if werr == nil {
 			a.Release(wtk)
 		}
 	}()
 	waitForWaiters(t, a, 1)
-	_, err = a.Acquire(ctx, AdmitRequest{}, nil)
+	_, err = a.Acquire(ctx, AdmitRequest{})
 	var ov *ErrOverloaded
 	if !errors.As(err, &ov) || ov.Reason != ShedQueueFull {
 		t.Fatalf("expected queue-full shed, got %v", err)
@@ -668,7 +668,7 @@ func TestRevokedHoldDownWeighted(t *testing.T) {
 // recording.
 func TestCancelPassOnHoldNotRecorded(t *testing.T) {
 	a := tieredGate(AdmissionOptions{})
-	tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
+	tk, err := a.Acquire(context.Background(), AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,7 +684,7 @@ func TestCancelPassOnHoldNotRecorded(t *testing.T) {
 // very next shed already carries a non-zero backlog estimate.
 func TestWatchdogRevocationSeedsEstimator(t *testing.T) {
 	a := tieredGate(AdmissionOptions{Watchdog: 5 * time.Millisecond})
-	tk, err := a.Acquire(context.Background(), AdmitRequest{}, nil)
+	tk, err := a.Acquire(context.Background(), AdmitRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}

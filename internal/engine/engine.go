@@ -192,10 +192,12 @@ func (e *Engine) Run(ph Phase) (Result, error) {
 	// so callers can retry or degrade without rollback.
 	gpuSlowdown := 1.0
 	if ph.GPUItems > epsilon {
-		if e.faults.TakeGPUBusy() {
+		if _, busy := e.faults.Take(faultinject.GPUBusy); busy {
 			return Result{}, fmt.Errorf("engine: kernel %q dispatch: %w", ph.Kernel.Name, ErrGPUBusy)
 		}
-		gpuSlowdown = e.faults.TakeSlowGPU()
+		if f, slow := e.faults.Take(faultinject.SlowGPU); slow {
+			gpuSlowdown = f
+		}
 	}
 
 	spec := e.p.SpecRef()

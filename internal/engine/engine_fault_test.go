@@ -19,7 +19,7 @@ func faultKernel() Kernel {
 func TestInjectedGPUBusyFailsDispatchThenRecovers(t *testing.T) {
 	e := New(platform.Desktop())
 	plan := faultinject.New(3)
-	plan.GPUBusyFor(2)
+	plan.Script(faultinject.GPUBusy, 2, 0)
 	e.SetFaultPlan(plan)
 
 	for i := 0; i < 2; i++ {
@@ -40,7 +40,7 @@ func TestInjectedGPUBusyFailsDispatchThenRecovers(t *testing.T) {
 func TestInjectedBusyLeavesSimulationUntouched(t *testing.T) {
 	e := New(platform.Desktop())
 	plan := faultinject.New(3)
-	plan.GPUBusyFor(1)
+	plan.Script(faultinject.GPUBusy, 1, 0)
 	e.SetFaultPlan(plan)
 	before := e.Platform().Clock.Now()
 	if _, err := e.Run(Phase{Kernel: faultKernel(), GPUItems: 100}); !errors.Is(err, ErrGPUBusy) {
@@ -54,7 +54,7 @@ func TestInjectedBusyLeavesSimulationUntouched(t *testing.T) {
 func TestCPUOnlyPhaseUnaffectedByGPUFaults(t *testing.T) {
 	e := New(platform.Desktop())
 	plan := faultinject.New(3)
-	plan.GPUBusyFor(10)
+	plan.Script(faultinject.GPUBusy, 10, 0)
 	e.SetFaultPlan(plan)
 	res, err := e.Run(Phase{Kernel: faultKernel(), PoolItems: 1000})
 	if err != nil {
@@ -63,7 +63,7 @@ func TestCPUOnlyPhaseUnaffectedByGPUFaults(t *testing.T) {
 	if res.CPUItems < 999 {
 		t.Errorf("CPU retired %v items, want ~1000", res.CPUItems)
 	}
-	if plan.Stats().GPUBusy != 0 {
+	if plan.Stats().Delivered[faultinject.GPUBusy] != 0 {
 		t.Errorf("CPU-only phase consumed a GPU fault")
 	}
 }
@@ -73,7 +73,7 @@ func TestInjectedSlowGPUStretchesExecution(t *testing.T) {
 		e := New(platform.Desktop())
 		if factor > 1 {
 			plan := faultinject.New(3)
-			plan.SlowGPU(factor, 1)
+			plan.Script(faultinject.SlowGPU, 1, factor)
 			e.SetFaultPlan(plan)
 		}
 		res, err := e.Run(Phase{Kernel: faultKernel(), GPUItems: 50000})

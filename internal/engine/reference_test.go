@@ -291,7 +291,7 @@ func TestRunMatchesReferenceStepper(t *testing.T) {
 				for i, rp := range sc.phases {
 					slow := 1.0
 					if rp.slow > 0 {
-						plan.SlowGPU(rp.slow, 1)
+						plan.Script(faultinject.SlowGPU, 1, rp.slow)
 						slow = rp.slow
 					}
 					ph := rp.ph

@@ -77,11 +77,11 @@ func (m *Monitor) Account(items, missesPerItem, instrPerItem, memOpsPerItem floa
 // fault plan, a degraded reading: a dropped counter repeats the last
 // frozen value (counters stop advancing), a corrupt one returns NaNs.
 func (m *Monitor) Snapshot() Counters {
-	if m.faults.TakeHWCCorrupt() {
+	if _, ok := m.faults.Take(faultinject.HWCCorrupt); ok {
 		nan := math.NaN()
 		return Counters{L3Misses: nan, Instructions: nan, MemOps: nan}
 	}
-	if m.faults.TakeHWCDrop() {
+	if _, ok := m.faults.Take(faultinject.HWCDrop); ok {
 		if !m.hasFrozen {
 			m.frozen = m.c
 			m.hasFrozen = true

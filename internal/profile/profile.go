@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/hetsched/eas/internal/engine"
+	"github.com/hetsched/eas/internal/faultinject"
 	"github.com/hetsched/eas/internal/hwc"
 	"github.com/hetsched/eas/internal/wclass"
 )
@@ -106,7 +107,7 @@ func Step(e *engine.Engine, k engine.Kernel, gpuChunk, pool float64) (Observatio
 	// A scripted lying-profile fault distorts the observed GPU
 	// throughput (not the simulation): the decision layer sees a lie,
 	// which is exactly what sanitization and hysteresis must survive.
-	if f := e.FaultPlan().TakeProfileLie(); f != 1 {
+	if f, ok := e.FaultPlan().Take(faultinject.ProfileLie); ok {
 		obs.RG *= f
 	}
 	return obs, res.PoolRemaining, nil

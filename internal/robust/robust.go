@@ -108,6 +108,7 @@ type EnergyMeter struct {
 	horizonJ float64
 	cfg      MeterConfig
 	window   []float64 // ring of recent accepted power samples (W)
+	scratch  []float64 // window-sized buffer the filters sort in place
 	wpos     int
 	wfull    bool
 	lastRaw  uint32
@@ -127,6 +128,7 @@ func NewEnergyMeter(m *msr.PackageEnergyStatus, cfg MeterConfig) *EnergyMeter {
 		horizonJ: m.WrapHorizonJoules(),
 		cfg:      cfg,
 		window:   make([]float64, cfg.Window),
+		scratch:  make([]float64, cfg.Window),
 	}
 }
 
@@ -244,13 +246,19 @@ func (em *EnergyMeter) samples() []float64 {
 	return em.window[:em.wpos]
 }
 
+// sortedSamples returns the valid window contents sorted, in the
+// meter's scratch buffer.
+func (em *EnergyMeter) sortedSamples() []float64 {
+	tmp := em.scratch[:copy(em.scratch, em.samples())]
+	sort.Float64s(tmp)
+	return tmp
+}
+
 func (em *EnergyMeter) median() (float64, bool) {
-	s := em.samples()
-	if len(s) == 0 {
+	tmp := em.sortedSamples()
+	if len(tmp) == 0 {
 		return 0, false
 	}
-	tmp := append([]float64(nil), s...)
-	sort.Float64s(tmp)
 	return tmp[len(tmp)/2], true
 }
 
@@ -261,8 +269,7 @@ func (em *EnergyMeter) hampelReject(p float64) bool {
 	if !em.wfull {
 		return false
 	}
-	tmp := append([]float64(nil), em.window...)
-	sort.Float64s(tmp)
+	tmp := em.sortedSamples()
 	med := tmp[len(tmp)/2]
 	for i, v := range tmp {
 		tmp[i] = math.Abs(v - med)

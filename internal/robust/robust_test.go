@@ -98,6 +98,34 @@ func TestMeterHampelRejectsOutlierWithinPowerBound(t *testing.T) {
 	}
 }
 
+// With a full window, judging a sample copies nothing: the accept path
+// (Hampel check, push) and the reject path (Hampel check, median
+// substitute) both sort in the meter's own scratch buffer.
+func TestMeasureAllocatesNothing(t *testing.T) {
+	src, em := newTestMeter()
+	for i := 0; i < 5; i++ {
+		burn(src, em, 10, 100*time.Millisecond)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, ok := burn(src, em, 10, 100*time.Millisecond); !ok {
+			t.Fatal("in-window sample rejected")
+		}
+	}); a != 0 {
+		t.Errorf("accept path: %v allocs per Measure, want 0", a)
+	}
+	before := em.Stats().Substituted
+	if a := testing.AllocsPerRun(100, func() {
+		if _, ok := burn(src, em, 150, 100*time.Millisecond); ok {
+			t.Fatal("15x outlier accepted")
+		}
+	}); a != 0 {
+		t.Errorf("reject path: %v allocs per Measure, want 0", a)
+	}
+	if em.Stats().Substituted == before {
+		t.Error("reject path substituted nothing")
+	}
+}
+
 func TestMeterToleratesGradualTransition(t *testing.T) {
 	src, em := newTestMeter()
 	// A legitimate phase change: power doubles. With the MAD floored at

@@ -291,17 +291,21 @@ func (s *Store) Append(rec Record) (int, error) {
 	s.scratch = encodeRecord(s.scratch[:0], rec)
 	n := len(s.scratch)
 
-	switch s.opts.Faults.TakeWALFault() {
-	case faultinject.WALWriteError:
+	// Injected faults take precedence in this order: write error,
+	// short write, disk full.
+	faults := s.opts.Faults
+	if _, ok := faults.Take(faultinject.WALWriteError); ok {
 		return 0, s.disable(errors.New("statestore: injected write error"))
-	case faultinject.WALNoSpace:
-		return 0, s.disable(errors.New("statestore: injected write failure: no space left on device"))
-	case faultinject.WALShortWrite:
+	}
+	if _, ok := faults.Take(faultinject.WALShortWrite); ok {
 		// Write a prefix of the frame, then fail — the torn-record
 		// shape recovery must truncate.
 		s.buf.Write(s.scratch[:n/2])
 		s.buf.Flush()
 		return 0, s.disable(errors.New("statestore: injected short write"))
+	}
+	if _, ok := faults.Take(faultinject.WALNoSpace); ok {
+		return 0, s.disable(errors.New("statestore: injected write failure: no space left on device"))
 	}
 
 	if _, err := s.buf.Write(s.scratch); err != nil {

@@ -342,9 +342,9 @@ func TestFaultInjectionDisablesStore(t *testing.T) {
 		name string
 		arm  func(p *faultinject.Plan)
 	}{
-		{"write-error", func(p *faultinject.Plan) { p.FailWALWrites(1) }},
-		{"short-write", func(p *faultinject.Plan) { p.ShortWALWrites(1) }},
-		{"no-space", func(p *faultinject.Plan) { p.FillWALDisk(1) }},
+		{"write-error", func(p *faultinject.Plan) { p.Script(faultinject.WALWriteError, 1, 0) }},
+		{"short-write", func(p *faultinject.Plan) { p.Script(faultinject.WALShortWrite, 1, 0) }},
+		{"no-space", func(p *faultinject.Plan) { p.Script(faultinject.WALNoSpace, 1, 0) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

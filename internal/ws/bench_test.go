@@ -27,15 +27,6 @@ func BenchmarkDequeSteal(b *testing.B) {
 	}
 }
 
-func BenchmarkSharedCounterGrab(b *testing.B) {
-	c := NewSharedCounter(1 << 62)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Grab(64)
-		}
-	})
-}
-
 // BenchmarkParallelForThroughput measures one loop on a warmed pool at
 // the size of one serve-workload operation (4096 items) and at a large
 // size; allocs/op is the per-loop cost, zero once the loop state is

@@ -59,10 +59,12 @@ func TestParallelForPanicInInlinePath(t *testing.T) {
 	}
 }
 
-func TestParallelRangeRecoversPanic(t *testing.T) {
+// Every chunk of the upper half panics, on several workers at once:
+// the loop reports one of those panics and drains.
+func TestParallelForRecoversConcurrentPanics(t *testing.T) {
 	p := NewPool(4)
-	err := p.ParallelRange(10000, 128, func(r Range) {
-		if r.Start >= 5000 {
+	err := p.ParallelFor(10000, 128, func(i int) {
+		if i >= 5000 {
 			panic("chunk bug")
 		}
 	})

@@ -17,8 +17,7 @@ const DefaultGrain = 256
 // workers drain cleanly, and the loop returns it — a misbehaving
 // kernel must not take down the scheduling runtime.
 type PanicError struct {
-	// Index is the iteration index whose body panicked (for range-level
-	// loops, the first index of the panicking chunk).
+	// Index is the iteration index whose body panicked.
 	Index int
 	// Value is the recovered panic value.
 	Value any
@@ -212,7 +211,7 @@ func (p *Pool) Workers() int { return p.workers }
 // DefaultGrain. A panicking body is recovered and returned as a
 // *PanicError after the other workers drain.
 func (p *Pool) ParallelFor(n int, grain int, body func(i int)) error {
-	return p.parallel(context.Background(), 0, n, grain, body, nil)
+	return p.parallel(context.Background(), 0, n, grain, body)
 }
 
 // ParallelForCtx is ParallelFor with cancellation: when ctx is
@@ -223,7 +222,7 @@ func (p *Pool) ParallelFor(n int, grain int, body func(i int)) error {
 // already executed all n iterations when the cancellation lands
 // returns nil (or the body's error), never a spurious ctx.Err().
 func (p *Pool) ParallelForCtx(ctx context.Context, n int, grain int, body func(i int)) error {
-	return p.parallel(ctx, 0, n, grain, body, nil)
+	return p.parallel(ctx, 0, n, grain, body)
 }
 
 // ParallelForIn is ParallelForCtx over the index interval [lo, hi):
@@ -231,38 +230,19 @@ func (p *Pool) ParallelForCtx(ctx context.Context, n int, grain int, body func(i
 // larger iteration space passes its body unwrapped. A *PanicError
 // carries the absolute index too.
 func (p *Pool) ParallelForIn(ctx context.Context, lo, hi int, grain int, body func(i int)) error {
-	return p.parallel(ctx, lo, hi, grain, body, nil)
+	return p.parallel(ctx, lo, hi, grain, body)
 }
 
-// ParallelRange is ParallelFor at chunk granularity: body receives
-// whole ranges, which lets callers amortize per-chunk setup.
-func (p *Pool) ParallelRange(n int, grain int, body func(r Range)) error {
-	return p.parallel(context.Background(), 0, n, grain, nil, body)
-}
-
-// ParallelRangeCtx is ParallelRange with cancellation (see
-// ParallelForCtx for the semantics).
-func (p *Pool) ParallelRangeCtx(ctx context.Context, n int, grain int, body func(r Range)) error {
-	return p.parallel(ctx, 0, n, grain, nil, body)
-}
-
-// runChunk executes one chunk, item by item through body or whole
-// through rbody, converting a panic to a *PanicError. An item body's
-// panic carries the exact iteration index, a range body's the chunk's
-// first index (the pool cannot see inside the caller's chunk loop).
-// One deferred recover per chunk keeps the hot loop free of per-item
-// overhead.
-func runChunk(body func(int), rbody func(Range), r Range) (err error) {
+// runChunk executes one chunk item by item, converting a panic to a
+// *PanicError carrying the exact iteration index. One deferred recover
+// per chunk keeps the hot loop free of per-item overhead.
+func runChunk(body func(int), r Range) (err error) {
 	i := r.Start
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	if rbody != nil {
-		rbody(r)
-		return nil
-	}
 	for ; i < r.End; i++ {
 		body(i)
 	}
@@ -291,8 +271,7 @@ type loop struct {
 	// helper goroutine allocates nothing.
 	spawn func()
 
-	body  func(int)
-	rbody func(Range)
+	body func(int)
 
 	remaining atomic.Int64 // iterations not yet executed
 	stop      atomic.Bool  // body error or cancellation: take no more chunks
@@ -305,7 +284,7 @@ type loop struct {
 // acquire takes a loop state from the free list (or builds one) and
 // seeds its deques with [lo, hi): each worker slot gets an equal
 // slice, split into grain-sized chunks.
-func (p *Pool) acquire(lo, hi, grain int, body func(int), rbody func(Range)) *loop {
+func (p *Pool) acquire(lo, hi, grain int, body func(int)) *loop {
 	var l *loop
 	p.freeMu.Lock()
 	if k := len(p.free); k > 0 {
@@ -328,7 +307,7 @@ func (p *Pool) acquire(lo, hi, grain int, body func(int), rbody func(Range)) *lo
 	} else if l.refs.Load() != 0 {
 		panic("ws: loop state recycled while a worker still holds it")
 	}
-	l.body, l.rbody = body, rbody
+	l.body = body
 	l.remaining.Store(int64(hi - lo))
 	l.stop.Store(false)
 	l.failed.Store(false)
@@ -347,7 +326,7 @@ func (p *Pool) acquire(lo, hi, grain int, body func(int), rbody func(Range)) *lo
 
 // release returns a loop state nobody references to the free list.
 func (p *Pool) release(l *loop) {
-	l.body, l.rbody, l.err = nil, nil, nil
+	l.body, l.err = nil, nil
 	p.freeMu.Lock()
 	p.free = append(p.free, l)
 	p.freeMu.Unlock()
@@ -365,7 +344,7 @@ func (p *Pool) release(l *loop) {
 // caller waits for either their exit or ctx, so a blocked body cannot
 // delay a cancellation. A cancelled caller returns at once and the
 // last straggler to exit recycles the state.
-func (p *Pool) parallel(ctx context.Context, lo, hi, grain int, body func(int), rbody func(Range)) error {
+func (p *Pool) parallel(ctx context.Context, lo, hi, grain int, body func(int)) error {
 	if hi <= lo {
 		return nil
 	}
@@ -378,10 +357,10 @@ func (p *Pool) parallel(ctx context.Context, lo, hi, grain int, body func(int), 
 	cancelled := ctx.Done()
 	if cancelled == nil && (hi-lo <= grain || p.workers == 1) {
 		// Uncancellable small or single-worker loop: run inline.
-		return runChunk(body, rbody, Range{Start: lo, End: hi})
+		return runChunk(body, Range{Start: lo, End: hi})
 	}
 
-	l := p.acquire(lo, hi, grain, body, rbody)
+	l := p.acquire(lo, hi, grain, body)
 	if cancelled == nil {
 		l.refs.Store(callerRef + int32(p.workers-1))
 		l.slot.Store(0)
@@ -537,7 +516,7 @@ func (l *loop) work(self int) {
 		if extra > 0 || l.deques[src].Size() > 0 {
 			p.wakeOne()
 		}
-		if err := runChunk(l.body, l.rbody, r); err != nil {
+		if err := runChunk(l.body, r); err != nil {
 			if l.failed.CompareAndSwap(false, true) {
 				l.err = err
 			}
@@ -575,50 +554,4 @@ func gcd(a, b int) int {
 		a, b = b, a%b
 	}
 	return a
-}
-
-// SharedCounter is the atomically drained work pool the paper's online
-// profiling uses: CPU workers grab chunks by atomic decrement while the
-// GPU proxy carves off its profile chunk from the same counter.
-type SharedCounter struct {
-	next  atomic.Int64
-	limit int64
-}
-
-// NewSharedCounter returns a counter over the iteration space [0, n).
-func NewSharedCounter(n int) *SharedCounter {
-	if n < 0 {
-		panic(fmt.Sprintf("ws: negative iteration count %d", n))
-	}
-	return &SharedCounter{limit: int64(n)}
-}
-
-// Grab atomically claims up to k iterations, returning the claimed
-// range; ok is false when the counter is exhausted.
-func (c *SharedCounter) Grab(k int) (Range, bool) {
-	if k <= 0 {
-		return Range{}, false
-	}
-	for {
-		cur := c.next.Load()
-		if cur >= c.limit {
-			return Range{}, false
-		}
-		end := cur + int64(k)
-		if end > c.limit {
-			end = c.limit
-		}
-		if c.next.CompareAndSwap(cur, end) {
-			return Range{Start: int(cur), End: int(end)}, true
-		}
-	}
-}
-
-// Remaining returns the number of unclaimed iterations.
-func (c *SharedCounter) Remaining() int {
-	r := c.limit - c.next.Load()
-	if r < 0 {
-		return 0
-	}
-	return int(r)
 }

@@ -21,17 +21,11 @@ func TestParallelForSteadyStateAllocs(t *testing.T) {
 			sink.Add(1)
 		}
 	}
-	chunk := func(r Range) {
-		if r.Start == 0 {
-			sink.Add(1)
-		}
-	}
 	for _, workers := range []int{2, 4} {
 		for _, n := range []int{4096, 1 << 16} {
 			p := NewPool(workers)
 			loops := map[string]func(){
-				"ParallelFor":   func() { _ = p.ParallelFor(n, 0, item) },
-				"ParallelRange": func() { _ = p.ParallelRange(n, 0, chunk) },
+				"ParallelFor": func() { _ = p.ParallelFor(n, 0, item) },
 			}
 			for name, run := range loops {
 				t.Run(fmt.Sprintf("%s/workers=%d/n=%d", name, workers, n), func(t *testing.T) {
@@ -151,11 +145,11 @@ func recyclingCaller(p *Pool, c, rounds int) error {
 		case 0:
 			err = p.ParallelFor(n, 16, stamp)
 		case 1:
-			err = p.ParallelRange(n, 16, func(r Range) {
-				for i := r.Start; i < r.End; i++ {
-					stamp(i)
-				}
-			})
+			// Cancellable but never cancelled: every worker is a helper
+			// and the caller waits on the loop.
+			ctx, cancel := context.WithCancel(context.Background())
+			err = p.ParallelForCtx(ctx, n, 16, stamp)
+			cancel()
 		case 2:
 			lo := n / 3
 			err = p.ParallelForIn(context.Background(), lo, n, 16, stamp)

@@ -156,20 +156,6 @@ func TestParallelForSmallAndEdge(t *testing.T) {
 	}
 }
 
-func TestParallelRangeChunks(t *testing.T) {
-	p := NewPool(4)
-	var covered atomic.Int64
-	p.ParallelRange(10000, 128, func(r Range) {
-		if r.Start < 0 || r.End > 10000 || r.Start >= r.End {
-			t.Errorf("bad range %+v", r)
-		}
-		covered.Add(int64(r.Len()))
-	})
-	if covered.Load() != 10000 {
-		t.Errorf("covered %d iterations, want 10000", covered.Load())
-	}
-}
-
 func TestNewPoolDefaults(t *testing.T) {
 	if NewPool(0).Workers() <= 0 {
 		t.Error("default pool should have workers")
@@ -177,63 +163,6 @@ func TestNewPoolDefaults(t *testing.T) {
 	if NewPool(3).Workers() != 3 {
 		t.Error("explicit worker count ignored")
 	}
-}
-
-func TestSharedCounterSequential(t *testing.T) {
-	c := NewSharedCounter(100)
-	r, ok := c.Grab(30)
-	if !ok || r.Start != 0 || r.End != 30 {
-		t.Fatalf("first grab = %+v", r)
-	}
-	if c.Remaining() != 70 {
-		t.Errorf("Remaining = %d, want 70", c.Remaining())
-	}
-	r, _ = c.Grab(100) // clamped to what's left
-	if r.End != 100 || r.Start != 30 {
-		t.Errorf("clamped grab = %+v", r)
-	}
-	if _, ok := c.Grab(1); ok {
-		t.Error("exhausted counter granted work")
-	}
-	if _, ok := c.Grab(0); ok {
-		t.Error("k=0 grab should fail")
-	}
-}
-
-func TestSharedCounterConcurrent(t *testing.T) {
-	const n = 100000
-	c := NewSharedCounter(n)
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				r, ok := c.Grab(97)
-				if !ok {
-					return
-				}
-				total.Add(int64(r.Len()))
-			}
-		}()
-	}
-	wg.Wait()
-	if total.Load() != n {
-		t.Errorf("grabbed %d iterations, want %d", total.Load(), n)
-	}
-	if c.Remaining() != 0 {
-		t.Errorf("Remaining = %d, want 0", c.Remaining())
-	}
-}
-
-func TestSharedCounterPanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewSharedCounter(-1)
 }
 
 // Property: ParallelFor computes the same sum as a serial loop.
